@@ -61,7 +61,12 @@ from .expr import (
     parse_transform,
     polynomial_roots,
 )
-from .forward import fourier_reduction, sl_forward, sl_forward_symmetric
+from .forward import (
+    fourier_reduction,
+    sl_forward,
+    sl_forward_grid,
+    sl_forward_symmetric,
+)
 from .inversion import (
     PartialFractionTerm,
     inverse_laplace_rational,
@@ -134,6 +139,7 @@ __all__ = [
     "partial_fractions",
     "polynomial_roots",
     "sl_forward",
+    "sl_forward_grid",
     "sl_forward_symmetric",
     "sl_inverse_numeric",
     "sl_inverse_split",

@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from .core import SLPoint, catalog_signal
+from .core import catalog_signal
 from .errors import (
     AccuracyError,
     CatalogError,
@@ -33,7 +33,7 @@ from .errors import (
     RootFindingError,
 )
 from .expr import evaluate_rational, parse_transform
-from .forward import sl_forward
+from .forward import sl_forward_grid
 from .inversion import sl_inverse_numeric, sl_inverse_split
 
 EXIT_OK = 0
@@ -54,9 +54,8 @@ def forward_csv(signal: str, x1: float, x2: float, ys, tol: float,
                 freq: float = 1.0) -> str:
     f = catalog_signal(signal, freq=freq)
     lines = ["y,re,im,err"]
-    for y in ys:
-        sample = sl_forward(f, SLPoint(x1, x2, y), tol)
-        lines.append(f"{float(y)!r},{sample.value.real!r},"
+    for sample in sl_forward_grid(f, x1, x2, ys, tol):
+        lines.append(f"{float(sample.point.y)!r},{sample.value.real!r},"
                      f"{sample.value.imag!r},{sample.abs_error_estimate!r}")
     return "\n".join(lines) + "\n"
 
@@ -160,8 +159,13 @@ def main(argv=None) -> int:
                 if args.steps < 1:
                     parser.error("--steps must be >= 1")
                 ys = grid_points(args.ymin, args.ymax, args.steps)
-            _emit(forward_csv(args.signal, args.x1, args.x2, ys, args.tol,
-                              freq=args.freq), args.out)
+            try:
+                text = forward_csv(args.signal, args.x1, args.x2, ys,
+                                   args.tol, freq=args.freq)
+            except ValueError as exc:  # bad tolerance, point or signal name
+                print(f"symlap: {exc}", file=sys.stderr)
+                return EXIT_USAGE
+            _emit(text, args.out)
             return EXIT_OK
         if args.command == "invert":
             if args.t is not None:

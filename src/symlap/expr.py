@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -205,6 +206,20 @@ class SplitTransform:
 
     g1: RationalFunction
     g2: RationalFunction
+
+    # Partial fractions of each side, computed on first use and kept, so
+    # inverting at many t decomposes each side once.
+    @cached_property
+    def g1_terms(self):
+        from .inversion import partial_fractions
+
+        return partial_fractions(self.g1)
+
+    @cached_property
+    def g2_terms(self):
+        from .inversion import partial_fractions
+
+        return partial_fractions(self.g2)
 
     def pretty(self) -> str:
         if self.g2.is_zero:

@@ -6,47 +6,67 @@ The transform of a signal f at the point (x1, x2, y) is
 
 which splits into two one-sided Laplace integrals: the positive piece at
 s1 = x1 + i*y and (after t -> -t) the reflected negative piece at
-conj(s2) = x2 - i*y.  One half-line quadrature engine therefore serves
-both sides; the requested tolerance is split evenly between them.
+conj(s2) = x2 - i*y.  The requested tolerance is split evenly between
+them.
+
+Along a line of fixed damping (x1, x2) the oscillation y is the Fourier
+direction, so a whole y-grid is evaluated at once: each half-line takes
+one factored GK15 pass over uniform panels shared by every y
+(quadrature.laplace_grid), and only a y whose panel certificate misses
+its budget is refined adaptively.  sl_forward is the one-point grid.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .core import PiecewiseSignal, SLPoint, TransformSample
 from .errors import DivergenceError
-from .quadrature import half_line_integral
+from .quadrature import laplace_grid
 
 
-def _side_integral(piece, bound, x: float, y_eff: float, tol: float,
-                   osc: float, tail_cut, label: str):
-    if x <= bound.a and tail_cut is None:
-        raise DivergenceError(
-            f"{label} half-line diverges: damping x={x} must exceed the "
-            f"growth rate a={bound.a} of the signal on that side")
+def sl_forward_grid(f: PiecewiseSignal, x1: float, x2: float, ys,
+                    tol: float) -> list[TransformSample]:
+    """Evaluate the transform of f at (x1, x2, y) for every y in ys, each
+    to absolute tolerance tol.
 
-    def integrand(u):
-        return np.exp(-(x + 1j * y_eff) * u) * np.asarray(piece(u),
-                                                          dtype=complex)
-
-    return half_line_integral(integrand, bound, x, tol,
-                              osc=osc, tail_cut=tail_cut)
+    Raises ValueError for a non-finite or non-positive tol or a
+    non-finite x1, x2 or y, and DivergenceError naming the offending
+    half-line when x1 or x2 does not dominate the growth rate of its
+    piece.
+    """
+    ys = list(ys)
+    y_arr = np.asarray(ys, dtype=float)
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if not (math.isfinite(x1) and math.isfinite(x2)):
+        raise ValueError(f"x1 and x2 must be finite, got {x1}, {x2}")
+    if not np.all(np.isfinite(y_arr)):
+        raise ValueError("every y must be finite")
+    sides = (("positive", "pos", f.pos, x1, y_arr),
+             ("negative", "neg", lambda u: f.neg(-u), x2, -y_arr))
+    value = np.zeros(y_arr.shape, dtype=complex)
+    estimate = np.zeros(y_arr.shape)
+    for label, side, piece, x, y_eff in sides:
+        bound = f.bound_for(side, x)
+        if x <= bound.a and f.tail_cut is None:
+            raise DivergenceError(
+                f"{label} half-line diverges: damping x={x} must exceed "
+                f"the growth rate a={bound.a} of the signal on that side")
+        v, e = laplace_grid(piece, bound, x, y_eff, tol / 2.0,
+                            osc=f.osc_hint, tail_cut=f.tail_cut)
+        value += v
+        estimate += e
+    return [TransformSample(SLPoint(x1, x2, y), complex(v), float(e))
+            for y, v, e in zip(ys, value, estimate)]
 
 
 def sl_forward(f: PiecewiseSignal, p: SLPoint, tol: float) -> TransformSample:
-    """Evaluate the transform of f at p to absolute tolerance tol.
-
-    Raises DivergenceError naming the offending half-line when x1 or x2
-    does not dominate the growth rate of its piece.
-    """
-    osc = abs(p.y) + f.osc_hint
-    pos = _side_integral(f.pos, f.bound_for("pos", p.x1), p.x1, p.y,
-                         tol / 2.0, osc, f.tail_cut, "positive")
-    neg = _side_integral(lambda u: f.neg(-u), f.bound_for("neg", p.x2),
-                         p.x2, -p.y, tol / 2.0, osc, f.tail_cut, "negative")
-    return TransformSample(p, pos.value + neg.value,
-                           pos.abs_error_estimate + neg.abs_error_estimate)
+    """Evaluate the transform of f at p to absolute tolerance tol: the
+    one-point case of sl_forward_grid, with the same errors."""
+    return sl_forward_grid(f, p.x1, p.x2, [p.y], tol)[0]
 
 
 def sl_forward_symmetric(f: PiecewiseSignal, s: complex,

@@ -139,7 +139,8 @@ def sl_inverse_split(st: SplitTransform, t: float) -> complex:
 
     Both sides must be strictly proper (the zero function counts).  The
     positive side g1 is inverted at t for t >= 0; the cs side g2 is
-    inverted at -t for t < 0.
+    inverted at -t for t < 0.  Each side is decomposed once per
+    SplitTransform and the terms are reused at every later t.
     """
     for label, g in (("g1", st.g1), ("g2", st.g2)):
         if not g.is_proper:
@@ -147,8 +148,8 @@ def sl_inverse_split(st: SplitTransform, t: float) -> complex:
                 f"{label} = {g} is not strictly proper; the split "
                 "transform has no classical inverse")
     if t >= 0:
-        return inverse_laplace_rational(partial_fractions(st.g1), t)
-    return inverse_laplace_rational(partial_fractions(st.g2), -t)
+        return inverse_laplace_rational(st.g1_terms, t)
+    return inverse_laplace_rational(st.g2_terms, -t)
 
 
 def sl_inverse_numeric(F, x1: float, x2: float, t: float, A: float,

@@ -64,6 +64,19 @@ def test_forward_usage_error_exits_2():
     assert cp.returncode == 2
 
 
+@pytest.mark.parametrize("bad", [("--tol", "nan"), ("--tol", "0"),
+                                 ("--y", "nan"), ("--x1", "inf")])
+def test_forward_bad_number_exits_2_with_one_line(bad):
+    args = {"--x1": "1", "--x2": "1", "--y": "0", "--tol": "1e-8"}
+    args[bad[0]] = bad[1]
+    cp = run_cli("forward", "--signal", "sign",
+                 *(v for kv in args.items() for v in kv))
+    assert cp.returncode == 2
+    assert cp.stdout == ""
+    assert cp.stderr.startswith("symlap: ")
+    assert len(cp.stderr.strip().splitlines()) == 1
+
+
 def test_invert_recovers_identity_signal():
     cp = run_cli("invert", "--expr", "1/s^2 - 1/cs^2",
                  "--tmin", "-3", "--tmax", "3", "--steps", "6")

@@ -4,9 +4,21 @@ import numpy as np
 import pytest
 
 from _oracles import simpson
-from symlap.core import ExponentialOrderBound, PiecewiseSignal, SLPoint, catalog_signal
+from symlap import quadrature
+from symlap.core import (
+    CATALOG_NAMES,
+    ExponentialOrderBound,
+    PiecewiseSignal,
+    SLPoint,
+    catalog_signal,
+)
 from symlap.errors import DivergenceError
-from symlap.forward import fourier_reduction, sl_forward, sl_forward_symmetric
+from symlap.forward import (
+    fourier_reduction,
+    sl_forward,
+    sl_forward_grid,
+    sl_forward_symmetric,
+)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -122,3 +134,136 @@ def test_example_closed_forms_on_grid():
         num = sl_forward(sign, SLPoint(x, x, y), 1e-9).value
         closed = 1.0 / (x + 1j * y) + 1.0 / (-x + 1j * y)
         assert abs(num - closed) <= 1e-8
+
+
+def closed_form(name, x1, x2, y, freq=1.0):
+    """Transform of a catalog signal from the one-sided Laplace table:
+    L[pos](x1 + iy) plus L[neg(-u)](x2 - iy)."""
+    s1 = x1 + 1j * np.asarray(y, dtype=float)
+    s2 = x2 - 1j * np.asarray(y, dtype=float)
+    w2 = freq * freq
+    if name == "sign":
+        return 1 / s1 - 1 / s2
+    if name == "one":
+        return 1 / s1 + 1 / s2
+    if name == "heaviside":
+        return 1 / s1
+    if name == "ramp":
+        return 1 / s1 ** 2 - 1 / s2 ** 2
+    if name == "sincos":
+        return freq / (s1 ** 2 + w2) + s2 / (s2 ** 2 + w2)
+    if name == "cossin":
+        return s1 / (s1 ** 2 + w2) - freq / (s2 ** 2 + w2)
+    if name == "ode_rhs":
+        return 1 / (s1 - 1) + 1 / s2
+    if name == "gauss":
+        # integral of exp(-s*u - u^2) over u > 0 is sqrt(pi)/2 * w(i*s/2)
+        # with w the Faddeeva function
+        from scipy.special import wofz
+
+        return SQRT_PI / 2 * (wofz(0.5j * s1) + wofz(0.5j * s2))
+    raise ValueError(name)
+
+
+def _sweep_grid(rng):
+    """1 to 301 y values: a uniform grid, or a sorted, unsorted or
+    repeating list of random values."""
+    n = int(rng.integers(1, 302))
+    ymax = float(rng.uniform(0.5, 60.0))
+    kind = int(rng.integers(4))
+    if kind == 0:
+        return list(np.linspace(-ymax, ymax, n) if n > 1 else [ymax])
+    ys = rng.uniform(-ymax, ymax, n)
+    if kind == 1:
+        ys.sort()
+    elif kind == 2:
+        ys[: n // 3] = ys[-1]
+    return [float(y) for y in ys]
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_grid_sweep_meets_certificate(name, tol):
+    rng = np.random.default_rng([20261018, CATALOG_NAMES.index(name),
+                                 int(-math.log10(tol))])
+    for _ in range(2):
+        lo = 1.25 if name == "ode_rhs" else 0.25  # x1 must exceed a = 1
+        x1, x2 = float(rng.uniform(lo, 4.0)), float(rng.uniform(0.25, 4.0))
+        freq = float(rng.uniform(0.5, 3.0))
+        ys = _sweep_grid(rng)
+        samples = sl_forward_grid(catalog_signal(name, freq), x1, x2, ys,
+                                  tol)
+        assert [p.point for p in samples] == [SLPoint(x1, x2, y) for y in ys]
+        got = np.array([p.value for p in samples])
+        est = np.array([p.abs_error_estimate for p in samples])
+        gap = np.abs(got - closed_form(name, x1, x2, ys, freq))
+        assert np.all(gap <= est), (x1, x2, ys[int(np.argmax(gap - est))])
+        assert np.all(est <= tol)
+
+
+def test_grid_agrees_with_single_points():
+    f = catalog_signal("sincos", 2.0)
+    ys = [-7.5, -1.0, 0.0, 0.25, 3.0, 12.0]
+    grid = sl_forward_grid(f, 0.75, 1.5, ys, 1e-9)
+    for y, g in zip(ys, grid):
+        one = sl_forward(f, SLPoint(0.75, 1.5, y), 1e-9)
+        assert abs(g.value - one.value) <= (g.abs_error_estimate
+                                            + one.abs_error_estimate)
+
+
+def test_missed_oscillation_falls_back_to_refinement(monkeypatch):
+    # cos(40 t) without an osc_hint: panels sized for |y| <= 1 span
+    # several periods, so every y misses its budget and is refined
+    fast = PiecewiseSignal(
+        "fast", lambda t: np.cos(40.0 * t), lambda t: np.zeros_like(t),
+        ExponentialOrderBound(1.0, 0.0), ExponentialOrderBound(1.0, 0.0))
+    calls = []
+    adaptive = quadrature._adaptive
+
+    def counted(*args):
+        calls.append(args)
+        return adaptive(*args)
+
+    monkeypatch.setattr(quadrature, "_adaptive", counted)
+    ys = [-1.0, -0.5, 0.0, 0.5, 1.0]
+    samples = sl_forward_grid(fast, 1.0, 2.0, ys, 1e-8)
+    assert len(calls) == len(ys)
+    for y, p in zip(ys, samples):
+        s1 = 1.0 + 1j * y
+        assert abs(p.value - s1 / (s1 ** 2 + 1600.0)) <= p.abs_error_estimate
+        assert p.abs_error_estimate <= 1e-8
+
+
+def test_estimate_allows_for_rounding():
+    # the tail bound is exact for f = 1, so rounding alone decides
+    r = sl_forward(catalog_signal("one"), SLPoint(1.0, 1.0, 0.0), 1e-8)
+    assert abs(r.value - 2.0) <= r.abs_error_estimate <= 1e-8
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
+def test_rejects_bad_tolerance(tol):
+    f = catalog_signal("sign")
+    with pytest.raises(ValueError, match="tol"):
+        sl_forward_grid(f, 1.0, 1.0, [0.0, 1.0], tol)
+    with pytest.raises(ValueError, match="tol"):
+        sl_forward(f, SLPoint(1.0, 1.0, 0.0), tol)
+
+
+@pytest.mark.parametrize("x1, x2, y", [(math.nan, 1.0, 0.0),
+                                       (1.0, math.inf, 0.0),
+                                       (1.0, 1.0, math.nan),
+                                       (1.0, 1.0, -math.inf)])
+def test_rejects_non_finite_point(x1, x2, y):
+    f = catalog_signal("sign")
+    with pytest.raises(ValueError, match="finite"):
+        sl_forward_grid(f, x1, x2, [0.5, y], 1e-8)
+    with pytest.raises(ValueError, match="finite"):
+        sl_forward(f, SLPoint(x1, x2, y), 1e-8)
+
+
+def test_grid_divergence_names_the_side():
+    with pytest.raises(DivergenceError, match="positive"):
+        sl_forward_grid(catalog_signal("ode_rhs"), 0.5, 1.0, [0.0, 2.0],
+                        1e-8)
+    with pytest.raises(DivergenceError, match="negative"):
+        sl_forward_grid(catalog_signal("sign"), 1.0, -0.5, [0.0, 2.0], 1e-8)
