@@ -72,6 +72,7 @@ from .inversion import (
     inverse_laplace_rational,
     partial_fractions,
     sl_inverse_numeric,
+    sl_inverse_numeric_pair,
     sl_inverse_split,
 )
 from .quadrature import (
@@ -142,6 +143,7 @@ __all__ = [
     "sl_forward_grid",
     "sl_forward_symmetric",
     "sl_inverse_numeric",
+    "sl_inverse_numeric_pair",
     "sl_inverse_split",
     "transform_pair_of",
     "truncation_point",

@@ -34,7 +34,7 @@ from .errors import (
 )
 from .expr import evaluate_rational, parse_transform
 from .forward import sl_forward_grid
-from .inversion import sl_inverse_numeric, sl_inverse_split
+from .inversion import sl_inverse_numeric_pair, sl_inverse_split
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -78,8 +78,7 @@ def invert_numeric_csv(expr_text: str, x1: float, x2: float, t: float,
         return (evaluate_rational(st.g1, a1 + 1j * y)
                 + evaluate_rational(st.g2, a2 - 1j * y))
 
-    full = sl_inverse_numeric(F, x1, x2, t, A, tol)
-    half = sl_inverse_numeric(F, x1, x2, t, A / 2.0, tol)
+    full, half = sl_inverse_numeric_pair(F, x1, x2, t, A, tol)
     sens = abs(full - half)
     return ("t,re,im,a_sensitivity\n"
             f"{float(t)!r},{full.real!r},{full.imag!r},{sens!r}\n")
@@ -159,13 +158,8 @@ def main(argv=None) -> int:
                 if args.steps < 1:
                     parser.error("--steps must be >= 1")
                 ys = grid_points(args.ymin, args.ymax, args.steps)
-            try:
-                text = forward_csv(args.signal, args.x1, args.x2, ys,
-                                   args.tol, freq=args.freq)
-            except ValueError as exc:  # bad tolerance, point or signal name
-                print(f"symlap: {exc}", file=sys.stderr)
-                return EXIT_USAGE
-            _emit(text, args.out)
+            _emit(forward_csv(args.signal, args.x1, args.x2, ys, args.tol,
+                              freq=args.freq), args.out)
             return EXIT_OK
         if args.command == "invert":
             if args.t is not None:
@@ -205,6 +199,9 @@ def main(argv=None) -> int:
             OverflowError) as exc:
         print(f"symlap: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except ValueError as exc:  # a bad tolerance, truncation, time or point
+        print(f"symlap: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     parser.error(f"unknown command {args.command!r}")
     return EXIT_USAGE
 

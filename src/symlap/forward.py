@@ -18,13 +18,11 @@ its budget is refined adaptively.  sl_forward is the one-point grid.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .core import PiecewiseSignal, SLPoint, TransformSample
 from .errors import DivergenceError
-from .quadrature import laplace_grid
+from .quadrature import laplace_grid, require_finite, require_positive
 
 
 def sl_forward_grid(f: PiecewiseSignal, x1: float, x2: float, ys,
@@ -39,10 +37,8 @@ def sl_forward_grid(f: PiecewiseSignal, x1: float, x2: float, ys,
     """
     ys = list(ys)
     y_arr = np.asarray(ys, dtype=float)
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-    if not (math.isfinite(x1) and math.isfinite(x2)):
-        raise ValueError(f"x1 and x2 must be finite, got {x1}, {x2}")
+    require_positive(tol=tol)
+    require_finite(x1=x1, x2=x2)
     if not np.all(np.isfinite(y_arr)):
         raise ValueError("every y must be finite")
     sides = (("positive", "pos", f.pos, x1, y_arr),

@@ -13,7 +13,8 @@ Numeric inversion evaluates the Fourier-integral form
 which converges to the jump midpoint (f(t+) + f(t-))/2 as A grows.  A is
 a caller-supplied truncation; transforms of jump signals decay only like
 1/y, so no absolute certificate at fixed A is possible and callers judge
-truncation by comparing runs at A and A/2.
+truncation by comparing the values at A and A/2, which
+sl_inverse_numeric_pair reads off one set of quadrature panels.
 """
 
 from __future__ import annotations
@@ -23,9 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PropernessError, RootFindingError
+from .errors import AccuracyError, PropernessError, RootFindingError
 from .expr import RationalFunction, SplitTransform, polynomial_roots
-from .quadrature import finite_oscillatory_integral
+from .quadrature import (
+    finite_oscillatory_integral,
+    require_finite,
+    require_positive,
+)
 
 _EXP_GUARD = 700.0
 
@@ -152,17 +157,37 @@ def sl_inverse_split(st: SplitTransform, t: float) -> complex:
     return inverse_laplace_rational(st.g2_terms, -t)
 
 
-def sl_inverse_numeric(F, x1: float, x2: float, t: float, A: float,
-                       tol: float) -> complex:
-    """Fourier-integral reconstruction of the signal behind F at time t.
+def sl_inverse_numeric_pair(F, x1: float, x2: float, t: float, A: float,
+                            tol: float) -> tuple[complex, complex]:
+    """Fourier-integral reconstruction of the signal behind F at time t,
+    truncated at A and at A/2.
 
     F must accept (x1, x2, y) with y a numpy array and return the
-    transform values on that grid.  The result approximates the jump
-    midpoint (f(t+) + f(t-))/2; its discretization error is held below
-    tol while truncation in A remains the caller's concern.
+    transform values on that grid.  Both values approximate the jump
+    midpoint (f(t+) + f(t-))/2 and come from one set of quadrature
+    panels; the discretization error of each is held below tol while
+    truncation in A remains the caller's concern (their difference
+    gauges it).
+
+    Raises ValueError for a non-finite or non-positive tol or A, or a
+    non-finite x1, x2 or t, and AccuracyError when the prefactor
+    exp(x*t) overflows.
     """
-    prefactor = math.exp((x1 if t >= 0 else -x2) * t)
+    require_positive(tol=tol, A=A)
+    require_finite(x1=x1, x2=x2, t=t)
+    x = x1 if t >= 0 else -x2
+    if x * t > _EXP_GUARD:
+        raise AccuracyError(
+            f"prefactor exp(x*t) overflows at x={x}, t={t}")
+    prefactor = math.exp(x * t)
     inner_tol = tol / max(prefactor, 1.0)
     res = finite_oscillatory_integral(lambda y: F(x1, x2, y), t, A,
                                       inner_tol)
-    return prefactor * res.value
+    return prefactor * res.value, prefactor * res.half_value
+
+
+def sl_inverse_numeric(F, x1: float, x2: float, t: float, A: float,
+                       tol: float) -> complex:
+    """The truncation-A value of sl_inverse_numeric_pair, with the same
+    arguments and errors."""
+    return sl_inverse_numeric_pair(F, x1, x2, t, A, tol)[0]

@@ -29,6 +29,11 @@ panels.  Any y whose panel sum misses its budget is re-integrated by the
 adaptive path.  The reported estimate adds a rounding allowance for the
 sums and phases; refinement never tests against it.
 
+finite_oscillatory_integral, the Fourier integral behind numeric
+inversion, is factored the same way in t: one uniform pass at half an
+oscillation per panel, after which over-budget panels are bisected in
+place by the same refinement loop the adaptive path uses.
+
 Integrands must accept a 1-d numpy float array and return an array of
 values (complex or real).  Panels are kept in ascending position order
 and summed in that order, so results are reproducible bit for bit no
@@ -113,6 +118,29 @@ class QuadratureResult:
             raise ValueError("evaluations must be positive")
 
 
+@dataclass(frozen=True)
+class OscillatoryResult(QuadratureResult):
+    """finite_oscillatory_integral over [-A, A] (value, estimate and
+    cost) together with half_value, the integral over [-A/2, A/2] read
+    off the same panels."""
+
+    half_value: complex
+
+
+def require_positive(**values):
+    """Raise ValueError unless every keyword value is finite and > 0."""
+    for name, v in values.items():
+        if not (math.isfinite(v) and v > 0):
+            raise ValueError(f"{name} must be positive and finite, got {v}")
+
+
+def require_finite(**values):
+    """Raise ValueError unless every keyword value is finite."""
+    for name, v in values.items():
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
+
+
 def _finite(vals):
     vals = np.asarray(vals, dtype=complex)
     if not np.all(np.isfinite(vals)):
@@ -121,27 +149,52 @@ def _finite(vals):
 
 
 def _panel_estimates(f, lefts, rights):
-    """Kronrod values and |K - G| error estimates, vectorized over panels."""
+    """Kronrod values, |K - G| error estimates and Kronrod sums of |f|
+    (the scale of their rounding), vectorized over panels."""
     half = (rights - lefts) / 2.0
     mid = (lefts + rights) / 2.0
     nodes = mid[:, None] + half[:, None] * _XGK[None, :]
     vals = _finite(f(nodes.ravel())).reshape(len(lefts), 15)
-    k = (vals @ _WGK) * half
-    g = (vals @ _WG) * half
-    return k, np.abs(k - g)
+    # einsum, unlike @, never hands the product to threaded BLAS
+    k = np.einsum("pj,j->p", vals, _WGK) * half
+    g = np.einsum("pj,j->p", vals, _WG) * half
+    return k, np.abs(k - g), np.einsum("pj,j->p", np.abs(vals), _WGK) * half
 
 
 def _adaptive(f, a, b, n0, tol):
-    """Adaptively integrate f over [a, b] to absolute tolerance tol.
+    """Adaptively integrate f over [a, b] to absolute tolerance tol,
+    starting from n0 equal panels.
 
-    Returns (value, error_sum, evaluations).  Panels stay sorted by
-    position; each round bisects every panel above its fair share of the
-    budget, so the process is deterministic.
+    Returns (value, error_sum, rounding allowance, evaluations).
     """
     grid = np.linspace(a, b, n0 + 1)
     lefts, rights = grid[:-1], grid[1:]
-    k, e = _panel_estimates(f, lefts, rights)
-    evals = 15 * n0
+    k, e, m = _panel_estimates(f, lefts, rights)
+    _, _, k, e, m, evals = _refine(f, lefts, rights, k, e, m, tol, 15 * n0)
+    return (complex(k.sum()), float(e.sum()), _rounding(evals, m.sum()),
+            evals)
+
+
+def _rounding(nodes, magnitude, phase=0.0):
+    """Rounding allowance for a GK15 sum over nodes nodes whose Kronrod
+    sum of |integrand| is magnitude: pairwise summation, phases
+    exp(i*phi) with |phi| up to phase, and the final scaling."""
+    return (np.finfo(float).eps * magnitude
+            * (math.ceil(math.log2(nodes)) + phase + 2.0))
+
+
+def _refine(f, lefts, rights, k, e, m, tol, evals):
+    """Bisect panels until their |K - G| sum is at most tol.
+
+    lefts, rights, k, e and m describe the panels (Kronrod values, error
+    estimates and Kronrod sums of |f|) and evals counts the evaluations
+    spent on them so far.  Returns the refined (lefts, rights, k, e, m,
+    evals).  Refinement never tests against rounding.  Panels stay
+    sorted by position and a split panel is replaced in place by its two
+    halves, so existing panel edges survive; each round bisects every
+    panel above its fair share of the budget, so the process is
+    deterministic.
+    """
     while e.sum() > tol:
         if evals >= MAX_EVALUATIONS:
             raise AccuracyError(
@@ -152,8 +205,8 @@ def _adaptive(f, a, b, n0, tol):
         if not mask.any():
             mask = e == e.max()
         mids = (lefts[mask] + rights[mask]) / 2.0
-        kl, el = _panel_estimates(f, lefts[mask], mids)
-        kr, er = _panel_estimates(f, mids, rights[mask])
+        kl, el, ml = _panel_estimates(f, lefts[mask], mids)
+        kr, er, mr = _panel_estimates(f, mids, rights[mask])
         evals += 30 * int(mask.sum())
         # rebuild the panel list in position order, split panels in place
         counts = np.where(mask, 2, 1)
@@ -163,13 +216,14 @@ def _adaptive(f, a, b, n0, tol):
         R = np.empty(n_new)
         K = np.empty(n_new, dtype=complex)
         E = np.empty(n_new)
-        L[pos], R[pos], K[pos], E[pos] = lefts, rights, k, e
+        M = np.empty(n_new)
+        L[pos], R[pos], K[pos], E[pos], M[pos] = lefts, rights, k, e, m
         sp = pos[mask]
-        R[sp], K[sp], E[sp] = mids, kl, el
+        R[sp], K[sp], E[sp], M[sp] = mids, kl, el, ml
         L[sp + 1], R[sp + 1] = mids, rights[mask]
-        K[sp + 1], E[sp + 1] = kr, er
-        lefts, rights, k, e = L, R, K, E
-    return complex(k.sum()), float(e.sum()), evals
+        K[sp + 1], E[sp + 1], M[sp + 1] = kr, er, mr
+        lefts, rights, k, e, m = L, R, K, E, M
+    return lefts, rights, k, e, m, evals
 
 
 def truncation_point(bound: ExponentialOrderBound, x: float,
@@ -228,18 +282,20 @@ def half_line_integral(integrand, bound: ExponentialOrderBound, x: float,
     initial panels resolve it; adaptivity catches whatever the hint
     misses.  tail_cut, when given, supplies a truncation point for
     integrands decaying faster than the envelope describes (used when
-    x <= a would otherwise reject the integral).
+    x <= a would otherwise reject the integral).  Raises ValueError for
+    a non-finite or non-positive tol or a non-finite x.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    require_positive(tol=tol)
+    require_finite(x=x)
     T, tail, scale = _truncate(bound, x, tol, tail_cut)
     if T <= 0.0:
         # tail bound alone already meets the tolerance
         _finite(integrand(np.zeros(1)))
         return QuadratureResult(0j, tail, 0.0, 1)
     n0 = _panel_count(T, min(_osc_width(osc), scale))
-    value, disc, evals = _adaptive(integrand, 0.0, T, n0, tol / 2.0)
-    return QuadratureResult(value, tail + disc, T, evals)
+    value, disc, rounding, evals = _adaptive(integrand, 0.0, T, n0,
+                                             tol / 2.0)
+    return QuadratureResult(value, tail + disc + rounding, T, evals)
 
 
 def laplace_grid(piece, bound: ExponentialOrderBound, x: float, ys,
@@ -287,39 +343,61 @@ def laplace_grid(piece, bound: ExponentialOrderBound, x: float, ys,
             return np.exp(-s * u) * np.asarray(piece(u), dtype=complex)
 
         n0 = _panel_count(T, min(_osc_width(abs(ys[k]) + abs(osc)), scale))
-        values[k], disc[k], _ = _adaptive(integrand, 0.0, T, n0, tol / 2.0)
-    # rounding allowance relative to h * sum |w^K_j * v(u_pj)|: pairwise
-    # summation of 15P terms, phases exp(-i*y*u) with |y*u| up to |y|*T,
-    # and the final scaling
-    rounding = (np.finfo(float).eps * half * float(np.abs(vk).sum())
-                * (math.ceil(math.log2(15 * P)) + np.abs(ys) * T + 2.0))
+        values[k], disc[k], _, _ = _adaptive(integrand, 0.0, T, n0,
+                                             tol / 2.0)
+    rounding = _rounding(15 * P, half * float(np.abs(vk).sum()),
+                         np.abs(ys) * T)
     return values, tail + disc + rounding
 
 
 def finite_oscillatory_integral(F, t: float, A: float,
-                                tol: float) -> QuadratureResult:
-    """(1/2pi) * integral of F(y)*exp(i*y*t) over [-A, A].
+                                tol: float) -> OscillatoryResult:
+    """(1/2pi) * integral of F(y)*exp(i*y*t) over [-A, A], and over
+    [-A/2, A/2] from the same panels.
 
-    Panel width is capped at min(2, pi/(4*(|t|+1))) so each oscillation
-    of the kernel is sampled at least eight times per period.  The error
-    estimate covers discretization only; truncation in A is the caller's
-    concern.
+    One uniform GK15 pass over panels half an oscillation of the kernel
+    wide, min(2, pi/(|t|+1)), their number a multiple of 4 so that
+    +-A/2 are panel edges.  With panel midpoints c_p and half-width h,
+    exp(i*t*y) = exp(i*t*c_p) * exp(i*t*h*x_j) at the nodes, so one
+    15-vector w_j * exp(i*t*h*x_j) is contracted against the panel
+    values of F; the Kronrod-minus-Gauss weights give each panel's
+    |K - G| the same way (the panel phase drops out of the modulus).
+    Panels over their share of the budget, typically near poles of F
+    close to the real axis, are bisected in place, which keeps +-A/2 as
+    edges: half_value is the sum over the inner panels, and their
+    |K - G| sum is part of abs_error_estimate.
+
+    The error estimate covers discretization and rounding only;
+    truncation in A is the caller's concern.  Raises ValueError for a
+    non-finite t or a non-finite or non-positive A or tol.
     """
-    if A <= 0:
-        raise ValueError("A must be positive")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    require_positive(A=A, tol=tol)
+    require_finite(t=t)
 
     def g(y):
         return np.asarray(F(y), dtype=complex) * np.exp(1j * t * y)
 
-    width = min(2.0, math.pi / (4.0 * (abs(t) + 1.0)))
-    n0 = int(max(math.ceil(2.0 * A / width), 4))
+    width = min(2.0, math.pi / (abs(t) + 1.0))
+    n0 = 4 * math.ceil(A / (2.0 * width))
     if 15 * n0 > MAX_EVALUATIONS:
         raise AccuracyError(
             f"budget cannot resolve the oscillation: {n0} initial panels "
             f"need {15 * n0} evaluations (> {MAX_EVALUATIONS})")
-    raw_tol = tol * 2.0 * math.pi
-    value, disc, evals = _adaptive(g, -A, A, n0, raw_tol)
+    half = A / n0
+    edges = -A + 2.0 * half * np.arange(n0 + 1)
+    lefts, rights = edges[:-1], edges[1:]
+    mids = lefts + half
+    vals = _finite(F((mids[:, None] + half * _XGK).ravel())).reshape(n0, 15)
+    kernel = np.exp(1j * t * half * _XGK)
+    k = half * np.exp(1j * t * mids) * np.einsum(
+        "pj,j->p", vals, _WGK * kernel)
+    e = half * np.abs(np.einsum("pj,j->p", vals, (_WGK - _WG) * kernel))
+    m = half * np.einsum("pj,j->p", np.abs(vals), _WGK)
     two_pi = 2.0 * math.pi
-    return QuadratureResult(value / two_pi, disc / two_pi, A, evals)
+    lefts, rights, k, e, m, evals = _refine(g, lefts, rights, k, e, m,
+                                            tol * two_pi, 15 * n0)
+    inner = (lefts >= edges[n0 // 4]) & (rights <= edges[3 * n0 // 4])
+    estimate = e.sum() + _rounding(evals, m.sum(), abs(t) * A)
+    return OscillatoryResult(complex(k.sum()) / two_pi,
+                             float(estimate) / two_pi, A, evals,
+                             complex(k[inner].sum()) / two_pi)

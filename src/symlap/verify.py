@@ -29,7 +29,11 @@ from .applications import (
 from .core import ExponentialOrderBound, PiecewiseSignal, SLPoint, catalog_signal
 from .expr import parse_transform
 from .forward import fourier_reduction, sl_forward, sl_forward_symmetric
-from .inversion import sl_inverse_numeric, sl_inverse_split
+from .inversion import (
+    sl_inverse_numeric,
+    sl_inverse_numeric_pair,
+    sl_inverse_split,
+)
 from .rules import BoundaryData, TransformPair, check_rule_consistency, derivative_rule
 
 _SEED = 20260811
@@ -190,8 +194,11 @@ def criterion_numeric_inversion() -> CriterionResult:
     parts.append(Part("midpoint at t=0", abs(mid), 5e-3))
     for t in (0.5, -0.5, 2.0, -2.0):
         target = math.copysign(1.0, t)
-        res = {A: sl_inverse_numeric(_sign_transform, 1.0, 1.0, t, A, 1e-6)
-               for A in (250.0, 500.0, 1000.0)}
+        full, half = sl_inverse_numeric_pair(_sign_transform, 1.0, 1.0, t,
+                                             1000.0, 1e-6)
+        res = {250.0: sl_inverse_numeric(_sign_transform, 1.0, 1.0, t,
+                                         250.0, 1e-6),
+               500.0: half, 1000.0: full}
         err = {A: abs(v - target) for A, v in res.items()}
         parts.append(Part(f"error at t={t}, A=1000", err[1000.0], 1e-2))
         parts.append(Part(f"trend 500 vs 250 at t={t}",

@@ -136,6 +136,21 @@ def test_invert_numeric_midpoint():
     assert abs(re) <= 5e-3
 
 
+@pytest.mark.parametrize("bad,code", [
+    (("--tol", "nan"), 2), (("--tol", "0"), 2), (("--A", "-5"), 2),
+    (("--A", "inf"), 2), (("--t", "nan"), 2), (("--x2", "inf"), 2),
+    (("--expr", "1/s + * 2"), 3), (("--t", "1000"), 5)])
+def test_invert_numeric_bad_input_exits_with_one_line(bad, code):
+    args = {"--expr": "1/s - 1/cs", "--x1": "1", "--x2": "1", "--t": "1",
+            "--A": "100", "--tol": "1e-6"}
+    args[bad[0]] = bad[1]
+    cp = run_cli("invert-numeric", *(v for kv in args.items() for v in kv))
+    assert cp.returncode == code
+    assert cp.stdout == ""
+    assert cp.stderr.startswith("symlap: ")
+    assert len(cp.stderr.strip().splitlines()) == 1
+
+
 def test_out_flag_writes_file(tmp_path: Path):
     out = tmp_path / "grid.csv"
     cp = run_cli("forward", "--signal", "one", "--x1", "2", "--x2", "3",

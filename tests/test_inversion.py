@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from symlap.core import SLPoint, catalog_signal
-from symlap.errors import PropernessError
+from symlap.errors import AccuracyError, PropernessError
 from symlap.expr import evaluate_rational, parse_transform
 from symlap.forward import sl_forward
 from symlap.inversion import (
@@ -12,6 +12,7 @@ from symlap.inversion import (
     inverse_laplace_rational,
     partial_fractions,
     sl_inverse_numeric,
+    sl_inverse_numeric_pair,
     sl_inverse_split,
 )
 
@@ -205,3 +206,76 @@ class TestNumericInversion:
         assert e1 <= 1e-2
         # truncation error envelope halves; allow estimate-level noise
         assert e2 <= e1 + 1e-6
+
+
+def counting(F):
+    """F wrapped to count the y values it is evaluated at."""
+    calls = []
+
+    def wrapped(x1, x2, y):
+        calls.append(np.size(y))
+        return F(x1, x2, y)
+
+    return wrapped, calls
+
+
+def prefactor(x1, x2, t):
+    return math.exp(x1 * t if t >= 0 else -x2 * t)
+
+
+class TestNumericInversionPair:
+    @pytest.mark.parametrize("name", ["sign", "one", "heaviside"])
+    def test_half_value_matches_a_separate_run_at_half_a(self, name):
+        rng = np.random.default_rng(404)
+        F = closed_form_transform(name)
+        tol = 1e-6
+        for t in (0.0, 0.5, -0.5, 2.0, -2.0, 3.75, -3.75):
+            for A in (250.0, 1000.0):
+                x1, x2 = (float(v) for v in rng.uniform(0.3, 1.5, 2))
+                full, half = sl_inverse_numeric_pair(F, x1, x2, t, A, tol)
+                assert sl_inverse_numeric(F, x1, x2, t, A, tol) == full
+                alone = sl_inverse_numeric(F, x1, x2, t, A / 2.0, tol)
+                assert abs(half - alone) <= 2.0 * tol * prefactor(x1, x2, t)
+                # truncation: |J|/(pi*A*|t|) + (x1 + x2)/(pi*A) at most,
+                # times the prefactor, for a jump J of at most 2
+                assert abs(full - midpoint_value(name, t)) \
+                    <= 4.0 * prefactor(x1, x2, t) / A
+
+    @pytest.mark.parametrize("t", [0.0, 0.5, -2.0, 2.0])
+    def test_refined_panels_keep_the_half_range_edges(self, t):
+        # poles at distance 0.05 from the real axis force bisection of
+        # the panels around y = 0
+        F, calls = counting(closed_form_transform("sign"))
+        full, half = sl_inverse_numeric_pair(F, 0.05, 0.05, t, 1000.0, 1e-6)
+        assert len(calls) > 1
+        bound = 2.0 * 1e-6 * prefactor(0.05, 0.05, t)
+        alone = sl_inverse_numeric(closed_form_transform("sign"), 0.05,
+                                   0.05, t, 500.0, 1e-6)
+        assert abs(half - alone) <= bound
+        assert abs(full - midpoint_value("sign", t)) <= 2e-2
+
+    def test_one_pass_costs_under_a_third_of_two_eighth_period_runs(self):
+        # eighth-period panels took 114,600 evaluations at A and 57,300
+        # at A/2 for this case
+        F, calls = counting(closed_form_transform("sign"))
+        sl_inverse_numeric_pair(F, 1.0, 1.0, 2.0, 1000.0, 1e-6)
+        assert sum(calls) < 171_900 / 3
+
+    @pytest.mark.parametrize("field,bad", [
+        ("tol", math.nan), ("tol", math.inf), ("tol", 0.0), ("tol", -1e-6),
+        ("A", math.nan), ("A", math.inf), ("A", 0.0), ("A", -10.0),
+        ("t", math.nan), ("t", math.inf), ("x1", math.nan),
+        ("x2", -math.inf)])
+    def test_bad_arguments_raise_value_error(self, field, bad):
+        args = {"x1": 1.0, "x2": 1.0, "t": 1.0, "A": 100.0, "tol": 1e-6}
+        args[field] = bad
+        F = closed_form_transform("sign")
+        for fn in (sl_inverse_numeric, sl_inverse_numeric_pair):
+            with pytest.raises(ValueError, match=field):
+                fn(F, **args)
+
+    @pytest.mark.parametrize("x1,x2,t", [(1.0, 1.0, 1e3), (1.0, 2.0, -400.0)])
+    def test_prefactor_overflow_is_an_accuracy_error(self, x1, x2, t):
+        F = closed_form_transform("sign")
+        with pytest.raises(AccuracyError, match=f"t={t}"):
+            sl_inverse_numeric(F, x1, x2, t, 100.0, 1e-6)

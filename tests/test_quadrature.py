@@ -146,3 +146,47 @@ def test_invalid_arguments():
         finite_oscillatory_integral(lambda y: y, 0.0, -1.0, 1e-8)
     with pytest.raises(ValueError):
         truncation_point(ExponentialOrderBound(0.0, 0.0), 1.0, 1e-8)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1e-8])
+def test_non_finite_or_non_positive_tol_and_a_rejected(bad):
+    with pytest.raises(ValueError, match="tol"):
+        half_line_integral(lambda t: np.exp(-t), B10, 1.0, bad)
+    with pytest.raises(ValueError, match="tol"):
+        finite_oscillatory_integral(lambda y: 1.0 / (1.0 + y * y), 0.0,
+                                    10.0, bad)
+    with pytest.raises(ValueError, match="A"):
+        finite_oscillatory_integral(lambda y: 1.0 / (1.0 + y * y), 0.0,
+                                    bad, 1e-8)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_damping_or_time_rejected(bad):
+    with pytest.raises(ValueError, match="x"):
+        half_line_integral(lambda t: np.exp(-t), B10, bad, 1e-8)
+    with pytest.raises(ValueError, match="t"):
+        finite_oscillatory_integral(lambda y: 1.0 / (1.0 + y * y), bad,
+                                    10.0, 1e-8)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.7, -2.5])
+@pytest.mark.parametrize("A", [3.0, 100.0, 1000.0])
+def test_half_value_is_the_integral_over_half_the_range(t, A):
+    # (1/2pi) * integral of exp(-|y|/4) * exp(i*y*t) over [-a, a], in
+    # closed form: Re[(1 - exp(-a*(1/4 - i*t))) / (1/4 - i*t)] / pi
+    def closed(a):
+        z = 0.25 - 1j * t
+        return ((1.0 - np.exp(-a * z)) / z).real / math.pi
+
+    r = finite_oscillatory_integral(lambda y: np.exp(-np.abs(y) / 4.0), t,
+                                    A, 1e-10)
+    assert abs(r.value - closed(A)) <= r.abs_error_estimate
+    assert abs(r.half_value - closed(A / 2.0)) <= r.abs_error_estimate
+    assert r.abs_error_estimate <= 1e-10
+
+
+def test_panels_are_half_an_oscillation_wide():
+    # 4 * ceil(A / (2 * min(2, pi / (|t| + 1)))) panels of 15 nodes
+    r = finite_oscillatory_integral(lambda y: np.exp(-y * y), 3.0, 50.0,
+                                    1e-8)
+    assert r.evaluations == 15 * 4 * math.ceil(50.0 * 4.0 / (2.0 * math.pi))
