@@ -17,67 +17,13 @@ equation exactly on both branches.
 from __future__ import annotations
 
 import math
+from math import erf  # re-exported as symlap.erf
 
 import numpy as np
 
 from .core import ExponentialOrderBound, conjugate
 from .errors import DivergenceError
 from .quadrature import half_line_integral
-
-_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
-
-
-def erf(x: float) -> float:
-    """Error function to about 1e-15 absolute.
-
-    Maclaurin series for |x| <= 3; the Laplace continued fraction of the
-    complementary function beyond, evaluated by the modified Lentz
-    scheme.  Odd, saturates to +-1.
-    """
-    x = float(x)
-    if x == 0.0:
-        return 0.0
-    ax = abs(x)
-    if ax <= 3.0:
-        return math.copysign(_erf_series(ax), x)
-    if ax >= 7.0:
-        return math.copysign(1.0, x)
-    return math.copysign(1.0 - _erfc_cf(ax), x)
-
-
-def _erf_series(x: float) -> float:
-    # sum over n of (-1)^n x^(2n+1) / (n! (2n+1)), times 2/sqrt(pi)
-    term = x
-    total = x
-    n = 0
-    while True:
-        n += 1
-        term *= -x * x / n
-        inc = term / (2 * n + 1)
-        total += inc
-        if abs(inc) < 1e-17 * abs(total) + 5e-324:
-            break
-        if n > 500:  # series converges long before this for |x| <= 3
-            break
-    return _TWO_OVER_SQRT_PI * total
-
-
-def _erfc_cf(x: float) -> float:
-    # erfc(x) = exp(-x^2)/sqrt(pi) / (x + (1/2)/(x + 1/(x + (3/2)/(x + ...))))
-    tiny = 1e-300
-    b = x
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for k in range(1, 200):
-        a = k / 2.0
-        d = 1.0 / (b + a * d) if (b + a * d) != 0 else 1.0 / tiny
-        c = b + a / c if c != 0 else tiny
-        delta = c * d
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return math.exp(-x * x) / math.sqrt(math.pi) * h
 
 
 def heat_solution(x: float, t: float) -> float:

@@ -22,12 +22,23 @@ with midpoints c_p and half-width h, and with u_pj = c_p + h*x_j
 
 v(u) = f(u)*exp(-x*u).  The 15 x Y matrix exp(-i*y*h*x_j) is shared by
 all panels, so the integrand is evaluated once per node rather than once
-per node and y.  The same product with the weights w^K - w^G gives each
-panel's |K_p - G_p| (the panel phase drops out of the modulus), so every
-y carries the certificate the adaptive path would report for these
-panels.  Any y whose panel sum misses its budget is re-integrated by the
-adaptive path.  The reported estimate adds a rounding allowance for the
-sums and phases; refinement never tests against it.
+per node and y.  The panel phases exp(-i*y*c_p) come from a two-level
+table: with p = a*B + b and B about sqrt(P), each is the product of a
+factor from a Y x ceil(P/B) table and one from a Y x B table, so a pass
+takes Y*(P/B + B) complex exps, not Y*P.  The same product with the
+weights w^K - w^G gives each panel's |K_p - G_p| (the panel phase drops
+out of the modulus), so every y carries the certificate the adaptive
+path would report for these panels.
+
+The panel width comes from the GK15 error model: on a panel where the
+integrand turns by theta radians per half-width, sum_p |K_p - G_p| is
+about phi(theta) * integral of |v|, with phi(theta) = |sum_j (w^K_j -
+w^G_j) * exp(i*theta*x_j)| / 2 tabulated once.  The pass takes the
+widest panels whose predicted sum is a quarter of its budget, at most
+4096 of them.  A y those cannot resolve, or whose panel sum misses its
+budget, is re-integrated by the adaptive path.  The reported estimate
+adds a rounding allowance for the sums and phases; refinement never
+tests against it.
 
 finite_oscillatory_integral, the Fourier integral behind numeric
 inversion, is factored the same way in t: one uniform pass at half an
@@ -42,6 +53,7 @@ matter how the work would be scheduled.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -100,6 +112,19 @@ _WG = np.zeros(15)
 _WG[1::2] = _WG7
 
 MAX_EVALUATIONS = 2 ** 20
+_EPS = float(np.finfo(float).eps)
+_MAX_PANELS = 4096
+
+# GK15 error model on a panel of half-width h whose integrand turns at
+# theta = omega*h radians per unit: phi(theta) = |sum_j (w^K_j - w^G_j) *
+# exp(i*theta*x_j)| / 2, so that sum_p |K_p - G_p| ~ phi(theta) * integral
+# of |v|.  Tabulated on (0, pi] and made nondecreasing by its running
+# maximum, so every smaller theta predicts no more.
+_THETA = tuple((math.pi * np.arange(1, 257) / 256).tolist())
+_PHI = tuple(np.maximum.accumulate(0.5 * np.abs(
+    np.exp(1j * np.outer(_THETA, _XGK)) @ (_WGK - _WG))).tolist())
+# share of the panel budget the model may predict for the uniform pass
+_MODEL_SHARE = 0.25
 
 
 @dataclass(frozen=True)
@@ -161,9 +186,10 @@ def _panel_estimates(f, lefts, rights):
     return k, np.abs(k - g), np.einsum("pj,j->p", np.abs(vals), _WGK) * half
 
 
-def _adaptive(f, a, b, n0, tol):
+def _adaptive(f, a, b, n0, tol, phase=0.0):
     """Adaptively integrate f over [a, b] to absolute tolerance tol,
-    starting from n0 equal panels.
+    starting from n0 equal panels; phase bounds the arguments of the
+    phases inside f (see _rounding).
 
     Returns (value, error_sum, rounding allowance, evaluations).
     """
@@ -171,15 +197,15 @@ def _adaptive(f, a, b, n0, tol):
     lefts, rights = grid[:-1], grid[1:]
     k, e, m = _panel_estimates(f, lefts, rights)
     _, _, k, e, m, evals = _refine(f, lefts, rights, k, e, m, tol, 15 * n0)
-    return (complex(k.sum()), float(e.sum()), _rounding(evals, m.sum()),
-            evals)
+    return (complex(k.sum()), float(e.sum()),
+            _rounding(evals, m.sum(), phase), evals)
 
 
 def _rounding(nodes, magnitude, phase=0.0):
     """Rounding allowance for a GK15 sum over nodes nodes whose Kronrod
     sum of |integrand| is magnitude: pairwise summation, phases
     exp(i*phi) with |phi| up to phase, and the final scaling."""
-    return (np.finfo(float).eps * magnitude
+    return (_EPS * magnitude
             * (math.ceil(math.log2(nodes)) + phase + 2.0))
 
 
@@ -189,21 +215,24 @@ def _refine(f, lefts, rights, k, e, m, tol, evals):
     lefts, rights, k, e and m describe the panels (Kronrod values, error
     estimates and Kronrod sums of |f|) and evals counts the evaluations
     spent on them so far.  Returns the refined (lefts, rights, k, e, m,
-    evals).  Refinement never tests against rounding.  Panels stay
+    evals).  A round that would take evals past MAX_EVALUATIONS is not
+    started: AccuracyError carries the best value and estimate instead.
+    Refinement never tests against rounding.  Panels stay
     sorted by position and a split panel is replaced in place by its two
     halves, so existing panel edges survive; each round bisects every
     panel above its fair share of the budget, so the process is
     deterministic.
     """
     while e.sum() > tol:
-        if evals >= MAX_EVALUATIONS:
-            raise AccuracyError(
-                f"refinement budget exhausted ({evals} evaluations); "
-                f"best estimate error {e.sum():.3e} > tol {tol:.3e}",
-                value=complex(k.sum()), abs_error_estimate=float(e.sum()))
         mask = e > tol / len(e)
         if not mask.any():
             mask = e == e.max()
+        if evals + 30 * int(mask.sum()) > MAX_EVALUATIONS:
+            raise AccuracyError(
+                f"refinement budget exhausted ({evals} evaluations, the "
+                f"next round needs {30 * int(mask.sum())} more); best "
+                f"estimate error {e.sum():.3e} > tol {tol:.3e}",
+                value=complex(k.sum()), abs_error_estimate=float(e.sum()))
         mids = (lefts[mask] + rights[mask]) / 2.0
         kl, el, ml = _panel_estimates(f, lefts[mask], mids)
         kr, er, mr = _panel_estimates(f, mids, rights[mask])
@@ -260,8 +289,8 @@ def _truncate(bound, x, tol, tail_cut):
 
 
 def _panel_count(T, width):
-    """Initial number of panels on [0, T], between 4 and 4096."""
-    return int(min(max(math.ceil(T / width), 4), 4096))
+    """Initial number of panels on [0, T], between 4 and _MAX_PANELS."""
+    return int(min(max(math.ceil(T / width), 4), _MAX_PANELS))
 
 
 def _osc_width(osc):
@@ -298,6 +327,24 @@ def half_line_integral(integrand, bound: ExponentialOrderBound, x: float,
     return QuadratureResult(value, tail + disc + rounding, T, evals)
 
 
+def _phased_sum(terms, y, half, block):
+    """For each row k, the sum over p of exp(-i*y_k*c_p) * terms[k, p]
+    with c_p = (2p + 1)*half.
+
+    Two-level phase table: with p = a*block + b, c_p = 2*block*half*a +
+    (2b + 1)*half, so each phase is the product of an outer factor from
+    a Y x ceil(P/block) table and an inner one from a Y x block table.
+    That takes Y*(P/block + block) complex exps instead of Y*P.  The
+    table product covers ceil(P/block) whole blocks and is cut to P.
+    """
+    Y, P = terms.shape
+    arg = -1j * half * y[:, None, None]
+    outer = np.exp(arg * (2.0 * block * np.arange(-(-P // block))[:, None]))
+    inner = np.exp(arg * (2.0 * np.arange(block) + 1.0))
+    phase = (outer * inner).reshape(Y, -1)[:, :P]
+    return (phase * terms).sum(axis=1)
+
+
 def laplace_grid(piece, bound: ExponentialOrderBound, x: float, ys,
                  tol: float, *, osc: float = 0.0, tail_cut=None):
     """Integral of piece(u) * exp(-(x + i*y)*u) over [0, inf) for every y.
@@ -306,36 +353,65 @@ def laplace_grid(piece, bound: ExponentialOrderBound, x: float, ys,
     tolerance tol.  bound, osc and tail_cut mean what they mean for
     half_line_integral, with osc the oscillation of piece itself.
 
-    One uniform GK15 pass at half an oscillation of max|y| + osc per
-    panel (capped at 4096 panels) serves every y; a y whose panel
-    |K - G| sum exceeds tol/2 is re-integrated by the adaptive path from
-    the panel count half_line_integral would start with.  Estimates are
-    tail bound + panel |K - G| sum + rounding allowance.
+    One uniform GK15 pass over [0, T] serves every y.  Its panel width
+    comes from the GK15 error model (_PHI): a panel of half-width h on
+    which the integrand turns at rate omega has theta = omega*h, and the
+    pass's |K - G| sum is about phi(theta) times the integral of |v| over
+    [0, T], at most M/(x - a) (M*T under tail_cut).  theta is the
+    largest value up to pi whose prediction is a quarter of the tol/2
+    panel budget.  omega bounds the rate of the damped kernel,
+    |y| + |osc| + |x|, plus, for a piece with a tail_cut, the mean decay
+    rate that certifies, log(2/tol)/tail_cut(tol/2).  The width is
+    min(2*theta/max omega, decay length).
+
+    A y that 4096 panels of that kind cannot resolve goes straight to
+    the adaptive path, and so does a y whose panel |K - G| sum exceeds
+    tol/2, each from the panel count half_line_integral would start
+    with.  The panel phases come from a two-level table (_phased_sum).
+    Estimates are tail bound + panel |K - G| sum + rounding allowance.
     """
     ys = np.asarray(ys, dtype=float)
     T, tail, scale = _truncate(bound, x, tol, tail_cut)
     if T <= 0.0 or ys.size == 0:
         _finite(piece(np.zeros(1)))
         return np.zeros(ys.shape, dtype=complex), np.full(ys.shape, tail)
-    omega = float(np.max(np.abs(ys))) + abs(osc)
-    P = _panel_count(T, min(math.pi / (omega + 1.0), scale))
-    half = T / (2.0 * P)
-    mids = (2.0 * np.arange(P) + 1.0) * half
-    nodes = mids[:, None] + half * _XGK
-    v = _finite(piece(nodes.ravel())).reshape(P, 15) * np.exp(-x * nodes)
-    vk = v * _WGK
-    # Kronrod rows then Kronrod-minus-Gauss rows, 2P x 15, transposed so
-    # that the sums over panels run along contiguous rows
-    weighted = np.concatenate([vk, v * (_WGK - _WG)]).T
+    mass = bound.M / (x - bound.a) if x > bound.a else bound.M * T
+    # the largest tabulated theta within the share, else the smallest
+    share = _MODEL_SHARE * tol / (2.0 * mass) if mass > 0 else math.inf
+    theta = _THETA[max(bisect.bisect_right(_PHI, share) - 1, 0)]
+    omega = np.abs(ys) + (abs(osc) + abs(x))
+    if tail_cut is not None:
+        # the mean decay rate of a piece that falls below tol/2 by its cut
+        omega += (abs(math.log(2.0 / tol))
+                  / max(float(tail_cut(tol / 2.0)), _EPS))
+    served = omega <= 2.0 * theta * _MAX_PANELS / T
     values = np.empty(ys.shape, dtype=complex)
-    disc = np.empty(ys.shape)
-    step = max(1, 2 ** 14 // P)  # keeps each Y x 2P block near 0.5 MB
-    for lo in range(0, ys.size, step):
-        y = ys[lo:lo + step]
-        sums = np.exp(-1j * half * np.outer(y, _XGK)) @ weighted
-        phase = np.exp(-1j * np.outer(y, mids))
-        values[lo:lo + step] = half * (phase * sums[:, :P]).sum(axis=1)
-        disc[lo:lo + step] = half * np.abs(sums[:, P:]).sum(axis=1)
+    disc = np.full(ys.shape, np.inf)  # a y the pass skips is refined
+    rounding = np.empty(ys.shape)
+    if served.any():
+        top = float(omega[served].max())
+        P = _panel_count(T, min(2.0 * theta / top, scale) if top else scale)
+        half = T / (2.0 * P)
+        block = math.isqrt(P - 1) + 1
+        nodes = (2.0 * np.arange(P) + 1.0)[:, None] * half + half * _XGK
+        v = _finite(piece(nodes.ravel())).reshape(P, 15) * np.exp(-x * nodes)
+        vk = v * _WGK
+        # Kronrod rows then Kronrod-minus-Gauss rows, 2P x 15, transposed
+        # so that the sums over panels run along contiguous rows
+        weighted = np.concatenate([vk, v * (_WGK - _WG)]).T
+        idx = np.flatnonzero(served)
+        step = max(1, 2 ** 14 // P)  # keeps each Y x 2P block near 0.5 MB
+        for lo in range(0, idx.size, step):
+            k = idx[lo:lo + step]
+            sums = np.exp(-1j * half * np.outer(ys[k], _XGK)) @ weighted
+            values[k] = half * _phased_sum(sums[:, :P], ys[k], half, block)
+            disc[k] = half * np.abs(sums[:, P:]).sum(axis=1)
+        # phase arguments: at most |y|*T for the outer table factor and
+        # |y|*2*block*half for the inner one and the nodes together; 3
+        # for the product of the two factors
+        rounding[served] = _rounding(
+            15 * P, half * float(np.abs(vk).sum()),
+            np.abs(ys[served]) * (T + 2.0 * block * half) + 3.0)
     for k in np.flatnonzero(disc > tol / 2.0):
         s = x + 1j * ys[k]
 
@@ -343,10 +419,8 @@ def laplace_grid(piece, bound: ExponentialOrderBound, x: float, ys,
             return np.exp(-s * u) * np.asarray(piece(u), dtype=complex)
 
         n0 = _panel_count(T, min(_osc_width(abs(ys[k]) + abs(osc)), scale))
-        values[k], disc[k], _, _ = _adaptive(integrand, 0.0, T, n0,
-                                             tol / 2.0)
-    rounding = _rounding(15 * P, half * float(np.abs(vk).sum()),
-                         np.abs(ys) * T)
+        values[k], disc[k], rounding[k], _ = _adaptive(
+            integrand, 0.0, T, n0, tol / 2.0, abs(ys[k]) * T)
     return values, tail + disc + rounding
 
 

@@ -19,6 +19,7 @@ from symlap.forward import (
     sl_forward_grid,
     sl_forward_symmetric,
 )
+from symlap.quadrature import half_line_integral
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -181,9 +182,23 @@ def _sweep_grid(rng):
     return [float(y) for y in ys]
 
 
-@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Arguments of every call to the adaptive path."""
+    calls = []
+    adaptive = quadrature._adaptive
+
+    def counted(*args):
+        calls.append(args)
+        return adaptive(*args)
+
+    monkeypatch.setattr(quadrature, "_adaptive", counted)
+    return calls
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-6, 1e-8, 1e-10, 1e-12])
 @pytest.mark.parametrize("name", CATALOG_NAMES)
-def test_grid_sweep_meets_certificate(name, tol):
+def test_grid_sweep_meets_certificate(name, tol, fallbacks):
     rng = np.random.default_rng([20261018, CATALOG_NAMES.index(name),
                                  int(-math.log10(tol))])
     for _ in range(2):
@@ -198,7 +213,58 @@ def test_grid_sweep_meets_certificate(name, tol):
         est = np.array([p.abs_error_estimate for p in samples])
         gap = np.abs(got - closed_form(name, x1, x2, ys, freq))
         assert np.all(gap <= est), (x1, x2, ys[int(np.argmax(gap - est))])
-        assert np.all(est <= tol)
+        if tol >= 1e-10:
+            # at 1e-12 the rounding allowance alone may exceed tol
+            assert np.all(est <= tol)
+        if name == "ramp" and min(x1, x2) < 0.5:
+            # the ramp's envelope decays at x/2 only, which doubles T; below
+            # x = 0.5 a tight-tolerance grid can need more than 4096 panels,
+            # and the |y| beyond them, all above 33 for x >= 0.25 and
+            # tol >= 1e-12, go to the adaptive path on purpose
+            # (test_only_y_beyond_the_panel_cap_reach_the_adaptive_path)
+            assert all(args[5] / args[2] > 30.0 for args in fallbacks)
+        else:
+            # the error-model panels resolve every y on the first pass
+            assert fallbacks == []
+        fallbacks.clear()
+
+
+def test_tight_tolerance_grid_needs_no_fallback(fallbacks):
+    # panels half an oscillation wide sent 17 of these 201 points to the
+    # adaptive path
+    ys = list(np.linspace(-59.0, 59.0, 201))
+    samples = sl_forward_grid(catalog_signal("one"), 1.0, 1.0, ys, 1e-12)
+    assert fallbacks == []
+    gap = np.abs(np.array([p.value for p in samples])
+                 - closed_form("one", 1.0, 1.0, ys))
+    assert np.all(gap <= [p.abs_error_estimate for p in samples])
+
+
+def test_y_beyond_the_panel_cap_skips_the_uniform_pass():
+    # y = 1e4 needs more than 4096 uniform panels, so the adaptive path
+    # alone must pay for the point
+    nodes = []
+
+    def counted(piece):
+        def wrapped(u):
+            nodes.append(np.size(u))
+            return piece(u)
+        return wrapped
+
+    sign = catalog_signal("sign")
+    f = PiecewiseSignal("sign", counted(sign.pos), counted(sign.neg),
+                        sign.bound_pos, sign.bound_neg)
+    y = 1e4
+    r = sl_forward(f, SLPoint(1.0, 1.0, y), 1e-8)
+    alone = 0
+    for piece, s in ((sign.pos, 1.0 + 1j * y),
+                     (lambda u: sign.neg(-u), 1.0 - 1j * y)):
+        alone += half_line_integral(
+            lambda u, piece=piece, s=s: np.exp(-s * u) * piece(u),
+            sign.bound_pos, 1.0, 0.5e-8, osc=y).evaluations
+    assert sum(nodes) <= alone
+    closed = closed_form("sign", 1.0, 1.0, y)
+    assert abs(r.value - closed) <= r.abs_error_estimate <= 1e-8
 
 
 def test_grid_agrees_with_single_points():
@@ -211,23 +277,15 @@ def test_grid_agrees_with_single_points():
                                             + one.abs_error_estimate)
 
 
-def test_missed_oscillation_falls_back_to_refinement(monkeypatch):
+def test_missed_oscillation_falls_back_to_refinement(fallbacks):
     # cos(40 t) without an osc_hint: panels sized for |y| <= 1 span
     # several periods, so every y misses its budget and is refined
     fast = PiecewiseSignal(
         "fast", lambda t: np.cos(40.0 * t), lambda t: np.zeros_like(t),
         ExponentialOrderBound(1.0, 0.0), ExponentialOrderBound(1.0, 0.0))
-    calls = []
-    adaptive = quadrature._adaptive
-
-    def counted(*args):
-        calls.append(args)
-        return adaptive(*args)
-
-    monkeypatch.setattr(quadrature, "_adaptive", counted)
     ys = [-1.0, -0.5, 0.0, 0.5, 1.0]
     samples = sl_forward_grid(fast, 1.0, 2.0, ys, 1e-8)
-    assert len(calls) == len(ys)
+    assert len(fallbacks) == len(ys)
     for y, p in zip(ys, samples):
         s1 = 1.0 + 1j * y
         assert abs(p.value - s1 / (s1 ** 2 + 1600.0)) <= p.abs_error_estimate
@@ -267,3 +325,19 @@ def test_grid_divergence_names_the_side():
                         1e-8)
     with pytest.raises(DivergenceError, match="negative"):
         sl_forward_grid(catalog_signal("sign"), 1.0, -0.5, [0.0, 2.0], 1e-8)
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-12])
+def test_only_y_beyond_the_panel_cap_reach_the_adaptive_path(tol,
+                                                             fallbacks):
+    # the ramp at x = 0.25: 4096 model-width panels reach |y| of about 50
+    # at tol 1e-10 and 33 at 1e-12, so the largest |y| are refined and
+    # the rest served by the uniform pass
+    ys = list(np.linspace(-60.0, 60.0, 121))
+    samples = sl_forward_grid(catalog_signal("ramp"), 0.25, 0.25, ys, tol)
+    gap = np.abs(np.array([p.value for p in samples])
+                 - closed_form("ramp", 0.25, 0.25, ys))
+    assert np.all(gap <= [p.abs_error_estimate for p in samples])
+    # _adaptive(f, 0, T, n0, tol, |y|*T)
+    refined = sorted(args[5] / args[2] for args in fallbacks)
+    assert refined and refined[0] > 20.0

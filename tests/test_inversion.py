@@ -15,6 +15,7 @@ from symlap.inversion import (
     sl_inverse_numeric_pair,
     sl_inverse_split,
 )
+from symlap.quadrature import MAX_EVALUATIONS
 
 
 def by_pole(terms):
@@ -273,6 +274,19 @@ class TestNumericInversionPair:
         for fn in (sl_inverse_numeric, sl_inverse_numeric_pair):
             with pytest.raises(ValueError, match=field):
                 fn(F, **args)
+
+    @pytest.mark.parametrize("t", [20.0, 30.0])
+    def test_failing_call_stays_inside_the_evaluation_budget(self, t):
+        # tol / exp(x*t) lies below the rounding floor of the panel sums,
+        # so refinement cannot succeed; the round that would overshoot
+        # MAX_EVALUATIONS is never started
+        F, calls = counting(closed_form_transform("sign"))
+        with pytest.raises(AccuracyError, match="budget exhausted") as exc:
+            sl_inverse_numeric(F, 1.0, 1.0, t, 1000.0, 1e-6)
+        assert sum(calls) <= MAX_EVALUATIONS
+        assert exc.value.value is not None
+        assert math.isfinite(abs(exc.value.value))
+        assert exc.value.abs_error_estimate > 0
 
     @pytest.mark.parametrize("x1,x2,t", [(1.0, 1.0, 1e3), (1.0, 2.0, -400.0)])
     def test_prefactor_overflow_is_an_accuracy_error(self, x1, x2, t):

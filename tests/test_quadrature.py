@@ -7,8 +7,14 @@ from _oracles import simpson
 from symlap.core import ExponentialOrderBound
 from symlap.errors import AccuracyError, DivergenceError
 from symlap.quadrature import (
+    _PHI,
+    _WG,
+    _WGK,
+    _XGK,
+    _phased_sum,
     finite_oscillatory_integral,
     half_line_integral,
+    laplace_grid,
     truncation_point,
 )
 
@@ -190,3 +196,75 @@ def test_panels_are_half_an_oscillation_wide():
     r = finite_oscillatory_integral(lambda y: np.exp(-y * y), 3.0, 50.0,
                                     1e-8)
     assert r.evaluations == 15 * 4 * math.ceil(50.0 * 4.0 / (2.0 * math.pi))
+
+
+@pytest.mark.parametrize("P,block", [(3, 8), (5, 8), (37, 8), (40, 8),
+                                     (37, 7), (1, 1), (225, 15)])
+def test_phase_table_matches_per_node_exponentials(P, block):
+    # P < block, a ragged last block and whole blocks, against one exp
+    # per (y, panel)
+    rng = np.random.default_rng([7, P, block])
+    half = 0.07
+    ys = np.concatenate([[0.0, 59.0, -59.0], rng.uniform(-60.0, 60.0, 9)])
+    terms = (rng.standard_normal((ys.size, P))
+             + 1j * rng.standard_normal((ys.size, P)))
+    got = _phased_sum(terms, ys, half, block)
+    mids = (2.0 * np.arange(P) + 1.0) * half
+    for k, y in enumerate(ys):
+        direct = sum(np.exp(-1j * y * c) * t for c, t in zip(mids, terms[k]))
+        scale = np.abs(terms[k]).sum()
+        phase = abs(y) * 2.0 * (P + block) * half
+        assert abs(got[k] - direct) <= 4 * np.finfo(float).eps * scale * (
+            phase + math.log2(P) + 6.0)
+
+
+def test_phase_table_is_exact_at_zero_oscillation():
+    # every phase is exactly 1, so the sum is the plain panel sum
+    terms = np.random.default_rng(8).standard_normal((1, 37)) + 0.5j
+    got = _phased_sum(terms, np.zeros(1), 0.3, 8)
+    assert got[0] == terms.sum(axis=1)[0]
+
+
+def test_error_model_table_is_nondecreasing():
+    assert np.all(np.diff(_PHI) >= 0.0)
+    at_pi = 0.5 * abs(np.sum((_WGK - _WG) * np.exp(1j * math.pi * _XGK)))
+    assert _PHI[-1] == pytest.approx(at_pi, rel=1e-6)
+    assert 1e-9 < _PHI[-1] < 1e-8
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-8, 1e-12])
+def test_grid_panel_width_comes_from_the_error_model(tol):
+    # theta is the largest k*pi/256 whose running maximum of
+    # |sum (w^K - w^G) exp(i theta x_j)|/2, times the mass bound M/(x-a)
+    # = 1, is a quarter of the tol/2 panel budget; the panel count is
+    # ceil(T * (max|y| + x) / (2 theta))
+    thetas = math.pi * np.arange(1, 257) / 256
+    phi = np.maximum.accumulate(0.5 * np.abs(
+        np.exp(1j * np.outer(thetas, _XGK)) @ (_WGK - _WG)))
+    theta = thetas[phi <= 0.25 * tol / 2.0][-1]
+    T = truncation_point(B10, 1.0, tol / 2.0)
+    nodes = []
+
+    def piece(u):
+        nodes.append(u.size)
+        return np.ones_like(u)
+
+    ys = np.linspace(-59.0, 59.0, 201)
+    values, est = laplace_grid(piece, B10, 1.0, ys, tol)
+    assert sum(nodes) == 15 * math.ceil(T * 60.0 / (2.0 * theta))
+    assert np.all(np.abs(values - 1.0 / (1.0 + 1j * ys)) <= est)
+
+
+def test_grid_without_damping_or_oscillation_uses_the_decay_length():
+    # an envelope decaying at rate 1 needs no damping: x = 0, y = 0
+    values, est = laplace_grid(lambda u: np.exp(-u),
+                               ExponentialOrderBound(1.0, -1.0), 0.0,
+                               [0.0], 1e-10)
+    assert abs(values[0] - 1.0) <= est[0] <= 1e-10
+
+
+def test_grid_of_a_zero_envelope_under_tail_cut():
+    # M = 0 leaves the error model no mass to scale by
+    values, est = laplace_grid(np.zeros_like, ExponentialOrderBound(0.0, 0.0),
+                               0.0, [0.0, 2.0], 1e-8, tail_cut=lambda tol: 1.0)
+    assert np.all(values == 0.0) and np.all(est <= 1e-8)
