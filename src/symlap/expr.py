@@ -28,9 +28,25 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import ExprError, ParseError, PoleError, RootFindingError, SplitError
+
+
+def _horner(c, z):
+    """sum_k c[k] * z**k by Horner's rule from the leading coefficient;
+    z a scalar or an array.  Agrees bit for bit with
+    numpy.polynomial.polynomial.polyval."""
+    if len(c) == 1:
+        return c[0] + z * 0  # keeps the shape of an array z
+    out = c[-1] * z + c[-2]
+    for k in range(len(c) - 3, -1, -1):
+        out = out * z + c[k]
+    return out
+
+
+def _derivative(c):
+    """Coefficients of the derivative, the constant's being [0]."""
+    return c[1:] * np.arange(1, len(c)) if len(c) > 1 else c[:1] * 0
 
 
 class Polynomial:
@@ -45,8 +61,10 @@ class Polynomial:
 
     def __init__(self, coef):
         c = np.atleast_1d(np.asarray(coef, dtype=complex))
-        nz = np.nonzero(c)[0]
-        self.coef = c[: nz[-1] + 1].copy() if len(nz) else np.zeros(1, complex)
+        n = len(c)
+        while n > 1 and c[n - 1] == 0:
+            n -= 1
+        self.coef = c[:n].copy() if n else np.zeros(1, complex)
 
     @property
     def degree(self) -> int:
@@ -58,17 +76,27 @@ class Polynomial:
         return len(self.coef) == 1 and self.coef[0] == 0
 
     def __call__(self, z):
-        return npoly.polyval(z, self.coef)
+        return _horner(self.coef, z)
 
     def __add__(self, other):
-        return Polynomial(npoly.polyadd(self.coef, other.coef))
+        a, b = sorted((self.coef, other.coef), key=len, reverse=True)
+        out = a.copy()
+        out[:len(b)] += b
+        return Polynomial(out)
 
     def __sub__(self, other):
-        return Polynomial(npoly.polysub(self.coef, other.coef))
+        a, b = self.coef, other.coef
+        if len(a) > len(b):
+            out = a.copy()
+            out[:len(b)] -= b
+        else:
+            out = -b
+            out[:len(a)] += a
+        return Polynomial(out)
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
-            return Polynomial(npoly.polymul(self.coef, other.coef))
+            return Polynomial(np.convolve(self.coef, other.coef))
         return Polynomial(self.coef * complex(other))
 
     __rmul__ = __mul__
@@ -80,7 +108,7 @@ class Polynomial:
         return out
 
     def deriv(self):
-        return Polynomial(npoly.polyder(self.coef))
+        return Polynomial(_derivative(self.coef))
 
     def shifted(self, p: complex):
         """Coefficients of self(p + u) in powers of u (Taylor shift),
@@ -138,11 +166,21 @@ class RationalFunction:
     def constant_value(self) -> complex:
         return complex(self.num.coef[0] / self.den.coef[0])
 
+    # the parser pairs every atom with a zero side, so sums with the zero
+    # function skip the common-denominator products
     def __add__(self, other):
+        if other.is_zero:
+            return self
+        if self.is_zero:
+            return other
         return RationalFunction(self.num * other.den + other.num * self.den,
                                 self.den * other.den)
 
     def __sub__(self, other):
+        if other.is_zero:
+            return self
+        if self.is_zero:  # 0 - num, as the full formula rounds its zeros
+            return RationalFunction(self.num - other.num, other.den)
         return RationalFunction(self.num * other.den - other.num * self.den,
                                 self.den * other.den)
 
@@ -488,6 +526,9 @@ def evaluate_rational(r: RationalFunction, z):
     return complex(out) if np.ndim(out) == 0 else out
 
 
+# iterates of a high-degree polynomial may overflow; the residual tests
+# turn a non-finite result into RootFindingError
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def polynomial_roots(p: Polynomial, *, cluster_tol: float = 1e-8,
                      max_iter: int = 500):
     """All complex roots of p with multiplicities, as (root, count) pairs.
@@ -502,7 +543,7 @@ def polynomial_roots(p: Polynomial, *, cluster_tol: float = 1e-8,
     if deg < 1:
         raise ValueError("need a polynomial of degree >= 1")
     monic = p.coef / p.coef[-1]
-    dcoef = npoly.polyder(monic)
+    dcoef = _derivative(monic)
     scale = max(1.0, float(np.max(np.abs(monic))))
 
     radius = 1.0 + float(np.max(np.abs(monic[:-1])))
@@ -511,8 +552,8 @@ def polynomial_roots(p: Polynomial, *, cluster_tol: float = 1e-8,
 
     converged = False
     for _ in range(max_iter):
-        pv = npoly.polyval(z, monic)
-        dv = npoly.polyval(z, dcoef)
+        pv = _horner(monic, z)
+        dv = _horner(dcoef, z)
         w = np.where(dv != 0, pv / np.where(dv != 0, dv, 1), 0.1 + 0.1j)
         diff = z[:, None] - z[None, :]
         np.fill_diagonal(diff, 1.0)
@@ -524,8 +565,8 @@ def polynomial_roots(p: Polynomial, *, cluster_tol: float = 1e-8,
             converged = True
             break
     if not converged:
-        resid = np.max(np.abs(npoly.polyval(z, monic)))
-        if resid > 1e-10 * (1.0 + radius) ** deg:
+        resid = float(np.max(np.abs(_horner(monic, z))))
+        if _exceeds(resid, 1e-10, 1.0 + radius, deg):
             raise RootFindingError(
                 f"root iteration did not converge (max residual {resid:.3e})")
 
@@ -533,14 +574,22 @@ def polynomial_roots(p: Polynomial, *, cluster_tol: float = 1e-8,
     out = []
     for center, mult in clusters:
         center = _polish(monic, center, mult)
-        res = abs(npoly.polyval(center, monic))
-        tol_res = 1e-10 * scale * max(1.0, abs(center)) ** deg
-        if res > tol_res:
+        res = abs(_horner(monic, center))
+        if _exceeds(res, 1e-10 * scale, max(1.0, abs(center)), deg):
             raise RootFindingError(
                 f"root {center} has residual {res:.3e} above tolerance")
         out.append((complex(center), int(mult)))
     out.sort(key=lambda rm: (rm[0].real, rm[0].imag))
     return out
+
+
+def _exceeds(resid, factor, base, deg):
+    """resid > factor * base**deg, compared in logarithms so that
+    base**deg cannot overflow; a non-finite resid always exceeds."""
+    if not math.isfinite(resid):
+        return True
+    return resid > 0 and (math.log(resid)
+                          > math.log(factor) + deg * math.log(base))
 
 
 def _cluster(z, tol):
@@ -565,11 +614,11 @@ def _polish(monic, z, mult):
     itself, the derivative route sidesteps that floor."""
     q = monic
     for _ in range(mult - 1):
-        q = npoly.polyder(q)
-    dq = npoly.polyder(q)
+        q = _derivative(q)
+    dq = _derivative(q)
     for _ in range(3):
-        qv = npoly.polyval(z, q)
-        dv = npoly.polyval(z, dq)
+        qv = _horner(q, z)
+        dv = _horner(dq, z)
         if qv == 0 or abs(dv) <= 1e-280:
             break
         step = qv / dv

@@ -41,8 +41,9 @@ adds a rounding allowance for the sums and phases; refinement never
 tests against it.
 
 finite_oscillatory_integral, the Fourier integral behind numeric
-inversion, is factored the same way in t: one uniform pass at half an
-oscillation per panel, after which over-budget panels are bisected in
+inversion, is factored the same way in t: one uniform pass at one
+oscillation per panel, where the model predicts phi(pi) ~ 8e-9 of the
+panel's integral of |F|, after which over-budget panels are bisected in
 place by the same refinement loop the adaptive path uses.
 
 Integrands must accept a 1-d numpy float array and return an array of
@@ -429,8 +430,8 @@ def finite_oscillatory_integral(F, t: float, A: float,
     """(1/2pi) * integral of F(y)*exp(i*y*t) over [-A, A], and over
     [-A/2, A/2] from the same panels.
 
-    One uniform GK15 pass over panels half an oscillation of the kernel
-    wide, min(2, pi/(|t|+1)), their number a multiple of 4 so that
+    One uniform GK15 pass over panels one oscillation of the kernel
+    wide, min(4, 2pi/(|t|+1)), their number a multiple of 4 so that
     +-A/2 are panel edges.  With panel midpoints c_p and half-width h,
     exp(i*t*y) = exp(i*t*c_p) * exp(i*t*h*x_j) at the nodes, so one
     15-vector w_j * exp(i*t*h*x_j) is contracted against the panel
@@ -451,7 +452,7 @@ def finite_oscillatory_integral(F, t: float, A: float,
     def g(y):
         return np.asarray(F(y), dtype=complex) * np.exp(1j * t * y)
 
-    width = min(2.0, math.pi / (abs(t) + 1.0))
+    width = min(4.0, 2.0 * math.pi / (abs(t) + 1.0))
     n0 = 4 * math.ceil(A / (2.0 * width))
     if 15 * n0 > MAX_EVALUATIONS:
         raise AccuracyError(

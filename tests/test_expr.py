@@ -1,9 +1,17 @@
 import cmath
+import warnings
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
-from symlap.errors import ExprError, ParseError, PoleError, SplitError
+from symlap.errors import (
+    ExprError,
+    ParseError,
+    PoleError,
+    RootFindingError,
+    SplitError,
+)
 from symlap.expr import (
     Polynomial,
     RationalFunction,
@@ -162,6 +170,113 @@ class TestRoots:
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
             polynomial_roots(Polynomial([3.0]))
+
+    @pytest.mark.parametrize("power", [35, 40, 64])
+    def test_high_degree_pole_raises_typed_error(self, power):
+        # (s+1)^40 has coefficients up to C(40, 20) ~ 1.4e11: the
+        # iterates overflow, which must neither warn nor escape untyped
+        den = parse_transform(f"1/(s+1)^{power}").g1.den
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RootFindingError):
+                polynomial_roots(den)
+
+
+def _random_coef(rng, degree):
+    return rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestNumpyFreeCore:
+    """The polynomial core agrees bit for bit with numpy.polynomial."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_arithmetic_matches_numpy_polynomial(self, seed):
+        rng = np.random.default_rng([41, seed])
+        for d1 in range(21):
+            d2 = int(rng.integers(0, 21))
+            c1, c2 = _random_coef(rng, d1), _random_coef(rng, d2)
+            if d1 % 5 == 0:
+                c1 = c1.real + 0j  # real coefficients stored as complex
+            p, q = Polynomial(c1), Polynomial(c2)
+            assert _same_bits((p * q).coef, npoly.polymul(c1, c2))
+            assert _same_bits((p + q).coef, npoly.polyadd(c1, c2))
+            assert _same_bits((p - q).coef, npoly.polysub(c1, c2))
+            assert _same_bits((q - p).coef, npoly.polysub(c2, c1))
+            assert _same_bits(p.deriv().coef, npoly.polyder(c1))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_horner_matches_polyval(self, seed):
+        rng = np.random.default_rng([43, seed])
+        points = [complex(rng.standard_normal(), rng.standard_normal()),
+                  float(rng.standard_normal()),
+                  rng.standard_normal(17) + 1j * rng.standard_normal(17),
+                  3.0 * rng.standard_normal(9),
+                  rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))]
+        for degree in range(21):
+            c = _random_coef(rng, degree)
+            for z in points:
+                assert _same_bits(Polynomial(c)(z), npoly.polyval(z, c))
+
+    # the expression shapes of the split-invert and numeric-invert
+    # benchmark workloads
+    WORKLOAD_TEXTS = [
+        "1/s^2 - 1/cs^2",
+        "1/s - 1/cs",
+        "1/s + 1/cs",
+        "1/2 * 1/(s-1) - 1/2 * s/(s^2+1) - 1/2 * 1/(s^2+1) + 1/cs"
+        " - cs/(cs^2+1)",
+        "1.16/(s+0.1) + -1.93/(s+2.45) + 0.93/(cs+0.55)",
+        "(0.51*(s+0.6)+-1.67*2.5)/((s+0.6)^2+2.5^2) + 1.97/(cs+1.0)^2",
+        "0.96/(s+1.0) + -1.67/((s+1.0)*(s-0.5)) + -0.68/(cs+0.5)"
+        " + 1.56/(cs+0.5) + 0.7/(cs+2.0)",
+        "(1.05+-1.01*i)/(s-(-0.65+1.0*i)) + 1.18/(cs+1.15)",
+        "1.92/(s+2.35) + 1.7/(s+2.0) + 1.58/(s+0.35) + 1.43/(s-0.1)"
+        " + (1.35*(s+0.15)+-1.77*1.5)/((s+0.15)^2+1.5^2) + 0.93/(cs+0.3)"
+        " + 1.03/(cs+2.05) + 1.17/(cs+0.75)",
+        "1/(s+1)^3",
+        "1/(s^2+1)^4",
+        "1.0/(s-0.0) + -1.0/(cs-0.0)",
+        "0.57/(s+1.85) + 1.81/(cs+1.0)",
+        "0.78/(s+1.75)^2 + -1.13/(cs+0.65)",
+    ]
+
+    def test_parse_coefficients_match_the_numpy_core(self, monkeypatch):
+        def coefficients():
+            out = []
+            for text in self.WORKLOAD_TEXTS:
+                st = parse_transform(text)
+                out.append([p.coef.tobytes() for p in
+                            (st.g1.num, st.g1.den, st.g2.num, st.g2.den)])
+            return out
+
+        lean = coefficients()
+
+        def mul(a, b):
+            if isinstance(b, Polynomial):
+                return Polynomial(npoly.polymul(a.coef, b.coef))
+            return Polynomial(a.coef * complex(b))
+
+        # numpy.polynomial arithmetic, and sums that always go through
+        # the common denominator even when one side is zero
+        for name, fn in [
+                ("__add__", lambda a, b: Polynomial(
+                    npoly.polyadd(a.coef, b.coef))),
+                ("__sub__", lambda a, b: Polynomial(
+                    npoly.polysub(a.coef, b.coef))),
+                ("__mul__", mul), ("__rmul__", mul)]:
+            monkeypatch.setattr(Polynomial, name, fn)
+        monkeypatch.setattr(RationalFunction, "__add__", lambda a, b:
+                            RationalFunction(a.num * b.den + b.num * a.den,
+                                             a.den * b.den))
+        monkeypatch.setattr(RationalFunction, "__sub__", lambda a, b:
+                            RationalFunction(a.num * b.den - b.num * a.den,
+                                             a.den * b.den))
+        assert coefficients() == lean
 
 
 class TestEvaluation:

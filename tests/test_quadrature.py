@@ -191,11 +191,60 @@ def test_half_value_is_the_integral_over_half_the_range(t, A):
     assert r.abs_error_estimate <= 1e-10
 
 
-def test_panels_are_half_an_oscillation_wide():
-    # 4 * ceil(A / (2 * min(2, pi / (|t| + 1)))) panels of 15 nodes
-    r = finite_oscillatory_integral(lambda y: np.exp(-y * y), 3.0, 50.0,
+@pytest.mark.parametrize("t,panels", [(0.0, 28), (3.0, 64)])
+def test_panels_are_one_oscillation_wide(t, panels):
+    # 4 * ceil(A / (2 * min(4, 2pi / (|t| + 1)))) panels of 15 nodes, none
+    # of them refined: 28 at the width cap of 4, 64 at t = 3
+    r = finite_oscillatory_integral(lambda y: np.exp(-y * y / 8.0), t, 50.0,
                                     1e-8)
-    assert r.evaluations == 15 * 4 * math.ceil(50.0 * 4.0 / (2.0 * math.pi))
+    assert r.evaluations == 15 * panels
+
+
+# transforms F(x1, x2, y) for y a numpy array or an mpmath number: the
+# sign signal's, and a double pole on the right with a simple one on the
+# left
+def _jump(x1, x2, y):
+    return 1.0 / (x1 + 1j * y) + 1.0 / (-x2 + 1j * y)
+
+
+def _two_pole(x1, x2, y):
+    return 1.0 / (x1 + 0.5 + 1j * y) ** 2 + 1.0 / (x2 + 1.0 - 1j * y)
+
+
+@pytest.mark.parametrize("t,evaluations", [(0.0, 7560), (2.0, 14400),
+                                           (3.75, 22680)])
+def test_inversion_evaluation_counts_are_pinned(t, evaluations):
+    # machine-independent cost of the pass for the sign signal at x = 1;
+    # half-oscillation panels took 15000, 28680 and 45360
+    r = finite_oscillatory_integral(lambda y: _jump(1.0, 1.0, y), t, 1000.0,
+                                    1e-6)
+    assert r.evaluations == evaluations
+
+
+@pytest.mark.parametrize("case", range(10))
+def test_certificate_holds_at_one_oscillation_per_panel(case):
+    # seeded sweep against mpmath at 30 digits, split at the initial
+    # panel edges; both the [-A, A] and the [-A/2, A/2] value
+    import mpmath
+    rng = np.random.default_rng([31, case])
+    x1, x2 = rng.uniform(0.05, 1.0, 2)
+    t = float(rng.uniform(-4.0, 4.0))
+    A = float(rng.uniform(10.0, 200.0))
+    tol = 10.0 ** -int(rng.integers(6, 11))
+    F = (_jump, _two_pole)[case % 2]
+    r = finite_oscillatory_integral(lambda y: F(x1, x2, y), t, A, tol)
+    n0 = 4 * math.ceil(A / (2.0 * min(4.0, 2.0 * math.pi / (abs(t) + 1.0))))
+    edges = -A + (2.0 * A / n0) * np.arange(n0 + 1)
+    with mpmath.workdps(30):
+        X1, X2, T = mpmath.mpf(x1), mpmath.mpf(x2), mpmath.mpf(t)
+        parts = [mpmath.quad(lambda y: F(X1, X2, y) * mpmath.expj(T * y),
+                             [edges[k], edges[k + 1]],
+                             method="gauss-legendre") for k in range(n0)]
+        two_pi = 2 * mpmath.pi
+        full = complex(mpmath.fsum(parts) / two_pi)
+        half = complex(mpmath.fsum(parts[n0 // 4:3 * n0 // 4]) / two_pi)
+    assert abs(r.value - full) <= r.abs_error_estimate
+    assert abs(r.half_value - half) <= r.abs_error_estimate
 
 
 @pytest.mark.parametrize("P,block", [(3, 8), (5, 8), (37, 8), (40, 8),
