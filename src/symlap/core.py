@@ -36,19 +36,26 @@ def conjugate(z: complex) -> complex:
 
 @dataclass(frozen=True)
 class ExponentialOrderBound:
-    """Envelope |f(t)| <= M * exp(a*|t|) on one half-line."""
+    """Envelope |f(t)| <= M * |t|^degree * exp(a*|t|) on one half-line."""
 
     M: float
     a: float
+    degree: int = 0
 
     def __post_init__(self):
         if not (math.isfinite(self.M) and math.isfinite(self.a)):
             raise ValueError("bound components must be finite")
         if self.M < 0:
             raise ValueError(f"envelope constant M must be >= 0, got {self.M}")
+        if not (math.isfinite(self.degree) and self.degree >= 0
+                and self.degree == int(self.degree)):
+            raise ValueError(
+                f"envelope degree must be a whole number >= 0, got "
+                f"{self.degree}")
 
     def envelope(self, t):
-        return self.M * np.exp(self.a * np.abs(t))
+        t = np.abs(t)
+        return self.M * t ** self.degree * np.exp(self.a * t)
 
 
 @dataclass(frozen=True)
@@ -89,9 +96,11 @@ class PiecewiseSignal:
     or real).  Both pieces must be evaluable anywhere; only pos(t>=0) and
     neg(t<0) are ever used for results.
 
-    growth_degree marks polynomially bounded pieces (|f(t)| <= M*|t|^d).
-    Such signals have no fixed admissible exponential rate, so the
-    effective envelope is chosen per evaluation point, see bound_for.
+    growth_degree marks polynomially growing pieces: |f(t)| <= M * |t|^d
+    * exp(a*|t|) with M and a from the piece's bound.  The quadrature
+    then certifies the exact tail of that envelope, a Gamma function
+    (quadrature.truncation_point), so any damping x > a converges at the
+    full rate x - a.
 
     tail_cut, when present, maps a tolerance to a truncation point T with
     integral of |f| over [T, inf) below that tolerance.  It certifies
@@ -120,20 +129,14 @@ class PiecewiseSignal:
             out[~m] = np.asarray(self.neg(t_flat[~m]), dtype=complex)
         return complex(out[0]) if scalar else out
 
-    def bound_for(self, side: str, x: float) -> ExponentialOrderBound:
-        """Effective envelope for the given half-line at damping x.
-
-        For polynomially bounded pieces the rate is taken as eps = x/2,
-        which keeps the convergence check x > eps satisfiable for every
-        x > 0, with M = M0 * sup_t |t|^d e^(-eps*|t|) = M0 * (d/(e*eps))^d.
-        """
+    def bound_for(self, side: str) -> ExponentialOrderBound:
+        """Envelope of the given half-line ("pos" or "neg"): the piece's
+        bound with growth_degree as its polynomial degree, so |f(t)| <=
+        M * |t|^d * exp(a*|t|) holds for every t on that side."""
         base = self.bound_pos if side == "pos" else self.bound_neg
-        if self.growth_degree == 0 or x <= 0:
+        if self.growth_degree == 0:
             return base
-        d = self.growth_degree
-        eps = x / 2.0
-        M = base.M * (d / (math.e * eps)) ** d
-        return ExponentialOrderBound(M, eps)
+        return ExponentialOrderBound(base.M, base.a, self.growth_degree)
 
 
 def _gauss_tail_cut(tol: float) -> float:

@@ -46,8 +46,8 @@ def sl_forward_grid(f: PiecewiseSignal, x1: float, x2: float, ys,
     value = np.zeros(y_arr.shape, dtype=complex)
     estimate = np.zeros(y_arr.shape)
     for label, side, piece, x, y_eff in sides:
-        bound = f.bound_for(side, x)
-        if x <= bound.a and f.tail_cut is None:
+        bound = f.bound_for(side)
+        if x <= bound.a and (f.tail_cut is None or x < 0.0):
             raise DivergenceError(
                 f"{label} half-line diverges: damping x={x} must exceed "
                 f"the growth rate a={bound.a} of the signal on that side")

@@ -9,9 +9,12 @@ integrand evaluations) runs out, in which case an AccuracyError carrying
 the best estimate is raised rather than returning a silently degraded
 value.
 
-Half-line integrals split the tolerance evenly: the analytic tail bound
-M * exp(-(x-a)*T) / (x-a) gets half, panel refinement on [0, T] gets the
-other half.
+Half-line integrals split the tolerance evenly: the certified tail
+beyond T gets half, panel refinement on [0, T] gets the other half.
+_truncate is the one place that places T.  An envelope |f(t)| <=
+M * t^d * exp(a*t) certifies the tail M * Gamma(d+1, (x-a)*T) / (x-a)^(d+1)
+when x > a; a signal's tail_cut certifies the integral of |f| beyond its
+cut when x >= 0; the shorter cut wins.
 
 laplace_grid evaluates the one-sided Laplace transform of a piece at
 s = x + i*y for a whole grid of y in one factored pass.  T depends on x
@@ -22,13 +25,19 @@ with midpoints c_p and half-width h, and with u_pj = c_p + h*x_j
 
 v(u) = f(u)*exp(-x*u).  The 15 x Y matrix exp(-i*y*h*x_j) is shared by
 all panels, so the integrand is evaluated once per node rather than once
-per node and y.  The panel phases exp(-i*y*c_p) come from a two-level
-table: with p = a*B + b and B about sqrt(P), each is the product of a
-factor from a Y x ceil(P/B) table and one from a Y x B table, so a pass
-takes Y*(P/B + B) complex exps, not Y*P.  The same product with the
+per node and y, and one BLAS product of inner dimension 15 gives the
+Y x P node sums.  The panel phases factor in blocks: with p = a*B + b
+and B about sqrt(P), exp(-i*y*c_p) is an outer factor exp(-2i*y*B*h*a)
+times an inner one exp(-i*y*(2b+1)*h).  A batched product contracts
+each y's node sums, viewed as ceil(P/B) blocks of B, with its B inner
+phases, and the block sums are dotted with the outer phases: Y*(P/B + B)
+complex exps and no Y x P phase table.  The same node product with the
 weights w^K - w^G gives each panel's |K_p - G_p| (the panel phase drops
 out of the modulus), so every y carries the certificate the adaptive
-path would report for these panels.
+path would report for these panels.  The node and block contractions
+stay separate products: folded into one of inner dimension 15*B, they
+summed differently under one and two OpenBLAS threads, while as they
+stand `symlap forward` writes the same bytes under 1, 2 and 4 threads.
 
 The panel width comes from the GK15 error model: on a panel where the
 integrand turns by theta radians per half-width, sum_p |K_p - G_p| is
@@ -199,15 +208,15 @@ def _adaptive(f, a, b, n0, tol, phase=0.0):
     k, e, m = _panel_estimates(f, lefts, rights)
     _, _, k, e, m, evals = _refine(f, lefts, rights, k, e, m, tol, 15 * n0)
     return (complex(k.sum()), float(e.sum()),
-            _rounding(evals, m.sum(), phase), evals)
+            _rounding(math.ceil(math.log2(evals)), m.sum(), phase), evals)
 
 
-def _rounding(nodes, magnitude, phase=0.0):
-    """Rounding allowance for a GK15 sum over nodes nodes whose Kronrod
-    sum of |integrand| is magnitude: pairwise summation, phases
-    exp(i*phi) with |phi| up to phase, and the final scaling."""
-    return (_EPS * magnitude
-            * (math.ceil(math.log2(nodes)) + phase + 2.0))
+def _rounding(depth, magnitude, phase=0.0):
+    """Rounding allowance for a GK15 sum whose Kronrod sum of
+    |integrand| is magnitude: at most depth additions on any term's path
+    (ceil(log2(nodes)) for a pairwise sum), phases exp(i*phi) with |phi|
+    up to phase, and the final scaling."""
+    return _EPS * magnitude * (depth + phase + 2.0)
 
 
 def _refine(f, lefts, rights, k, e, m, tol, evals):
@@ -228,16 +237,18 @@ def _refine(f, lefts, rights, k, e, m, tol, evals):
         mask = e > tol / len(e)
         if not mask.any():
             mask = e == e.max()
-        if evals + 30 * int(mask.sum()) > MAX_EVALUATIONS:
+        n = int(mask.sum())
+        if evals + 30 * n > MAX_EVALUATIONS:
             raise AccuracyError(
                 f"refinement budget exhausted ({evals} evaluations, the "
-                f"next round needs {30 * int(mask.sum())} more); best "
+                f"next round needs {30 * n} more); best "
                 f"estimate error {e.sum():.3e} > tol {tol:.3e}",
                 value=complex(k.sum()), abs_error_estimate=float(e.sum()))
         mids = (lefts[mask] + rights[mask]) / 2.0
-        kl, el, ml = _panel_estimates(f, lefts[mask], mids)
-        kr, er, mr = _panel_estimates(f, mids, rights[mask])
-        evals += 30 * int(mask.sum())
+        # both halves of every split panel in one call: left halves first
+        kh, eh, mh = _panel_estimates(f, np.concatenate([lefts[mask], mids]),
+                                      np.concatenate([mids, rights[mask]]))
+        evals += 30 * n
         # rebuild the panel list in position order, split panels in place
         counts = np.where(mask, 2, 1)
         pos = np.cumsum(counts) - counts
@@ -249,17 +260,25 @@ def _refine(f, lefts, rights, k, e, m, tol, evals):
         M = np.empty(n_new)
         L[pos], R[pos], K[pos], E[pos], M[pos] = lefts, rights, k, e, m
         sp = pos[mask]
-        R[sp], K[sp], E[sp], M[sp] = mids, kl, el, ml
+        R[sp], K[sp], E[sp], M[sp] = mids, kh[:n], eh[:n], mh[:n]
         L[sp + 1], R[sp + 1] = mids, rights[mask]
-        K[sp + 1], E[sp + 1], M[sp + 1] = kr, er, mr
+        K[sp + 1], E[sp + 1], M[sp + 1] = kh[n:], eh[n:], mh[n:]
         lefts, rights, k, e, m = L, R, K, E, M
     return lefts, rights, k, e, m, evals
 
 
 def truncation_point(bound: ExponentialOrderBound, x: float,
                      tol: float) -> float:
-    """Truncation T with tail integral of M*exp(-(x-a)*t) over [T, inf)
-    at most tol, i.e. T = log(M / (tol*(x-a))) / (x-a), clamped at 0."""
+    """Truncation T at which the envelope's tail, the integral of
+    M * t^d * exp(-(x-a)*t) over [T, inf), is tol, clamped at 0.
+
+    With r = x - a the tail is M * Gamma(d+1, r*T) / r^(d+1), that is
+    M * d! * exp(-z) * e_d(z) / r^(d+1) at z = r*T, where e_d(z) is the
+    sum of z^k/k! for k <= d.  For d = 0, T = log(M / (tol*r)) / r.  For
+    d > 0 the log of tail/tol is concave and decreasing in z, so Newton's
+    method started at z = max(log(M*d!/(tol*r^(d+1))), d) steps past the
+    root at most once and then descends to it from above.
+    """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if bound.M <= 0:
@@ -268,23 +287,62 @@ def truncation_point(bound: ExponentialOrderBound, x: float,
         raise DivergenceError(
             f"damping x={x} does not exceed growth rate a={bound.a}")
     rate = x - bound.a
-    return max(0.0, math.log(bound.M / (tol * rate)) / rate)
+    d = int(bound.degree)
+    if d == 0:
+        return max(0.0, math.log(bound.M / (tol * rate)) / rate)
+    # log of the tail at T = 0 over tol
+    excess = (math.log(bound.M / tol) + math.lgamma(d + 1)
+              - (d + 1) * math.log(rate))
+    if excess <= 0.0:
+        return 0.0
+    z = max(excess, float(d))
+    for _ in range(100):
+        e_d = _exp_sum(z, d)
+        step = (math.log(e_d) - z + excess) * e_d * math.factorial(d) / z ** d
+        z += step
+        if abs(step) <= 4.0 * _EPS * z:
+            break
+    return z / rate
+
+
+def _exp_sum(z, d):
+    """e_d(z), the sum of z^k/k! for k <= d."""
+    return math.fsum(z ** k / math.factorial(k) for k in range(d + 1))
 
 
 def _tail_bound(bound, x, T):
+    """The envelope's tail beyond T (see truncation_point), rounded up."""
     rate = x - bound.a
-    return bound.M * math.exp(-rate * T) / rate
+    d = int(bound.degree)
+    return (bound.M * math.factorial(d) * math.exp(-rate * T)
+            * _exp_sum(rate * T, d) / rate ** (d + 1)
+            * (1.0 + 4.0 * (d + 3) * _EPS))
 
 
 def _truncate(bound, x, tol, tail_cut):
-    """Truncation point T for a half-line integral to tolerance tol, the
-    certified tail beyond T (at most tol/2), and the decay length that
-    caps the panel width."""
+    """Truncation of a half-line integral to tolerance tol: returns T,
+    the certified tail beyond T (at most tol/2), the decay length that
+    caps the panel width, and the envelope's mass on [0, T], the
+    integral of |integrand| the error model scales by.
+
+    The envelope certifies a tail when x > a, and a tail_cut (the
+    integral of |f| beyond its cut) when x >= 0, since the damping then
+    only shrinks |f|; the shorter of the two cuts wins.
+    """
+    M, d = bound.M, int(bound.degree)
+    cut = tail_cut is not None and x >= 0.0
     if x > bound.a:
+        rate = x - bound.a
         T = truncation_point(bound, x, tol / 2.0)
-        return T, _tail_bound(bound, x, T), 1.0 / (x - bound.a)
-    if tail_cut is not None:
-        return float(tail_cut(tol / 2.0)), tol / 2.0, 1.0
+        tail = _tail_bound(bound, x, T)
+        if cut:
+            T_cut = float(tail_cut(tol / 2.0))
+            if T_cut < T:
+                T, tail = T_cut, tol / 2.0
+        return T, tail, 1.0 / rate, M * math.factorial(d) / rate ** (d + 1)
+    if cut:
+        T = float(tail_cut(tol / 2.0))
+        return T, tol / 2.0, 1.0, M * T ** (d + 1) / (d + 1)
     raise DivergenceError(
         f"damping x={x} does not exceed growth rate a={bound.a}")
 
@@ -304,20 +362,21 @@ def half_line_integral(integrand, bound: ExponentialOrderBound, x: float,
                        tail_cut=None) -> QuadratureResult:
     """Integrate integrand over [0, inf) to absolute tolerance tol.
 
-    bound is the exponential envelope of the undamped factor and x the
-    damping applied to it, so |integrand(t)| <= M * exp((a - x)*t) and
-    the tail beyond the truncation point is certified analytically.
+    bound is the envelope of the undamped factor and x the damping
+    applied to it, so |integrand(t)| <= M * t^d * exp((a - x)*t) and the
+    tail beyond the truncation point is certified analytically.
 
     osc hints at the dominant oscillation frequency of the integrand so
     initial panels resolve it; adaptivity catches whatever the hint
     misses.  tail_cut, when given, supplies a truncation point for
-    integrands decaying faster than the envelope describes (used when
-    x <= a would otherwise reject the integral).  Raises ValueError for
-    a non-finite or non-positive tol or a non-finite x.
+    integrands decaying faster than the envelope describes; for x >= 0
+    it is used whenever it cuts shorter than the envelope (_truncate).
+    Raises ValueError for a non-finite or non-positive tol or a
+    non-finite x.
     """
     require_positive(tol=tol)
     require_finite(x=x)
-    T, tail, scale = _truncate(bound, x, tol, tail_cut)
+    T, tail, scale, _ = _truncate(bound, x, tol, tail_cut)
     if T <= 0.0:
         # tail bound alone already meets the tolerance
         _finite(integrand(np.zeros(1)))
@@ -328,22 +387,25 @@ def half_line_integral(integrand, bound: ExponentialOrderBound, x: float,
     return QuadratureResult(value, tail + disc + rounding, T, evals)
 
 
-def _phased_sum(terms, y, half, block):
+def _block_phased_sum(terms, y, half, block):
     """For each row k, the sum over p of exp(-i*y_k*c_p) * terms[k, p]
-    with c_p = (2p + 1)*half.
+    with c_p = (2p + 1)*half, for terms of whole blocks of block panels
+    (a ragged last block padded with zeros).
 
-    Two-level phase table: with p = a*block + b, c_p = 2*block*half*a +
-    (2b + 1)*half, so each phase is the product of an outer factor from
-    a Y x ceil(P/block) table and an inner one from a Y x block table.
-    That takes Y*(P/block + block) complex exps instead of Y*P.  The
-    table product covers ceil(P/block) whole blocks and is cut to P.
+    With p = a*block + b, c_p = 2*block*half*a + (2b + 1)*half, so the
+    phase is an outer factor from a Y x nb table times an inner one from
+    a Y x block table: one batched product contracts each row's
+    nb x block view with its block inner phases, and a second dots the
+    nb block sums with the outer phases.  That takes Y*(nb + block)
+    complex exps and no Y x P table.
     """
     Y, P = terms.shape
-    arg = -1j * half * y[:, None, None]
-    outer = np.exp(arg * (2.0 * block * np.arange(-(-P // block))[:, None]))
+    nb = P // block
+    arg = -1j * half * y[:, None]
+    outer = np.exp(arg * (2.0 * block * np.arange(nb)))
     inner = np.exp(arg * (2.0 * np.arange(block) + 1.0))
-    phase = (outer * inner).reshape(Y, -1)[:, :P]
-    return (phase * terms).sum(axis=1)
+    sums = terms.reshape(Y, nb, block) @ inner[:, :, None]
+    return (outer[:, None, :] @ sums)[:, 0, 0]
 
 
 def laplace_grid(piece, bound: ExponentialOrderBound, x: float, ys,
@@ -352,15 +414,17 @@ def laplace_grid(piece, bound: ExponentialOrderBound, x: float, ys,
 
     Returns (values, estimates), arrays over ys, each value to absolute
     tolerance tol.  bound, osc and tail_cut mean what they mean for
-    half_line_integral, with osc the oscillation of piece itself.
+    half_line_integral, with osc the oscillation of piece itself; T, the
+    tail and the mass of |v| come from _truncate.
 
     One uniform GK15 pass over [0, T] serves every y.  Its panel width
     comes from the GK15 error model (_PHI): a panel of half-width h on
     which the integrand turns at rate omega has theta = omega*h, and the
     pass's |K - G| sum is about phi(theta) times the integral of |v| over
-    [0, T], at most M/(x - a) (M*T under tail_cut).  theta is the
-    largest value up to pi whose prediction is a quarter of the tol/2
-    panel budget.  omega bounds the rate of the damped kernel,
+    [0, T], at most the envelope's mass M*d!/(x - a)^(d+1)
+    (M*T^(d+1)/(d+1) under a tail_cut with x <= a).  theta is the largest
+    value up to pi whose prediction is a quarter of the tol/2 panel
+    budget.  omega bounds the rate of the damped kernel,
     |y| + |osc| + |x|, plus, for a piece with a tail_cut, the mean decay
     rate that certifies, log(2/tol)/tail_cut(tol/2).  The width is
     min(2*theta/max omega, decay length).
@@ -368,15 +432,16 @@ def laplace_grid(piece, bound: ExponentialOrderBound, x: float, ys,
     A y that 4096 panels of that kind cannot resolve goes straight to
     the adaptive path, and so does a y whose panel |K - G| sum exceeds
     tol/2, each from the panel count half_line_integral would start
-    with.  The panel phases come from a two-level table (_phased_sum).
-    Estimates are tail bound + panel |K - G| sum + rounding allowance.
+    with.  The 15 node phases exp(-i*y*h*x_j) meet the weighted panel
+    values in one BLAS product of inner dimension 15; the panel phases
+    are applied block by block (_block_phased_sum).  Estimates are tail
+    bound + panel |K - G| sum + rounding allowance.
     """
     ys = np.asarray(ys, dtype=float)
-    T, tail, scale = _truncate(bound, x, tol, tail_cut)
+    T, tail, scale, mass = _truncate(bound, x, tol, tail_cut)
     if T <= 0.0 or ys.size == 0:
         _finite(piece(np.zeros(1)))
         return np.zeros(ys.shape, dtype=complex), np.full(ys.shape, tail)
-    mass = bound.M / (x - bound.a) if x > bound.a else bound.M * T
     # the largest tabulated theta within the share, else the smallest
     share = _MODEL_SHARE * tol / (2.0 * mass) if mass > 0 else math.inf
     theta = _THETA[max(bisect.bisect_right(_PHI, share) - 1, 0)]
@@ -394,24 +459,30 @@ def laplace_grid(piece, bound: ExponentialOrderBound, x: float, ys,
         P = _panel_count(T, min(2.0 * theta / top, scale) if top else scale)
         half = T / (2.0 * P)
         block = math.isqrt(P - 1) + 1
+        nb = -(-P // block)
         nodes = (2.0 * np.arange(P) + 1.0)[:, None] * half + half * _XGK
         v = _finite(piece(nodes.ravel())).reshape(P, 15) * np.exp(-x * nodes)
         vk = v * _WGK
-        # Kronrod rows then Kronrod-minus-Gauss rows, 2P x 15, transposed
-        # so that the sums over panels run along contiguous rows
-        weighted = np.concatenate([vk, v * (_WGK - _WG)]).T
+        # Kronrod rows padded with zero panels to nb whole blocks, then
+        # Kronrod-minus-Gauss rows, transposed so that the sums over
+        # panels run along contiguous rows
+        weighted = np.concatenate(
+            [vk, np.zeros((nb * block - P, 15)), v * (_WGK - _WG)]).T
         idx = np.flatnonzero(served)
         step = max(1, 2 ** 14 // P)  # keeps each Y x 2P block near 0.5 MB
         for lo in range(0, idx.size, step):
             k = idx[lo:lo + step]
             sums = np.exp(-1j * half * np.outer(ys[k], _XGK)) @ weighted
-            values[k] = half * _phased_sum(sums[:, :P], ys[k], half, block)
-            disc[k] = half * np.abs(sums[:, P:]).sum(axis=1)
-        # phase arguments: at most |y|*T for the outer table factor and
-        # |y|*2*block*half for the inner one and the nodes together; 3
-        # for the product of the two factors
+            values[k] = half * _block_phased_sum(sums[:, :nb * block], ys[k],
+                                                 half, block)
+            disc[k] = half * np.abs(sums[:, nb * block:]).sum(axis=1)
+        # a term passes 15 nodes, block panels and nb blocks, summed in
+        # whatever order BLAS takes: at most 14 + (block - 1) + (nb - 1)
+        # additions.  Phase arguments: at most |y|*T for the outer factor
+        # and |y|*2*block*half for the inner one and the nodes together;
+        # 3 for the three phase products
         rounding[served] = _rounding(
-            15 * P, half * float(np.abs(vk).sum()),
+            block + nb + 12, half * float(np.abs(vk).sum()),
             np.abs(ys[served]) * (T + 2.0 * block * half) + 3.0)
     for k in np.flatnonzero(disc > tol / 2.0):
         s = x + 1j * ys[k]
@@ -472,7 +543,8 @@ def finite_oscillatory_integral(F, t: float, A: float,
     lefts, rights, k, e, m, evals = _refine(g, lefts, rights, k, e, m,
                                             tol * two_pi, 15 * n0)
     inner = (lefts >= edges[n0 // 4]) & (rights <= edges[3 * n0 // 4])
-    estimate = e.sum() + _rounding(evals, m.sum(), abs(t) * A)
+    estimate = e.sum() + _rounding(math.ceil(math.log2(evals)), m.sum(),
+                                   abs(t) * A)
     return OscillatoryResult(complex(k.sum()) / two_pi,
                              float(estimate) / two_pi, A, evals,
                              complex(k[inner].sum()) / two_pi)

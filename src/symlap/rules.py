@@ -61,7 +61,7 @@ def transform_pair_of(f: PiecewiseSignal, tol: float) -> TransformPair:
 
     def pos(s: complex) -> complex:
         s = complex(s)
-        bound = f.bound_for("pos", s.real)
+        bound = f.bound_for("pos")
         res = half_line_integral(
             lambda u: np.exp(-s * u) * np.asarray(f.pos(u), dtype=complex),
             bound, s.real, tol, osc=abs(s.imag) + f.osc_hint,
@@ -70,7 +70,7 @@ def transform_pair_of(f: PiecewiseSignal, tol: float) -> TransformPair:
 
     def neg(cs: complex) -> complex:
         cs = complex(cs)
-        bound = f.bound_for("neg", cs.real)
+        bound = f.bound_for("neg")
         res = half_line_integral(
             lambda u: np.exp(-cs * u) * np.asarray(f.neg(-u), dtype=complex),
             bound, cs.real, tol, osc=abs(cs.imag) + f.osc_hint,

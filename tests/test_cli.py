@@ -185,3 +185,16 @@ def test_byte_identical_across_runs_and_thread_counts(args):
     second = run_cli(*args, env={"OMP_NUM_THREADS": "4"})
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
+
+
+def test_forward_grid_is_byte_identical_across_blas_thread_counts():
+    # a 401-point grid takes the BLAS products of the forward pass past
+    # the size where OpenBLAS splits them over threads; the split must
+    # not change any sum
+    args = ("forward", "--signal", "sincos", "--x1", "0.5", "--x2", "1",
+            "--ymin", "-59", "--ymax", "59", "--steps", "400")
+    one = run_cli(*args, env={"OPENBLAS_NUM_THREADS": "1"})
+    two = run_cli(*args, env={"OPENBLAS_NUM_THREADS": "2"})
+    assert one.returncode == two.returncode == 0
+    assert len(one.stdout.splitlines()) == 402
+    assert one.stdout == two.stdout

@@ -61,9 +61,8 @@ def test_catalog_envelopes_hold_on_dyadic_grid(name):
     for t in ts:
         val = abs(f(t))
         side = "pos" if t >= 0 else "neg"
-        # ramp has no fixed rate; use the per-evaluation envelope at x=2
-        bound = f.bound_for(side, 2.0)
-        envelope = bound.M * math.exp(bound.a * abs(t))
+        # the ramp's envelope carries its polynomial degree
+        envelope = float(f.bound_for(side).envelope(t))
         assert val <= envelope * (1.0 + 1e-12), (name, t, val, envelope)
 
 
@@ -95,12 +94,20 @@ def test_transform_sample_rejects_non_finite_and_negative_error():
         TransformSample(p, 1.0 + 0j, -1e-3)
 
 
-def test_ramp_per_evaluation_bound_is_sharp():
+def test_ramp_bound_is_sharp():
+    # |t| itself on both sides: degree 1, M = 1, no exponential growth
     f = catalog_signal("ramp")
-    b = f.bound_for("pos", 2.0)
-    assert b.a == pytest.approx(1.0)
-    # sup of t*exp(-t) is 1/e, attained at t = 1
-    assert b.M == pytest.approx(1.0 / math.e)
+    ts = np.array([-3.0, -0.5, 0.0, 0.5, 3.0])
+    for side in ("pos", "neg"):
+        b = f.bound_for(side)
+        assert b == ExponentialOrderBound(1.0, 0.0, 1)
+        assert np.array_equal(b.envelope(ts), np.abs(ts))
+
+
+@pytest.mark.parametrize("degree", [-1, 0.5, math.nan, math.inf])
+def test_bound_rejects_a_degree_that_is_not_a_whole_number(degree):
+    with pytest.raises(ValueError, match="degree"):
+        ExponentialOrderBound(1.0, 0.0, degree)
 
 
 def test_custom_signal_roundtrips_through_call():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -216,17 +217,8 @@ def test_grid_sweep_meets_certificate(name, tol, fallbacks):
         if tol >= 1e-10:
             # at 1e-12 the rounding allowance alone may exceed tol
             assert np.all(est <= tol)
-        if name == "ramp" and min(x1, x2) < 0.5:
-            # the ramp's envelope decays at x/2 only, which doubles T; below
-            # x = 0.5 a tight-tolerance grid can need more than 4096 panels,
-            # and the |y| beyond them, all above 33 for x >= 0.25 and
-            # tol >= 1e-12, go to the adaptive path on purpose
-            # (test_only_y_beyond_the_panel_cap_reach_the_adaptive_path)
-            assert all(args[5] / args[2] > 30.0 for args in fallbacks)
-        else:
-            # the error-model panels resolve every y on the first pass
-            assert fallbacks == []
-        fallbacks.clear()
+        # the error-model panels resolve every y on the first pass
+        assert fallbacks == []
 
 
 def test_tight_tolerance_grid_needs_no_fallback(fallbacks):
@@ -240,20 +232,24 @@ def test_tight_tolerance_grid_needs_no_fallback(fallbacks):
     assert np.all(gap <= [p.abs_error_estimate for p in samples])
 
 
+def _counted(f):
+    """(f with both pieces counting their evaluations, the count)."""
+    count = [0]
+
+    def wrap(piece):
+        def counted(u):
+            count[0] += np.size(u)
+            return piece(u)
+        return counted
+
+    return dataclasses.replace(f, pos=wrap(f.pos), neg=wrap(f.neg)), count
+
+
 def test_y_beyond_the_panel_cap_skips_the_uniform_pass():
     # y = 1e4 needs more than 4096 uniform panels, so the adaptive path
     # alone must pay for the point
-    nodes = []
-
-    def counted(piece):
-        def wrapped(u):
-            nodes.append(np.size(u))
-            return piece(u)
-        return wrapped
-
     sign = catalog_signal("sign")
-    f = PiecewiseSignal("sign", counted(sign.pos), counted(sign.neg),
-                        sign.bound_pos, sign.bound_neg)
+    f, count = _counted(sign)
     y = 1e4
     r = sl_forward(f, SLPoint(1.0, 1.0, y), 1e-8)
     alone = 0
@@ -262,7 +258,7 @@ def test_y_beyond_the_panel_cap_skips_the_uniform_pass():
         alone += half_line_integral(
             lambda u, piece=piece, s=s: np.exp(-s * u) * piece(u),
             sign.bound_pos, 1.0, 0.5e-8, osc=y).evaluations
-    assert sum(nodes) <= alone
+    assert count[0] <= alone
     closed = closed_form("sign", 1.0, 1.0, y)
     assert abs(r.value - closed) <= r.abs_error_estimate <= 1e-8
 
@@ -327,17 +323,35 @@ def test_grid_divergence_names_the_side():
         sl_forward_grid(catalog_signal("sign"), 1.0, -0.5, [0.0, 2.0], 1e-8)
 
 
-@pytest.mark.parametrize("tol", [1e-10, 1e-12])
-def test_only_y_beyond_the_panel_cap_reach_the_adaptive_path(tol,
+@pytest.mark.parametrize("tol,first", [(1e-10, 90.0), (1e-12, 60.0)])
+def test_only_y_beyond_the_panel_cap_reach_the_adaptive_path(tol, first,
                                                              fallbacks):
-    # the ramp at x = 0.25: 4096 model-width panels reach |y| of about 50
-    # at tol 1e-10 and 33 at 1e-12, so the largest |y| are refined and
-    # the rest served by the uniform pass
-    ys = list(np.linspace(-60.0, 60.0, 121))
+    # the ramp at x = 0.25: 4096 model-width panels reach |y| of about
+    # 102 at tol 1e-10 and 63 at 1e-12, so the largest |y| are refined
+    # and the rest served by the uniform pass
+    ys = list(np.linspace(-120.0, 120.0, 241))
     samples = sl_forward_grid(catalog_signal("ramp"), 0.25, 0.25, ys, tol)
     gap = np.abs(np.array([p.value for p in samples])
                  - closed_form("ramp", 0.25, 0.25, ys))
     assert np.all(gap <= [p.abs_error_estimate for p in samples])
     # _adaptive(f, 0, T, n0, tol, |y|*T)
     refined = sorted(args[5] / args[2] for args in fallbacks)
-    assert refined and refined[0] > 20.0
+    assert refined and refined[0] > first
+
+
+@pytest.mark.parametrize("name,x1,x2,ymax,n,evaluations", [
+    ("gauss", 0.5, 0.5, 40.0, 101, 1230),
+    ("ramp", 1.0, 2.0, 30.0, 151, 2955),
+    ("one", 1.0, 1.0, 59.0, 201, 6870)])
+def test_forward_evaluation_counts_are_pinned(name, x1, x2, ymax, n,
+                                              evaluations):
+    # machine-independent cost of a grid at tol 1e-8; truncation at the
+    # envelope alone (the x/2 envelope for the ramp) took 11220 and 5340
+    # for the gauss and ramp grids
+    f, count = _counted(catalog_signal(name))
+    ys = np.linspace(-ymax, ymax, n)
+    samples = sl_forward_grid(f, x1, x2, ys, 1e-8)
+    assert count[0] == evaluations
+    gap = np.abs(np.array([p.value for p in samples])
+                 - closed_form(name, x1, x2, ys))
+    assert np.all(gap <= [p.abs_error_estimate for p in samples])

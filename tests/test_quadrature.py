@@ -11,7 +11,8 @@ from symlap.quadrature import (
     _WG,
     _WGK,
     _XGK,
-    _phased_sum,
+    _block_phased_sum,
+    _tail_bound,
     finite_oscillatory_integral,
     half_line_integral,
     laplace_grid,
@@ -221,6 +222,21 @@ def test_inversion_evaluation_counts_are_pinned(t, evaluations):
     assert r.evaluations == evaluations
 
 
+def test_refinement_evaluates_each_round_in_one_call():
+    # both halves of a round's split panels go to F together: 6 rounds of
+    # 2 panels each after the initial pass, where two calls per round
+    # took 13 calls for the same 1140 evaluations
+    sizes = []
+
+    def F(y):
+        sizes.append(y.size)
+        return _jump(0.05, 0.05, y)
+
+    r = finite_oscillatory_integral(F, 0.5, 100.0, 1e-8)
+    assert sizes == [780] + [60] * 6
+    assert r.evaluations == 1140
+
+
 @pytest.mark.parametrize("case", range(10))
 def test_certificate_holds_at_one_oscillation_per_panel(case):
     # seeded sweep against mpmath at 30 digits, split at the initial
@@ -251,27 +267,84 @@ def test_certificate_holds_at_one_oscillation_per_panel(case):
                                      (37, 7), (1, 1), (225, 15)])
 def test_phase_table_matches_per_node_exponentials(P, block):
     # P < block, a ragged last block and whole blocks, against one exp
-    # per (y, panel)
+    # per (y, panel); the ragged block is padded with zero panels
     rng = np.random.default_rng([7, P, block])
     half = 0.07
+    nb = -(-P // block)
     ys = np.concatenate([[0.0, 59.0, -59.0], rng.uniform(-60.0, 60.0, 9)])
-    terms = (rng.standard_normal((ys.size, P))
-             + 1j * rng.standard_normal((ys.size, P)))
-    got = _phased_sum(terms, ys, half, block)
+    terms = np.zeros((ys.size, nb * block), dtype=complex)
+    terms[:, :P] = (rng.standard_normal((ys.size, P))
+                    + 1j * rng.standard_normal((ys.size, P)))
+    got = _block_phased_sum(terms, ys, half, block)
     mids = (2.0 * np.arange(P) + 1.0) * half
     for k, y in enumerate(ys):
         direct = sum(np.exp(-1j * y * c) * t for c, t in zip(mids, terms[k]))
         scale = np.abs(terms[k]).sum()
-        phase = abs(y) * 2.0 * (P + block) * half
+        # phase arguments up to |y| * 2 * nb * block * half; block - 1
+        # additions inside a block and nb - 1 across blocks, in any order
+        phase = abs(y) * 2.0 * (nb + 1) * block * half
         assert abs(got[k] - direct) <= 4 * np.finfo(float).eps * scale * (
-            phase + math.log2(P) + 6.0)
+            phase + block + nb + 4.0)
 
 
 def test_phase_table_is_exact_at_zero_oscillation():
-    # every phase is exactly 1, so the sum is the plain panel sum
-    terms = np.random.default_rng(8).standard_normal((1, 37)) + 0.5j
-    got = _phased_sum(terms, np.zeros(1), 0.3, 8)
-    assert got[0] == terms.sum(axis=1)[0]
+    # every phase is exactly 1, so the value is the plain sum in block
+    # order, over 37 panels padded to 5 blocks of 8; whole-number terms
+    # make that sum exact in whatever order the blocks are added
+    rng = np.random.default_rng(8)
+    terms = np.zeros((1, 40), dtype=complex)
+    terms[0, :37] = (rng.integers(-2 ** 40, 2 ** 40, 37)
+                     + 1j * rng.integers(-2 ** 40, 2 ** 40, 37))
+    got = _block_phased_sum(terms, np.zeros(1), 0.3, 8)
+    blocks = [sum(terms[0, 8 * a:8 * a + 8]) for a in range(5)]
+    assert got[0] == sum(blocks)
+
+
+@pytest.mark.parametrize("case", range(5))
+@pytest.mark.parametrize("d", [0, 1, 2, 3])
+def test_tail_bound_against_mpmath(d, case):
+    # seeded sweep of the envelope M * t^d * exp(-(x - a)*t): the
+    # certified tail beyond T is at least the integral at 30 digits, and
+    # T is within 1/(x - a) of the exact root of tail = tol
+    import mpmath
+    rng = np.random.default_rng([41, d, case])
+    M = float(10.0 ** rng.uniform(-1.0, 1.0))
+    a = float(rng.uniform(-1.0, 1.0))
+    rate = float(np.exp(rng.uniform(math.log(0.05), math.log(8.0))))
+    tol = float(10.0 ** rng.uniform(-14.0, -4.0))
+    bound = ExponentialOrderBound(M, a, d)
+    x = a + rate
+    T = truncation_point(bound, x, tol)
+    certified = _tail_bound(bound, x, T)
+    with mpmath.workdps(30):
+        r = mpmath.mpf(x) - mpmath.mpf(a)
+
+        def tail(t0):
+            return M * mpmath.gammainc(d + 1, r * t0) / r ** (d + 1)
+
+        oracle = mpmath.quad(lambda t: M * t ** d * mpmath.exp(-r * t),
+                             [T, T + 1 / r, mpmath.inf])
+        root = mpmath.findroot(lambda t0: tail(t0) - tol, T)
+        assert mpmath.almosteq(oracle, tail(T), rel_eps=1e-20)
+    assert certified >= oracle
+    assert certified <= tol * (1.0 + 1e-12)
+    assert abs(T - float(root)) <= 1.0 / rate
+
+
+def test_half_line_takes_the_shorter_tail_cut():
+    # exp(-t^2) at x = 0.5: the envelope needs T = 41 for a tol/2 of
+    # 2.5e-9, the Gaussian's own cut sqrt(log(1/2.5e-9)) = 4.45 certifies
+    # the same tail
+    def cut(tol):
+        return math.sqrt(math.log(1.0 / tol))
+
+    r = half_line_integral(lambda t: np.exp(-t * t - 0.5 * t), B10, 0.5,
+                           5e-9, tail_cut=cut)
+    assert r.truncation_point == pytest.approx(cut(2.5e-9))
+    # sqrt(pi)/2 * erfcx(1/4), the integral of exp(-t^2 - t/2) over t > 0
+    from scipy.special import erfcx
+    exact = math.sqrt(math.pi) / 2.0 * erfcx(0.25)
+    assert abs(r.value - exact) <= r.abs_error_estimate <= 5e-9
 
 
 def test_error_model_table_is_nondecreasing():
