@@ -66,6 +66,7 @@ from .forward import (
     sl_forward,
     sl_forward_grid,
     sl_forward_symmetric,
+    sl_forward_values,
 )
 from .inversion import (
     PartialFractionTerm,
@@ -142,6 +143,7 @@ __all__ = [
     "sl_forward",
     "sl_forward_grid",
     "sl_forward_symmetric",
+    "sl_forward_values",
     "sl_inverse_numeric",
     "sl_inverse_numeric_pair",
     "sl_inverse_split",

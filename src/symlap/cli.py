@@ -33,7 +33,7 @@ from .errors import (
     RootFindingError,
 )
 from .expr import evaluate_rational, parse_transform
-from .forward import sl_forward_grid
+from .forward import sl_forward_values
 from .inversion import sl_inverse_numeric_pair, sl_inverse_split
 
 EXIT_OK = 0
@@ -53,11 +53,11 @@ def grid_points(lo: float, hi: float, steps: int):
 def forward_csv(signal: str, x1: float, x2: float, ys, tol: float,
                 freq: float = 1.0) -> str:
     f = catalog_signal(signal, freq=freq)
-    lines = ["y,re,im,err"]
-    for sample in sl_forward_grid(f, x1, x2, ys, tol):
-        lines.append(f"{float(sample.point.y)!r},{sample.value.real!r},"
-                     f"{sample.value.imag!r},{sample.abs_error_estimate!r}")
-    return "\n".join(lines) + "\n"
+    ys = np.asarray(ys, dtype=float)
+    value, estimate = sl_forward_values(f, x1, x2, ys, tol)
+    rows = zip(ys.tolist(), value.real.tolist(), value.imag.tolist(),
+               estimate.tolist())
+    return "y,re,im,err\n" + "".join(["%r,%r,%r,%r\n" % row for row in rows])
 
 
 def invert_csv(expr_text: str, ts) -> str:

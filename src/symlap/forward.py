@@ -13,7 +13,10 @@ Along a line of fixed damping (x1, x2) the oscillation y is the Fourier
 direction, so a whole y-grid is evaluated at once: each half-line takes
 one factored GK15 pass over uniform panels shared by every y
 (quadrature.laplace_grid), and only a y whose panel certificate misses
-its budget is refined adaptively.  sl_forward is the one-point grid.
+its budget is refined adaptively.  sl_forward_values returns a grid's
+values and estimates as arrays, which `symlap forward` writes as they
+are; sl_forward_grid wraps them as TransformSamples, and sl_forward is
+the one-point grid.
 """
 
 from __future__ import annotations
@@ -25,17 +28,17 @@ from .errors import DivergenceError
 from .quadrature import laplace_grid, require_finite, require_positive
 
 
-def sl_forward_grid(f: PiecewiseSignal, x1: float, x2: float, ys,
-                    tol: float) -> list[TransformSample]:
-    """Evaluate the transform of f at (x1, x2, y) for every y in ys, each
-    to absolute tolerance tol.
+def sl_forward_values(f: PiecewiseSignal, x1: float, x2: float, ys,
+                      tol: float):
+    """Values and error estimates of the transform of f at (x1, x2, y)
+    for every y in ys, each to absolute tolerance tol: two complex and
+    real arrays over ys.
 
     Raises ValueError for a non-finite or non-positive tol or a
     non-finite x1, x2 or y, and DivergenceError naming the offending
     half-line when x1 or x2 does not dominate the growth rate of its
     piece.
     """
-    ys = list(ys)
     y_arr = np.asarray(ys, dtype=float)
     require_positive(tol=tol)
     require_finite(x1=x1, x2=x2)
@@ -55,6 +58,17 @@ def sl_forward_grid(f: PiecewiseSignal, x1: float, x2: float, ys,
                             osc=f.osc_hint, tail_cut=f.tail_cut)
         value += v
         estimate += e
+    if not np.isfinite(value).all():
+        raise ValueError("transform value must be finite")
+    return value, estimate
+
+
+def sl_forward_grid(f: PiecewiseSignal, x1: float, x2: float, ys,
+                    tol: float) -> list[TransformSample]:
+    """sl_forward_values as one TransformSample per y in ys, with the
+    same errors."""
+    ys = list(ys)
+    value, estimate = sl_forward_values(f, x1, x2, ys, tol)
     return [TransformSample(SLPoint(x1, x2, y), complex(v), float(e))
             for y, v, e in zip(ys, value, estimate)]
 

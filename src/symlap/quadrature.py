@@ -23,21 +23,29 @@ with midpoints c_p and half-width h, and with u_pj = c_p + h*x_j
 
     K_p(y) = h * exp(-i*y*c_p) * sum_j w_j * v(u_pj) * exp(-i*y*h*x_j),
 
-v(u) = f(u)*exp(-x*u).  The 15 x Y matrix exp(-i*y*h*x_j) is shared by
-all panels, so the integrand is evaluated once per node rather than once
-per node and y, and one BLAS product of inner dimension 15 gives the
-Y x P node sums.  The panel phases factor in blocks: with p = a*B + b
-and B about sqrt(P), exp(-i*y*c_p) is an outer factor exp(-2i*y*B*h*a)
-times an inner one exp(-i*y*(2b+1)*h).  A batched product contracts
-each y's node sums, viewed as ceil(P/B) blocks of B, with its B inner
-phases, and the block sums are dotted with the outer phases: Y*(P/B + B)
-complex exps and no Y x P phase table.  The same node product with the
-weights w^K - w^G gives each panel's |K_p - G_p| (the panel phase drops
-out of the modulus), so every y carries the certificate the adaptive
-path would report for these panels.  The node and block contractions
-stay separate products: folded into one of inner dimension 15*B, they
-summed differently under one and two OpenBLAS threads, while as they
-stand `symlap forward` writes the same bytes under 1, 2 and 4 threads.
+v(u) = f(u)*exp(-x*u).  The node phases are shared by all panels, so the
+integrand is evaluated once per node rather than once per node and y.
+The nodes come in pairs x_(14-j) = -x_j, so with t_j = y*h*x_j a pair
+adds w_j*(v_j + v_(14-j))*cos(t_j) - i*w_j*(v_j - v_(14-j))*sin(t_j).
+A real Y x 15 table of weighted cosines and sines and the centre weight
+meets the 15 x P complex rows of pair sums, -i times pair differences
+and centre values, read as 15 x 2P reals, and one real BLAS product of
+inner dimension 15 gives the Y x P node sums, read back as complex.  The
+panel phases factor in blocks: with p = a*B + b and B about sqrt(P),
+exp(-i*y*c_p) is an outer factor exp(-2i*y*B*h*a) times an inner one
+exp(-i*y*(2b+1)*h).  A batched product contracts each y's node sums,
+viewed as ceil(P/B) blocks of B, with its B inner phases, and the block
+sums are dotted with the outer phases: Y*(P/B + B) complex exps and no
+Y x P phase table.  The same node product with the weights w^K - w^G
+gives each panel's |K_p - G_p| (the panel phase drops out of the
+modulus), so every y carries the certificate the adaptive path would
+report for these panels.  Every product has an inner dimension of at
+most 64 and is cut, in rows or blocks, below the size at which OpenBLAS
+hands it to helper threads (_SOLO_DGEMM, _SOLO_ZGEMV): a helper thread
+spins between calls, which doubles the CPU time of a forward grid for no
+gain in wall time.  On one thread the sums do not depend on
+OPENBLAS_NUM_THREADS, so `symlap forward` writes the same bytes under
+any setting.
 
 The panel width comes from the GK15 error model: on a panel where the
 integrand turns by theta radians per half-width, sum_p |K_p - G_p| is
@@ -135,6 +143,19 @@ _PHI = tuple(np.maximum.accumulate(0.5 * np.abs(
     np.exp(1j * np.outer(_THETA, _XGK)) @ (_WGK - _WG))).tolist())
 # share of the panel budget the model may predict for the uniform pass
 _MODEL_SHARE = 0.25
+# Sizes under which OpenBLAS runs a product on the calling thread:
+# multiply-adds of a real matrix product (it splits them from about
+# 2^20 on) and entries of a complex matrix-vector product (from 2^12 on),
+# measured with OpenBLAS 0.3.31 on a 2-core x86-64 host by the CPU time
+# of its helper threads.  A complex matrix product splits from 2^16
+# multiply-adds on, so laplace_grid uses a real one.
+_SOLO_DGEMM = 2 ** 19
+_SOLO_ZGEMV = 2 ** 12
+# Kronrod and Kronrod-minus-Gauss weights of laplace_grid's paired node
+# rows [cos(t_0), sin(t_0), ..., cos(t_6), sin(t_6), 1], and i*x_j for
+# the t_j = y*h*x_j of the first 8 nodes
+_PAIRED = np.array([np.repeat(w[:8], 2)[:15] for w in (_WGK, _WGK - _WG)])
+_IXGK8 = 1j * _XGK[:8]
 
 
 @dataclass(frozen=True)
@@ -178,7 +199,7 @@ def require_finite(**values):
 
 def _finite(vals):
     vals = np.asarray(vals, dtype=complex)
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise AccuracyError("integrand returned a non-finite value")
     return vals
 
@@ -402,9 +423,13 @@ def _block_phased_sum(terms, y, half, block):
     Y, P = terms.shape
     nb = P // block
     arg = -1j * half * y[:, None]
-    outer = np.exp(arg * (2.0 * block * np.arange(nb)))
-    inner = np.exp(arg * (2.0 * np.arange(block) + 1.0))
-    sums = terms.reshape(Y, nb, block) @ inner[:, :, None]
+    outer = np.exp(arg * np.arange(0.0, 2.0 * block * nb, 2.0 * block))
+    inner = np.exp(arg * np.arange(1.0, 2.0 * block, 2.0))[:, :, None]
+    terms = terms.reshape(Y, nb, block)
+    sums = np.empty((Y, nb, 1), dtype=complex)
+    step = (_SOLO_ZGEMV - 1) // block  # blocks per product
+    for a in range(0, nb, step):
+        np.matmul(terms[:, a:a + step], inner, out=sums[:, a:a + step])
     return (outer[:, None, :] @ sums)[:, 0, 0]
 
 
@@ -432,10 +457,11 @@ def laplace_grid(piece, bound: ExponentialOrderBound, x: float, ys,
     A y that 4096 panels of that kind cannot resolve goes straight to
     the adaptive path, and so does a y whose panel |K - G| sum exceeds
     tol/2, each from the panel count half_line_integral would start
-    with.  The 15 node phases exp(-i*y*h*x_j) meet the weighted panel
-    values in one BLAS product of inner dimension 15; the panel phases
-    are applied block by block (_block_phased_sum).  Estimates are tail
-    bound + panel |K - G| sum + rounding allowance.
+    with.  The node pairs x_j, -x_j meet their weighted cosines and sines
+    in real BLAS products of inner dimension 15, in chunks of y that
+    OpenBLAS runs on the calling thread; the panel phases are applied
+    block by block (_block_phased_sum).  Estimates are tail bound +
+    panel |K - G| sum + rounding allowance.
     """
     ys = np.asarray(ys, dtype=float)
     T, tail, scale, mass = _truncate(bound, x, tol, tail_cut)
@@ -460,31 +486,44 @@ def laplace_grid(piece, bound: ExponentialOrderBound, x: float, ys,
         half = T / (2.0 * P)
         block = math.isqrt(P - 1) + 1
         nb = -(-P // block)
-        nodes = (2.0 * np.arange(P) + 1.0)[:, None] * half + half * _XGK
+        nodes = np.arange(1.0, 2.0 * P, 2.0)[:, None] * half + half * _XGK
         v = _finite(piece(nodes.ravel())).reshape(P, 15) * np.exp(-x * nodes)
-        vk = v * _WGK
-        # Kronrod rows padded with zero panels to nb whole blocks, then
-        # Kronrod-minus-Gauss rows, transposed so that the sums over
-        # panels run along contiguous rows
-        weighted = np.concatenate(
-            [vk, np.zeros((nb * block - P, 15)), v * (_WGK - _WG)]).T
-        idx = np.flatnonzero(served)
-        step = max(1, 2 ** 14 // P)  # keeps each Y x 2P block near 0.5 MB
+        # rows [sum_0, -i*difference_0, ..., -i*difference_6, centre] of
+        # the node pairs j, 14 - j, each real and imaginary part a column
+        # of its own, meet real phase rows w*[cos(t_0), sin(t_0), ...,
+        # sin(t_6), 1] (exp(i*t) read as reals; t_7 = 0 gives exactly 1);
+        # zero panels pad the last block
+        vt = v.T
+        pairs = np.zeros((15, nb * block), dtype=complex)
+        np.add(vt[:7], vt[:7:-1], out=pairs[:14:2, :P])
+        np.subtract(vt[:7], vt[:7:-1], out=pairs[1:14:2, :P])
+        pairs[1:14:2] *= -1j
+        pairs[14, :P] = vt[7]
+        pairs = pairs.view(float)
+        idx = served.nonzero()[0]
+        step = max(1, _SOLO_DGEMM // (2 * pairs.size))
         for lo in range(0, idx.size, step):
             k = idx[lo:lo + step]
-            sums = np.exp(-1j * half * np.outer(ys[k], _XGK)) @ weighted
-            values[k] = half * _block_phased_sum(sums[:, :nb * block], ys[k],
-                                                 half, block)
-            disc[k] = half * np.abs(sums[:, nb * block:]).sum(axis=1)
-        # a term passes 15 nodes, block panels and nb blocks, summed in
-        # whatever order BLAS takes: at most 14 + (block - 1) + (nb - 1)
-        # additions.  Phase arguments: at most |y|*T for the outer factor
-        # and |y|*2*block*half for the inner one and the nodes together;
-        # 3 for the three phase products
+            y = ys[k]
+            trig = np.exp((half * y)[:, None] * _IXGK8).view(float)
+            # Kronrod rows, then Kronrod-minus-Gauss rows
+            sums = ((_PAIRED[:, None] * trig[:, :15]).reshape(-1, 15)
+                    @ pairs).view(complex)
+            values[k] = half * _block_phased_sum(sums[:k.size], y, half,
+                                                 block)
+            disc[k] = half * np.abs(sums[k.size:]).sum(axis=1)
+        # a term passes a pair sum, 15 products summed in whatever order
+        # BLAS takes, block panels and nb blocks: at most 1 + 14 +
+        # (block - 1) + (nb - 1) additions.  The real and imaginary parts
+        # are separate real sums, each over at most sqrt(2) times the
+        # pair's sum of moduli: the sqrt(2).  Phase arguments: at most
+        # |y|*T for the outer factor and |y|*2*block*half for the inner
+        # one and the nodes together; 3 for the three phase products
         rounding[served] = _rounding(
-            block + nb + 12, half * float(np.abs(vk).sum()),
+            block + nb + 13,
+            math.sqrt(2.0) * half * float((np.abs(v) @ _WGK).sum()),
             np.abs(ys[served]) * (T + 2.0 * block * half) + 3.0)
-    for k in np.flatnonzero(disc > tol / 2.0):
+    for k in (disc > tol / 2.0).nonzero()[0]:
         s = x + 1j * ys[k]
 
         def integrand(u, s=s):

@@ -1,10 +1,17 @@
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from symlap.cli import forward_csv, grid_points, main
+from symlap.core import CATALOG_NAMES, catalog_signal
+from symlap.errors import DivergenceError
+from symlap.forward import sl_forward_grid
 
 
 def run_cli(*args: str, env=None) -> subprocess.CompletedProcess:
@@ -187,14 +194,143 @@ def test_byte_identical_across_runs_and_thread_counts(args):
     assert first.stdout == second.stdout
 
 
-def test_forward_grid_is_byte_identical_across_blas_thread_counts():
-    # a 401-point grid takes the BLAS products of the forward pass past
-    # the size where OpenBLAS splits them over threads; the split must
-    # not change any sum
+def test_forward_grid_is_byte_identical_across_blas_thread_counts(
+        monkeypatch):
+    # every BLAS product of the forward pass stays below the size at which
+    # OpenBLAS splits it over threads, so no thread count, the default
+    # included, can change a sum; the 401-point grid takes the node
+    # products through several row chunks
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
     args = ("forward", "--signal", "sincos", "--x1", "0.5", "--x2", "1",
             "--ymin", "-59", "--ymax", "59", "--steps", "400")
-    one = run_cli(*args, env={"OPENBLAS_NUM_THREADS": "1"})
-    two = run_cli(*args, env={"OPENBLAS_NUM_THREADS": "2"})
-    assert one.returncode == two.returncode == 0
-    assert len(one.stdout.splitlines()) == 402
-    assert one.stdout == two.stdout
+    default = run_cli(*args)
+    assert default.returncode == 0, default.stderr
+    assert len(default.stdout.splitlines()) == 402
+    for threads in ("1", "2", "4"):
+        cp = run_cli(*args, env={"OPENBLAS_NUM_THREADS": threads})
+        assert cp.returncode == 0, cp.stderr
+        assert cp.stdout == default.stdout, threads
+
+
+def _blas_name() -> str:
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # numpy before 1.26 only prints its configuration
+        return ""
+    return config.get("Build Dependencies", {}).get("blas", {}).get("name", "")
+
+
+# Runs the 401-point sincos grid 10 times and prints the CPU clock ticks
+# (utime + stime) that every thread but the main one spent meanwhile,
+# then the same for a complex product that OpenBLAS does split over
+# threads, to show that helper threads are there to be seen.  OpenBLAS's
+# helper threads spin for a while after they start, so the count starts
+# once they have gone to sleep.
+_HELPER_TICKS = """
+import os
+import time
+import numpy as np
+from symlap.cli import forward_csv, grid_points
+
+def helper_ticks():
+    total = 0
+    for tid in os.listdir("/proc/self/task"):
+        if int(tid) == os.getpid():
+            continue
+        try:
+            with open(f"/proc/self/task/{tid}/stat") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except FileNotFoundError:
+            continue
+        total += int(fields[11]) + int(fields[12])
+    return total
+
+def settled_ticks():
+    last = helper_ticks()
+    for _ in range(100):
+        time.sleep(0.2)
+        now = helper_ticks()
+        if now == last:
+            break
+        last = now
+    return now
+
+ys = grid_points(-59.0, 59.0, 400)
+forward_csv("sincos", 0.5, 1.0, ys, 1e-8)
+before = settled_ticks()
+for _ in range(10):
+    forward_csv("sincos", 0.5, 1.0, ys, 1e-8)
+grid = helper_ticks() - before
+a = np.ones((400, 400)) * (1.0 + 1.0j)
+before = helper_ticks()
+for _ in range(10):
+    a @ a
+print(grid, helper_ticks() - before)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
+                    reason="needs Linux per-thread CPU times")
+def test_forward_grid_leaves_blas_helper_threads_idle():
+    if "openblas" not in _blas_name().lower():
+        pytest.skip("numpy is not built on OpenBLAS")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    cp = subprocess.run([sys.executable, "-c", _HELPER_TICKS],
+                        capture_output=True, text=True, env=env)
+    assert cp.returncode == 0, cp.stderr
+    grid, control = map(int, cp.stdout.split())
+    if control == 0:
+        pytest.skip("OpenBLAS runs no helper threads here")
+    assert grid == 0
+
+
+_ROW_GRIDS = {
+    "single": [0.75],
+    "negative zero": [-0.0],
+    "mirrored": [-3.0, -1.5, -0.0, 0.0, 1.5, 3.0],
+    "unsorted": [2.5, -7.0, 0.1, 41.0, -0.3],
+    "repeating": [1.0, 1.0, -2.0, 1.0, -2.0],
+    "wide": grid_points(-59.0, 59.0, 100),
+}
+
+
+def _csv_from_samples(signal, x1, x2, ys, tol, freq=1.0):
+    # one TransformSample per row, formatted field by field
+    lines = ["y,re,im,err"]
+    for sample in sl_forward_grid(catalog_signal(signal, freq=freq), x1, x2,
+                                  ys, tol):
+        lines.append(f"{float(sample.point.y)!r},{sample.value.real!r},"
+                     f"{sample.value.imag!r},{sample.abs_error_estimate!r}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("grid", _ROW_GRIDS)
+@pytest.mark.parametrize("signal", CATALOG_NAMES)
+def test_forward_csv_writes_the_sample_rows(signal, grid):
+    ys = _ROW_GRIDS[grid]
+    text = forward_csv(signal, 2.0, 1.25, ys, 1e-8, freq=2.0)
+    assert text == _csv_from_samples(signal, 2.0, 1.25, ys, 1e-8, freq=2.0)
+    assert len(text.splitlines()) == len(ys) + 1
+
+
+@pytest.mark.parametrize("x1,x2,ys,error,argv,code", [
+    (1.0, 1.0, [0.5, math.nan], ValueError, ("--y", "nan"), 2),
+    (1.0, 1.0, [math.inf], ValueError, ("--y", "inf"), 2),
+    (0.0, 1.0, [0.0, 1.0], DivergenceError, ("--x1", "0", "--y", "0"), 4),
+    (1.0, -0.5, [2.0], DivergenceError, ("--x2", "-0.5", "--y", "2"), 4),
+])
+def test_forward_csv_raises_what_the_samples_raise(x1, x2, ys, error, argv,
+                                                   code, capsys):
+    with pytest.raises(error) as by_rows:
+        sl_forward_grid(catalog_signal("sign"), x1, x2, ys, 1e-8)
+    with pytest.raises(error) as by_columns:
+        forward_csv("sign", x1, x2, ys, 1e-8)
+    assert str(by_columns.value) == str(by_rows.value)
+    args = {"--x1": "1", "--x2": "1"}
+    args.update(zip(argv[::2], argv[1::2]))
+    assert main(["forward", "--signal", "sign",
+                 *(v for kv in args.items() for v in kv)]) == code
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("symlap: ")

@@ -264,10 +264,11 @@ def test_certificate_holds_at_one_oscillation_per_panel(case):
 
 
 @pytest.mark.parametrize("P,block", [(3, 8), (5, 8), (37, 8), (40, 8),
-                                     (37, 7), (1, 1), (225, 15)])
+                                     (37, 7), (1, 1), (225, 15), (4100, 64)])
 def test_phase_table_matches_per_node_exponentials(P, block):
     # P < block, a ragged last block and whole blocks, against one exp
-    # per (y, panel); the ragged block is padded with zero panels
+    # per (y, panel); the ragged block is padded with zero panels.  4100
+    # panels in blocks of 64 take the block products in two slices
     rng = np.random.default_rng([7, P, block])
     half = 0.07
     nb = -(-P // block)
@@ -375,6 +376,19 @@ def test_grid_panel_width_comes_from_the_error_model(tol):
     values, est = laplace_grid(piece, B10, 1.0, ys, tol)
     assert sum(nodes) == 15 * math.ceil(T * 60.0 / (2.0 * theta))
     assert np.all(np.abs(values - 1.0 / (1.0 + 1j * ys)) <= est)
+
+
+def test_grid_of_a_complex_piece():
+    # exp((-1 + 2i)*u) has a complex value at every node, so the pair
+    # sums and differences carry real and imaginary parts alike; its
+    # transform at s = x + i*y is 1/(s + 1 - 2i)
+    ys = np.linspace(-40.0, 40.0, 161)
+    values, est = laplace_grid(lambda u: np.exp((-1.0 + 2.0j) * u),
+                               ExponentialOrderBound(1.0, -1.0), 0.5, ys,
+                               1e-10)
+    exact = 1.0 / (0.5 + 1j * ys + 1.0 - 2.0j)
+    assert np.all(np.abs(values - exact) <= est)
+    assert np.all(est <= 1e-10)
 
 
 def test_grid_without_damping_or_oscillation_uses_the_decay_length():
