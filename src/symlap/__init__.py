@@ -44,6 +44,7 @@ from .errors import (
     AccuracyError,
     CatalogError,
     DivergenceError,
+    ExpOverflowError,
     ExprError,
     ParseError,
     PoleError,
@@ -99,6 +100,7 @@ __all__ = [
     "CatalogError",
     "ComplexValue",
     "DivergenceError",
+    "ExpOverflowError",
     "ExponentialOrderBound",
     "ExprError",
     "ParseError",

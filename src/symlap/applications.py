@@ -29,9 +29,9 @@ from .quadrature import half_line_integral
 def heat_solution(x: float, t: float) -> float:
     """The closed-form solution erf(x / (2*sqrt(t))), written per branch.
 
-    Raises ValueError for t <= 0.
+    Raises ValueError unless t > 0 (a NaN t included).
     """
-    if t <= 0:
+    if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
     arg = x / (2.0 * math.sqrt(t))
     if x >= 0:
@@ -60,12 +60,15 @@ def heat_transform_pair(s: complex, t: float, tol: float):
 
     G(s, t) transforms x -> u(x, t) on x >= 0 at s; Gm transforms
     x -> u(-x, t) on x >= 0 at conj(s).
+
+    Raises DivergenceError for Re s <= 0, and ValueError unless t > 0 or
+    when s is not finite.
     """
     s = complex(s)
     if s.real <= 0:
         raise DivergenceError("heat transforms need Re s > 0")
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not t > 0:
+        raise ValueError(f"t must be positive, got {t}")
     root = 2.0 * math.sqrt(t)
     u_vec = np.vectorize(lambda v: erf(v / root))
     bound = ExponentialOrderBound(1.0, 0.0)

@@ -57,5 +57,9 @@ class PoleError(SymLapError, ZeroDivisionError):
     """Rational function evaluated at (or numerically on top of) a pole."""
 
 
+class ExpOverflowError(SymLapError, OverflowError):
+    """A table term exp(pole*t) would overflow at the requested time."""
+
+
 class RootFindingError(SymLapError):
     """Simultaneous root iteration failed to converge."""

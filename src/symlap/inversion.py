@@ -24,7 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyError, PropernessError, RootFindingError
+from .errors import (
+    AccuracyError,
+    ExpOverflowError,
+    PropernessError,
+    RootFindingError,
+)
 from .expr import RationalFunction, SplitTransform, polynomial_roots
 from .quadrature import (
     finite_oscillatory_integral,
@@ -124,13 +129,16 @@ def _reconstruction_gap(r, terms):
 
 
 def inverse_laplace_rational(terms, t: float) -> complex:
-    """Sum of the classical table applied to each term at time t >= 0."""
+    """Sum of the classical table applied to each term at time t >= 0.
+
+    Raises ExpOverflowError (an OverflowError) when exp(pole*t) of some
+    term overflows."""
     if t < 0:
         raise ValueError("the one-sided table needs t >= 0")
     total = 0j
     for term in terms:
         if abs(term.pole.real * t) > _EXP_GUARD:
-            raise OverflowError(
+            raise ExpOverflowError(
                 f"exp({term.pole.real * t:.1f}) overflows for pole "
                 f"{term.pole} at t={t}")
         k = term.order
@@ -146,7 +154,12 @@ def sl_inverse_split(st: SplitTransform, t: float) -> complex:
     positive side g1 is inverted at t for t >= 0; the cs side g2 is
     inverted at -t for t < 0.  Each side is decomposed once per
     SplitTransform and the terms are reused at every later t.
+
+    Raises ValueError for a non-finite t, PropernessError for a side
+    that is not strictly proper and ExpOverflowError when a table term
+    overflows at t.
     """
+    require_finite(t=t)
     for label, g in (("g1", st.g1), ("g2", st.g2)):
         if not g.is_proper:
             raise PropernessError(

@@ -393,10 +393,10 @@ def half_line_integral(integrand, bound: ExponentialOrderBound, x: float,
     integrands decaying faster than the envelope describes; for x >= 0
     it is used whenever it cuts shorter than the envelope (_truncate).
     Raises ValueError for a non-finite or non-positive tol or a
-    non-finite x.
+    non-finite x or osc.
     """
     require_positive(tol=tol)
-    require_finite(x=x)
+    require_finite(x=x, osc=osc)
     T, tail, scale, _ = _truncate(bound, x, tol, tail_cut)
     if T <= 0.0:
         # tail bound alone already meets the tolerance

@@ -3,9 +3,11 @@ tests.
 
 Each criterion measures worst-case discrepancies against pinned
 tolerances.  A criterion with several parts reports the part with the
-largest measured/tolerance ratio.  Everything here is deterministic:
-random sample points come from a fixed seed and reruns serialize to
-identical bytes.
+largest measured/tolerance ratio.  The 5x5 damping/oscillation grids of
+Examples 1-3 and the Laplace reduction take one sl_forward_values pass
+per damping row x1 = x2 = x, which serves all five y of the row at
+once.  Everything here is deterministic: random sample points come from
+a fixed seed and reruns serialize to identical bytes.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .applications import (
 )
 from .core import ExponentialOrderBound, PiecewiseSignal, SLPoint, catalog_signal
 from .expr import parse_transform
-from .forward import fourier_reduction, sl_forward, sl_forward_symmetric
+from .forward import fourier_reduction, sl_forward, sl_forward_values
 from .inversion import (
     sl_inverse_numeric,
     sl_inverse_numeric_pair,
@@ -38,7 +40,7 @@ from .rules import BoundaryData, TransformPair, check_rule_consistency, derivati
 
 _SEED = 20260811
 _GRID_X = (0.5, 1.0, 2.0, 4.0, 8.0)
-_GRID_Y = (0.0, 1.0, -1.0, 5.0, -5.0)
+_GRID_Y = np.array([0.0, 1.0, -1.0, 5.0, -5.0])
 
 ODE_TRANSFORM_TEXT = ("1/2 * 1/(s-1) - 1/2 * s/(s^2+1) - 1/2 * 1/(s^2+1) "
                       "+ 1/cs - cs/(cs^2+1)")
@@ -84,60 +86,53 @@ def _finish(cid: str, parts) -> CriterionResult:
                            worst.measured, worst.tolerance, worst.label)
 
 
-def criterion_example1_grid() -> CriterionResult:
-    """Transform of the sign signal matches 1/(x+iy) + 1/(-x+iy) on the
-    5x5 damping/oscillation grid."""
-    sign = catalog_signal("sign")
+def _worst_row_gap(f, closed) -> float:
+    """Worst |transform of f - closed(s1, s2c)| over the 5x5 grid, with
+    s1 = x + iy and s2c = x - iy.  Each damping row x1 = x2 = x is one
+    sl_forward_values pass over every y of the grid, each point to 1e-9,
+    and closed is evaluated on the row's y as an array."""
     worst = 0.0
     for x in _GRID_X:
-        for y in _GRID_Y:
-            num = sl_forward(sign, SLPoint(x, x, y), 1e-9).value
-            closed = 1.0 / (x + 1j * y) + 1.0 / (-x + 1j * y)
-            worst = max(worst, abs(num - closed))
+        num, _ = sl_forward_values(f, x, x, _GRID_Y, 1e-9)
+        gap = np.abs(num - closed(x + 1j * _GRID_Y, x - 1j * _GRID_Y))
+        worst = max(worst, float(gap.max()))
+    return worst
+
+
+def criterion_example1_grid() -> CriterionResult:
+    """Transform of the sign signal matches 1/(x+iy) + 1/(-x+iy) on the
+    5x5 damping/oscillation grid, one grid pass per damping row."""
+    worst = _worst_row_gap(catalog_signal("sign"),
+                           lambda s1, s2c: 1.0 / s1 + 1.0 / -s2c)
     return _finish("example1_grid", [Part("sign grid", worst, 1e-8)])
 
 
 def criterion_examples_2_3_grid() -> CriterionResult:
     """Constant and trig signals match their closed forms on the same
-    grid; the trig pair runs at frequencies 1 and 2."""
-    one = catalog_signal("one")
-    parts = []
-    worst = 0.0
-    for x in _GRID_X:
-        for y in _GRID_Y:
-            num = sl_forward(one, SLPoint(x, x, y), 1e-9).value
-            closed = 1.0 / (x + 1j * y) + 1.0 / (x - 1j * y)
-            worst = max(worst, abs(num - closed))
-    parts.append(Part("one grid", worst, 1e-8))
+    grid, one grid pass per damping row; the trig pair runs at
+    frequencies 1 and 2."""
+    parts = [Part("one grid",
+                  _worst_row_gap(catalog_signal("one"),
+                                 lambda s1, s2c: 1.0 / s1 + 1.0 / s2c),
+                  1e-8)]
     for w in (1.0, 2.0):
-        sc = catalog_signal("sincos", freq=w)
-        cs_sig = catalog_signal("cossin", freq=w)
-        worst_sc = worst_cs = 0.0
-        for x in _GRID_X:
-            for y in _GRID_Y:
-                s1 = x + 1j * y
-                s2c = x - 1j * y
-                num = sl_forward(sc, SLPoint(x, x, y), 1e-9).value
-                closed = w / (s1 * s1 + w * w) + s2c / (s2c * s2c + w * w)
-                worst_sc = max(worst_sc, abs(num - closed))
-                num2 = sl_forward(cs_sig, SLPoint(x, x, y), 1e-9).value
-                closed2 = s1 / (s1 * s1 + w * w) - w / (s2c * s2c + w * w)
-                worst_cs = max(worst_cs, abs(num2 - closed2))
+        worst_sc = _worst_row_gap(
+            catalog_signal("sincos", freq=w),
+            lambda s1, s2c: w / (s1 * s1 + w * w) + s2c / (s2c * s2c + w * w))
+        worst_cs = _worst_row_gap(
+            catalog_signal("cossin", freq=w),
+            lambda s1, s2c: s1 / (s1 * s1 + w * w) - w / (s2c * s2c + w * w))
         parts.append(Part(f"sincos freq={w}", worst_sc, 1e-8))
         parts.append(Part(f"cossin freq={w}", worst_cs, 1e-8))
     return _finish("examples_2_3_grid", parts)
 
 
 def criterion_reductions() -> CriterionResult:
-    """Laplace reduction on the heaviside signal (1/s) and Fourier
-    reduction on the Gaussian (sqrt(pi) * exp(-y^2/4))."""
-    h = catalog_signal("heaviside")
-    worst_l = 0.0
-    for x in _GRID_X:
-        for y in _GRID_Y:
-            s = complex(x, y)
-            num = sl_forward_symmetric(h, s, 1e-9).value
-            worst_l = max(worst_l, abs(num - 1.0 / s))
+    """Laplace reduction on the heaviside signal (1/s), one grid pass per
+    damping row, and Fourier reduction on the Gaussian
+    (sqrt(pi) * exp(-y^2/4)) through fourier_reduction, point by point."""
+    worst_l = _worst_row_gap(catalog_signal("heaviside"),
+                             lambda s1, s2c: 1.0 / s1)
     g = catalog_signal("gauss")
     worst_f = 0.0
     for y in (0.0, 1.0, 2.0):

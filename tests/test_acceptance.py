@@ -4,13 +4,16 @@ Each test prints a PASS/FAIL line with the measured value and its
 tolerance; `symlap verify` runs the same checks from the command line.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from symlap import verify
+from symlap import forward, verify
+from symlap.core import SLPoint, catalog_signal
 
 
 def _run(criterion):
@@ -77,3 +80,56 @@ def test_c10_verify_command_is_byte_identical_across_runs(threads):
 def test_report_is_stable_json():
     text = verify.report_json()
     assert text == verify.report_json()
+
+
+def test_suite_makes_one_grid_pass_per_damping_row(monkeypatch):
+    # machine-independent; point-by-point grid criteria made 406 calls,
+    # 402 of them at a single y
+    sizes = []
+    grid = forward.laplace_grid
+
+    def counted(piece, bound, x, ys, tol, **kwargs):
+        sizes.append(np.size(ys))
+        return grid(piece, bound, x, ys, tol, **kwargs)
+
+    monkeypatch.setattr(forward, "laplace_grid", counted)
+    verify.run_all()
+    assert len(sizes) == 126
+    assert sizes.count(1) == 52
+
+
+@pytest.mark.parametrize("name,evaluations", [
+    ("criterion_example1_grid", 4680),
+    ("criterion_examples_2_3_grid", 26220),
+    ("criterion_reductions", 5340)])
+def test_grid_criteria_evaluation_counts_are_pinned(monkeypatch, name,
+                                                    evaluations):
+    # point-by-point loops took 19260, 104760 and 19920
+    count = [0]
+
+    def wrap(piece):
+        def counted(u):
+            count[0] += np.size(u)
+            return piece(u)
+        return counted
+
+    def counted_signal(signal, **kwargs):
+        f = catalog_signal(signal, **kwargs)
+        return dataclasses.replace(f, pos=wrap(f.pos), neg=wrap(f.neg))
+
+    monkeypatch.setattr(verify, "catalog_signal", counted_signal)
+    assert getattr(verify, name)().passed
+    assert count[0] == evaluations
+
+
+@pytest.mark.parametrize("name,freq", [
+    ("sign", 1.0), ("one", 1.0), ("sincos", 1.0), ("cossin", 1.0),
+    ("sincos", 2.0), ("cossin", 2.0), ("heaviside", 1.0)])
+def test_grid_rows_agree_with_single_points(name, freq):
+    f = catalog_signal(name, freq=freq)
+    for x in verify._GRID_X:
+        values, estimates = forward.sl_forward_values(f, x, x,
+                                                      verify._GRID_Y, 1e-9)
+        for y, v, e in zip(verify._GRID_Y, values, estimates):
+            p = forward.sl_forward(f, SLPoint(x, x, float(y)), 1e-9)
+            assert abs(v - p.value) <= e + p.abs_error_estimate, (x, y)

@@ -62,6 +62,8 @@ class TestHeatSolution:
             heat_solution(1.0, 0.0)
         with pytest.raises(ValueError):
             heat_solution(1.0, -0.5)
+        with pytest.raises(ValueError, match="positive"):
+            heat_solution(1.0, math.nan)
 
     def test_far_field_matches_initial_data(self):
         # |u - sign(x)| below 1e-6 once |x| >= 7*sqrt(t)
@@ -114,6 +116,15 @@ class TestHeatTransform:
         with pytest.raises(DivergenceError):
             heat_transform_pair(-1.0 + 0j, 0.5, 1e-8)
 
+    @pytest.mark.parametrize("t", [0.0, -0.5, math.nan])
+    def test_rejects_time_that_is_not_positive(self, t):
+        with pytest.raises(ValueError, match="positive"):
+            heat_transform_pair(1.0 + 0j, t, 1e-6)
+
+    def test_rejects_nan_oscillation(self):
+        with pytest.raises(ValueError, match="osc"):
+            heat_transform_pair(complex(1.0, math.nan), 1.0, 1e-6)
+
 
 class TestOdeSolution:
     def test_initial_condition(self):
@@ -157,3 +168,7 @@ class TestOdeTransform:
     def test_divergence_at_unit_real_part(self):
         with pytest.raises(DivergenceError):
             ode_transform_check(1.0 + 0j, 1e-7)
+
+    def test_rejects_nan_oscillation(self):
+        with pytest.raises(ValueError, match="osc"):
+            ode_transform_check(complex(2.0, math.nan), 1e-7)

@@ -117,6 +117,17 @@ def test_invert_syntax_error_exits_3_with_position():
     assert "position 6" in cp.stderr
 
 
+@pytest.mark.parametrize("expr,t,code", [
+    ("1/s - 1/cs", "nan", 2), ("1/s - 1/cs", "inf", 2),
+    ("1/s - 1/cs", "-inf", 2), ("1/(s-2)", "400", 5)])
+def test_invert_bad_time_exits_with_one_line(expr, t, code):
+    cp = run_cli("invert", "--expr", expr, f"--t={t}")
+    assert cp.returncode == code
+    assert cp.stdout == ""
+    assert cp.stderr.startswith("symlap: ")
+    assert len(cp.stderr.strip().splitlines()) == 1
+
+
 def test_invert_improper_exits_5():
     cp = run_cli("invert", "--expr", "s + 1/cs", "--t", "1")
     assert cp.returncode == 5

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from symlap.core import SLPoint, catalog_signal
-from symlap.errors import AccuracyError, PropernessError
+from symlap.errors import (
+    AccuracyError,
+    ExpOverflowError,
+    PropernessError,
+    SymLapError,
+)
 from symlap.expr import evaluate_rational, parse_transform
 from symlap.forward import sl_forward
 from symlap.inversion import (
@@ -105,9 +110,11 @@ class TestRationalTable:
                                      -1.0)
 
     def test_overflow_guard(self):
-        with pytest.raises(OverflowError):
+        with pytest.raises(ExpOverflowError) as exc:
             inverse_laplace_rational([PartialFractionTerm(2.0 + 0j, 1, 1 + 0j)],
                                      400.0)
+        assert isinstance(exc.value, SymLapError)
+        assert isinstance(exc.value, OverflowError)
 
     def test_zero_at_time_zero_with_simple_pole(self):
         v = inverse_laplace_rational([PartialFractionTerm(-1.0 + 0j, 1,
@@ -116,6 +123,11 @@ class TestRationalTable:
 
 
 class TestSplitInversion:
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_rejected(self, t):
+        with pytest.raises(ValueError, match="t must be finite"):
+            sl_inverse_split(parse_transform("1/s - 1/cs"), t)
+
     @pytest.mark.parametrize("t", [2.0, -3.0, 1.0, -1.0, 0.25, -0.25])
     def test_identity_signal(self, t):
         st = parse_transform("1/s^2 - 1/cs^2")

@@ -168,6 +168,12 @@ def test_non_finite_or_non_positive_tol_and_a_rejected(bad):
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_oscillation_hint_rejected(bad):
+    with pytest.raises(ValueError, match="osc"):
+        half_line_integral(lambda t: np.exp(-t), B10, 1.0, 1e-8, osc=bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_damping_or_time_rejected(bad):
     with pytest.raises(ValueError, match="x"):
         half_line_integral(lambda t: np.exp(-t), B10, bad, 1e-8)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,14 @@ def test_default_boundary_data_only_for_first_order():
     g, _, d2 = gauss_family()
     with pytest.raises(ValueError):
         check_rule_consistency(g, d2, 2, 2.0 + 0j, 1e-7)
+
+
+def test_quadrature_backed_pair_rejects_a_nan_oscillation():
+    tp = transform_pair_of(catalog_signal("sign"), 1e-8)
+    with pytest.raises(ValueError, match="osc"):
+        tp.pos(complex(1.0, math.nan))
+    with pytest.raises(ValueError, match="osc"):
+        tp.neg(complex(1.0, math.nan))
 
 
 def test_quadrature_backed_pair_matches_closed_form():
