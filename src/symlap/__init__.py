@@ -32,13 +32,11 @@ from .applications import (
 )
 from .core import (
     CATALOG_NAMES,
-    ComplexValue,
     ExponentialOrderBound,
     PiecewiseSignal,
     SLPoint,
     TransformSample,
     catalog_signal,
-    conjugate,
 )
 from .errors import (
     AccuracyError,
@@ -80,7 +78,6 @@ from .inversion import (
 from .quadrature import (
     QuadratureResult,
     finite_oscillatory_integral,
-    half_line_integral,
     truncation_point,
 )
 from .rules import (
@@ -98,7 +95,6 @@ __all__ = [
     "BoundaryData",
     "CATALOG_NAMES",
     "CatalogError",
-    "ComplexValue",
     "DivergenceError",
     "ExpOverflowError",
     "ExponentialOrderBound",
@@ -120,14 +116,12 @@ __all__ = [
     "TransformSample",
     "catalog_signal",
     "check_rule_consistency",
-    "conjugate",
     "derivative_rule",
     "erf",
     "eval_expression",
     "evaluate_rational",
     "finite_oscillatory_integral",
     "fourier_reduction",
-    "half_line_integral",
     "heat_residual",
     "heat_solution",
     "heat_transform_identity",

@@ -21,9 +21,9 @@ from math import erf  # re-exported as symlap.erf
 
 import numpy as np
 
-from .core import ExponentialOrderBound, conjugate
+from .core import ExponentialOrderBound, PiecewiseSignal
 from .errors import DivergenceError
-from .quadrature import half_line_integral
+from .rules import transform_pair_of
 
 
 def heat_solution(x: float, t: float) -> float:
@@ -70,16 +70,11 @@ def heat_transform_pair(s: complex, t: float, tol: float):
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
     root = 2.0 * math.sqrt(t)
-    u_vec = np.vectorize(lambda v: erf(v / root))
+    # u is odd in x, so one formula serves both half-lines
+    u = np.vectorize(lambda v: erf(v / root), otypes=[float])
     bound = ExponentialOrderBound(1.0, 0.0)
-    cs = conjugate(s)
-    g = half_line_integral(
-        lambda x: np.exp(-s * x) * u_vec(x), bound, s.real, tol,
-        osc=abs(s.imag)).value
-    gm = half_line_integral(
-        lambda x: np.exp(-cs * x) * (-u_vec(x)), bound, cs.real, tol,
-        osc=abs(cs.imag)).value
-    return g, gm
+    tp = transform_pair_of(PiecewiseSignal("heat", u, u, bound, bound), tol)
+    return tp.pos(s), tp.neg(s.conjugate())
 
 
 def heat_transform_identity(s: complex, t: float, tol: float,
@@ -94,7 +89,7 @@ def heat_transform_identity(s: complex, t: float, tol: float,
     gq, gmq = heat_transform_pair(s, t - h_t, quad_tol)
     g_dot = (gp - gq) / (2.0 * h_t)
     gm_dot = (gmp - gmq) / (2.0 * h_t)
-    cs = conjugate(s)
+    cs = s.conjugate()
     return abs(s * s * g + cs * cs * gm - g_dot - gm_dot)
 
 
@@ -158,23 +153,14 @@ def ode_transform_check(s: complex, tol: float) -> float:
         raise DivergenceError(
             f"the exp(t) branch needs Re s > 1, got {s.real}")
     quad_tol = min(tol / 10.0, 1e-9)
-    cs = conjugate(s)
-
-    def y_pos(t):
-        return (np.exp(t) - np.cos(t) - np.sin(t)) / 2.0
-
-    def y_mirrored(t):
-        # y(-t) for t > 0, from the t < 0 branch
-        return 1.0 - np.cos(t)
-
-    pos = half_line_integral(
-        lambda t: np.exp(-s * t) * y_pos(t),
-        ExponentialOrderBound(1.5, 1.0), s.real, quad_tol,
-        osc=abs(s.imag) + 1.0).value
-    neg = half_line_integral(
-        lambda t: np.exp(-cs * t) * y_mirrored(t),
-        ExponentialOrderBound(2.0, 0.0), cs.real, quad_tol,
-        osc=abs(cs.imag) + 1.0).value
+    cs = s.conjugate()
+    # y(t) on both branches; the negative piece is read at t < 0
+    solution = PiecewiseSignal(
+        "ode_solution", lambda t: (np.exp(t) - np.cos(t) - np.sin(t)) / 2.0,
+        lambda t: 1.0 - np.cos(t), ExponentialOrderBound(1.5, 1.0),
+        ExponentialOrderBound(2.0, 0.0), osc_hint=1.0)
+    tp = transform_pair_of(solution, quad_tol)
+    pos, neg = tp.pos(s), tp.neg(cs)
     closed_pos = (0.5 / (s - 1.0) - 0.5 * s / (s * s + 1.0)
                   - 0.5 / (s * s + 1.0))
     closed_neg = 1.0 / cs - cs / (cs * cs + 1.0)

@@ -21,18 +21,6 @@ import numpy as np
 
 from .errors import CatalogError
 
-# Transform-domain values are ordinary Python complex numbers; s = x + iy.
-ComplexValue = complex
-
-
-def conjugate(z: complex) -> complex:
-    """Complex conjugate, (re, im) -> (re, -im).
-
-    The conjugate variable appears on the negative half-line throughout
-    the transform identities, so it is exposed as a named operation.
-    """
-    return complex(z).conjugate()
-
 
 @dataclass(frozen=True)
 class ExponentialOrderBound:

@@ -13,10 +13,12 @@ Along a line of fixed damping (x1, x2) the oscillation y is the Fourier
 direction, so a whole y-grid is evaluated at once: each half-line takes
 one factored GK15 pass over uniform panels shared by every y
 (quadrature.laplace_grid), and only a y whose panel certificate misses
-its budget is refined adaptively.  sl_forward_values returns a grid's
-values and estimates as arrays, which `symlap forward` writes as they
-are; sl_forward_grid wraps them as TransformSamples, and sl_forward is
-the one-point grid.
+its budget is refined adaptively.  one_sided_values is that pass for
+one half-line, and the one path by which the package takes a one-sided
+transform: the derivative rules and the heat and ODE checks call it
+too.  sl_forward_values returns a grid's values and estimates as
+arrays, which `symlap forward` writes as they are; sl_forward_grid
+wraps them as TransformSamples, and sl_forward is the one-point grid.
 """
 
 from __future__ import annotations
@@ -28,36 +30,54 @@ from .errors import DivergenceError
 from .quadrature import laplace_grid, require_finite, require_positive
 
 
+def one_sided_values(f: PiecewiseSignal, side: str, x: float, ys,
+                     tol: float):
+    """Values and error estimates of the one-sided Laplace transform of
+    one half-line of f at s = x + i*y for every y in ys, each to
+    absolute tolerance tol: two complex and real arrays over ys.
+
+    side "pos" integrates f(u) * exp(-s*u) over u >= 0, side "neg" the
+    reflected piece f(-u) * exp(-s*u).  Raises ValueError for a
+    non-finite or non-positive tol or a non-finite x or y, and
+    DivergenceError naming the half-line when x does not dominate the
+    growth rate of its piece.
+    """
+    ys = np.asarray(ys, dtype=float)
+    require_positive(tol=tol)
+    require_finite(x=x)
+    if not np.all(np.isfinite(ys)):
+        raise ValueError("every oscillation y must be finite")
+    bound = f.bound_for(side)
+    if x <= bound.a and (f.tail_cut is None or x < 0.0):
+        label = "positive" if side == "pos" else "negative"
+        raise DivergenceError(
+            f"{label} half-line diverges: damping x={x} must exceed "
+            f"the growth rate a={bound.a} of the signal on that side")
+    piece = f.pos if side == "pos" else lambda u: f.neg(-u)
+    return laplace_grid(piece, bound, x, ys, tol, osc=f.osc_hint,
+                        tail_cut=f.tail_cut)
+
+
 def sl_forward_values(f: PiecewiseSignal, x1: float, x2: float, ys,
                       tol: float):
     """Values and error estimates of the transform of f at (x1, x2, y)
     for every y in ys, each to absolute tolerance tol: two complex and
-    real arrays over ys.
+    real arrays over ys.  The positive half-line at y and the negative
+    one at -y take tol/2 each (one_sided_values).
 
     Raises ValueError for a non-finite or non-positive tol or a
     non-finite x1, x2 or y, and DivergenceError naming the offending
     half-line when x1 or x2 does not dominate the growth rate of its
     piece.
     """
-    y_arr = np.asarray(ys, dtype=float)
+    # name the caller's tol, x1 and x2, before any pass
     require_positive(tol=tol)
     require_finite(x1=x1, x2=x2)
-    if not np.all(np.isfinite(y_arr)):
-        raise ValueError("every y must be finite")
-    sides = (("positive", "pos", f.pos, x1, y_arr),
-             ("negative", "neg", lambda u: f.neg(-u), x2, -y_arr))
-    value = np.zeros(y_arr.shape, dtype=complex)
-    estimate = np.zeros(y_arr.shape)
-    for label, side, piece, x, y_eff in sides:
-        bound = f.bound_for(side)
-        if x <= bound.a and (f.tail_cut is None or x < 0.0):
-            raise DivergenceError(
-                f"{label} half-line diverges: damping x={x} must exceed "
-                f"the growth rate a={bound.a} of the signal on that side")
-        v, e = laplace_grid(piece, bound, x, y_eff, tol / 2.0,
-                            osc=f.osc_hint, tail_cut=f.tail_cut)
-        value += v
-        estimate += e
+    ys = np.asarray(ys, dtype=float)
+    value, estimate = 0j, 0.0
+    for side, x, y in (("pos", x1, ys), ("neg", x2, -ys)):
+        v, e = one_sided_values(f, side, x, y, tol / 2.0)
+        value, estimate = value + v, estimate + e
     if not np.isfinite(value).all():
         raise ValueError("transform value must be finite")
     return value, estimate

@@ -131,13 +131,15 @@ def _reconstruction_gap(r, terms):
 def inverse_laplace_rational(terms, t: float) -> complex:
     """Sum of the classical table applied to each term at time t >= 0.
 
-    Raises ExpOverflowError (an OverflowError) when exp(pole*t) of some
-    term overflows."""
+    Raises ValueError for a non-finite or negative t, and
+    ExpOverflowError (an OverflowError) when exp(pole*t) of some term
+    overflows; a decaying term underflows harmlessly towards 0."""
+    require_finite(t=t)
     if t < 0:
         raise ValueError("the one-sided table needs t >= 0")
     total = 0j
     for term in terms:
-        if abs(term.pole.real * t) > _EXP_GUARD:
+        if term.pole.real * t > _EXP_GUARD:
             raise ExpOverflowError(
                 f"exp({term.pole.real * t:.1f}) overflows for pole "
                 f"{term.pole} at t={t}")
@@ -159,7 +161,6 @@ def sl_inverse_split(st: SplitTransform, t: float) -> complex:
     that is not strictly proper and ExpOverflowError when a table term
     overflows at t.
     """
-    require_finite(t=t)
     for label, g in (("g1", st.g1), ("g2", st.g2)):
         if not g.is_proper:
             raise PropernessError(

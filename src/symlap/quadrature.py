@@ -17,9 +17,12 @@ when x > a; a signal's tail_cut certifies the integral of |f| beyond its
 cut when x >= 0; the shorter cut wins.
 
 laplace_grid evaluates the one-sided Laplace transform of a piece at
-s = x + i*y for a whole grid of y in one factored pass.  T depends on x
-and the tolerance only, so every y shares the uniform panels of [0, T]
-with midpoints c_p and half-width h, and with u_pj = c_p + h*x_j
+s = x + i*y for a whole grid of y in one factored pass.  Every one-sided
+transform of the package goes through it (forward.one_sided_values):
+the forward grid, the derivative-rule images and the heat and ODE
+checks, a single point being a one-y grid.  T depends on x and the
+tolerance only, so every y shares the uniform panels of [0, T] with
+midpoints c_p and half-width h, and with u_pj = c_p + h*x_j
 
     K_p(y) = h * exp(-i*y*c_p) * sum_j w_j * v(u_pj) * exp(-i*y*h*x_j),
 
@@ -53,9 +56,11 @@ about phi(theta) * integral of |v|, with phi(theta) = |sum_j (w^K_j -
 w^G_j) * exp(i*theta*x_j)| / 2 tabulated once.  The pass takes the
 widest panels whose predicted sum is a quarter of its budget, at most
 4096 of them.  A y those cannot resolve, or whose panel sum misses its
-budget, is re-integrated by the adaptive path.  The reported estimate
-adds a rounding allowance for the sums and phases; refinement never
-tests against it.
+budget, is re-integrated by half_line_integral, the adaptive path,
+which starts from panels a quarter period of |y| + |osc| wide.  The
+reported estimate adds a rounding allowance for the sums and phases,
+on the adaptive path with the phase bound (|y| + |osc|)*T; refinement
+never tests against it.
 
 finite_oscillatory_integral, the Fourier integral behind numeric
 inversion, is factored the same way in t: one uniform pass at one
@@ -373,11 +378,6 @@ def _panel_count(T, width):
     return int(min(max(math.ceil(T / width), 4), _MAX_PANELS))
 
 
-def _osc_width(osc):
-    """A quarter period of the oscillation osc: the per-point panel width."""
-    return math.pi / (4.0 * (abs(osc) + 1.0))
-
-
 def half_line_integral(integrand, bound: ExponentialOrderBound, x: float,
                        tol: float, *, osc: float = 0.0,
                        tail_cut=None) -> QuadratureResult:
@@ -388,8 +388,10 @@ def half_line_integral(integrand, bound: ExponentialOrderBound, x: float,
     tail beyond the truncation point is certified analytically.
 
     osc hints at the dominant oscillation frequency of the integrand so
-    initial panels resolve it; adaptivity catches whatever the hint
-    misses.  tail_cut, when given, supplies a truncation point for
+    initial panels, a quarter period wide, resolve it; adaptivity
+    catches whatever the hint misses.  It also bounds the phases inside
+    the integrand, so the rounding allowance covers phases up to
+    |osc|*T.  tail_cut, when given, supplies a truncation point for
     integrands decaying faster than the envelope describes; for x >= 0
     it is used whenever it cuts shorter than the envelope (_truncate).
     Raises ValueError for a non-finite or non-positive tol or a
@@ -402,9 +404,10 @@ def half_line_integral(integrand, bound: ExponentialOrderBound, x: float,
         # tail bound alone already meets the tolerance
         _finite(integrand(np.zeros(1)))
         return QuadratureResult(0j, tail, 0.0, 1)
-    n0 = _panel_count(T, min(_osc_width(osc), scale))
+    # panels a quarter period of the oscillation wide
+    n0 = _panel_count(T, min(math.pi / (4.0 * (abs(osc) + 1.0)), scale))
     value, disc, rounding, evals = _adaptive(integrand, 0.0, T, n0,
-                                             tol / 2.0)
+                                             tol / 2.0, abs(osc) * T)
     return QuadratureResult(value, tail + disc + rounding, T, evals)
 
 
@@ -455,13 +458,13 @@ def laplace_grid(piece, bound: ExponentialOrderBound, x: float, ys,
     min(2*theta/max omega, decay length).
 
     A y that 4096 panels of that kind cannot resolve goes straight to
-    the adaptive path, and so does a y whose panel |K - G| sum exceeds
-    tol/2, each from the panel count half_line_integral would start
-    with.  The node pairs x_j, -x_j meet their weighted cosines and sines
-    in real BLAS products of inner dimension 15, in chunks of y that
-    OpenBLAS runs on the calling thread; the panel phases are applied
-    block by block (_block_phased_sum).  Estimates are tail bound +
-    panel |K - G| sum + rounding allowance.
+    half_line_integral with osc = |y| + |osc|, and so does a y whose
+    panel |K - G| sum exceeds tol/2; its value and estimate are
+    half_line_integral's.  The node pairs x_j, -x_j meet their weighted
+    cosines and sines in real BLAS products of inner dimension 15, in
+    chunks of y that OpenBLAS runs on the calling thread; the panel
+    phases are applied block by block (_block_phased_sum).  Estimates
+    are tail bound + panel |K - G| sum + rounding allowance.
     """
     ys = np.asarray(ys, dtype=float)
     T, tail, scale, mass = _truncate(bound, x, tol, tail_cut)
@@ -479,7 +482,7 @@ def laplace_grid(piece, bound: ExponentialOrderBound, x: float, ys,
     served = omega <= 2.0 * theta * _MAX_PANELS / T
     values = np.empty(ys.shape, dtype=complex)
     disc = np.full(ys.shape, np.inf)  # a y the pass skips is refined
-    rounding = np.empty(ys.shape)
+    rounding = np.zeros(ys.shape)
     if served.any():
         top = float(omega[served].max())
         P = _panel_count(T, min(2.0 * theta / top, scale) if top else scale)
@@ -523,16 +526,15 @@ def laplace_grid(piece, bound: ExponentialOrderBound, x: float, ys,
             block + nb + 13,
             math.sqrt(2.0) * half * float((np.abs(v) @ _WGK).sum()),
             np.abs(ys[served]) * (T + 2.0 * block * half) + 3.0)
+    estimates = tail + disc + rounding
     for k in (disc > tol / 2.0).nonzero()[0]:
         s = x + 1j * ys[k]
-
-        def integrand(u, s=s):
-            return np.exp(-s * u) * np.asarray(piece(u), dtype=complex)
-
-        n0 = _panel_count(T, min(_osc_width(abs(ys[k]) + abs(osc)), scale))
-        values[k], disc[k], rounding[k], _ = _adaptive(
-            integrand, 0.0, T, n0, tol / 2.0, abs(ys[k]) * T)
-    return values, tail + disc + rounding
+        res = half_line_integral(
+            lambda u, s=s: np.exp(-s * u) * np.asarray(piece(u),
+                                                        dtype=complex),
+            bound, x, tol, osc=abs(ys[k]) + abs(osc), tail_cut=tail_cut)
+        values[k], estimates[k] = res.value, res.abs_error_estimate
+    return values, estimates
 
 
 def finite_oscillatory_integral(F, t: float, A: float,

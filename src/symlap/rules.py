@@ -19,9 +19,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import PiecewiseSignal, conjugate
-from .forward import sl_forward_symmetric
-from .quadrature import half_line_integral
+from .core import PiecewiseSignal
+from .forward import one_sided_values, sl_forward_symmetric
 
 
 @dataclass(frozen=True)
@@ -52,32 +51,21 @@ class TransformPair:
     neg: Callable[[complex], complex]
 
     def combined(self, s: complex) -> complex:
-        return self.pos(s) + self.neg(conjugate(s))
+        return self.pos(s) + self.neg(complex(s).conjugate())
 
 
 def transform_pair_of(f: PiecewiseSignal, tol: float) -> TransformPair:
     """Quadrature-backed TransformPair of a signal.  Each call runs one
-    half-line integral at the requested tolerance."""
+    one-sided grid pass, at one y, at the requested tolerance."""
 
-    def pos(s: complex) -> complex:
-        s = complex(s)
-        bound = f.bound_for("pos")
-        res = half_line_integral(
-            lambda u: np.exp(-s * u) * np.asarray(f.pos(u), dtype=complex),
-            bound, s.real, tol, osc=abs(s.imag) + f.osc_hint,
-            tail_cut=f.tail_cut)
-        return res.value
+    def side(name):
+        def image(s: complex) -> complex:
+            s = complex(s)
+            return complex(one_sided_values(f, name, s.real, [s.imag],
+                                            tol)[0][0])
+        return image
 
-    def neg(cs: complex) -> complex:
-        cs = complex(cs)
-        bound = f.bound_for("neg")
-        res = half_line_integral(
-            lambda u: np.exp(-cs * u) * np.asarray(f.neg(-u), dtype=complex),
-            bound, cs.real, tol, osc=abs(cs.imag) + f.osc_hint,
-            tail_cut=f.tail_cut)
-        return res.value
-
-    return TransformPair(pos, neg)
+    return TransformPair(side("pos"), side("neg"))
 
 
 def derivative_rule(tp: TransformPair, bd: BoundaryData,

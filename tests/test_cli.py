@@ -128,6 +128,14 @@ def test_invert_bad_time_exits_with_one_line(expr, t, code):
     assert len(cp.stderr.strip().splitlines()) == 1
 
 
+def test_invert_decaying_term_at_large_time_is_zero():
+    # exp(-800) underflows to 0 rather than overflowing
+    cp = run_cli("invert", "--expr", "1/(s+1) - 1/cs", "--t", "800")
+    assert cp.returncode == 0, cp.stderr
+    t, re, im = map(float, cp.stdout.strip().splitlines()[1].split(","))
+    assert (t, re, im) == (800.0, 0.0, 0.0)
+
+
 def test_invert_improper_exits_5():
     cp = run_cli("invert", "--expr", "s + 1/cs", "--t", "1")
     assert cp.returncode == 5

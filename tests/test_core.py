@@ -10,7 +10,6 @@ from symlap.core import (
     SLPoint,
     TransformSample,
     catalog_signal,
-    conjugate,
 )
 from symlap.errors import CatalogError
 
@@ -64,21 +63,6 @@ def test_catalog_envelopes_hold_on_dyadic_grid(name):
         # the ramp's envelope carries its polynomial degree
         envelope = float(f.bound_for(side).envelope(t))
         assert val <= envelope * (1.0 + 1e-12), (name, t, val, envelope)
-
-
-def test_conjugate_examples():
-    assert conjugate(1 + 1j) == 1 - 1j
-    assert conjugate(0j) == 0j
-    assert conjugate(0.7 - 0.1j) == 0.7 + 0.1j
-
-
-def test_conjugate_involution_on_random_values():
-    rng = np.random.default_rng(42)
-    re = rng.standard_normal(10_000)
-    im = rng.standard_normal(10_000)
-    for a, b in zip(re, im):
-        z = complex(a, b)
-        assert conjugate(conjugate(z)) == z
 
 
 def test_bound_rejects_negative_envelope_constant():

@@ -16,6 +16,7 @@ from symlap.core import (
 from symlap.errors import DivergenceError
 from symlap.forward import (
     fourier_reduction,
+    one_sided_values,
     sl_forward,
     sl_forward_grid,
     sl_forward_symmetric,
@@ -247,20 +248,52 @@ def _counted(f):
 
 def test_y_beyond_the_panel_cap_skips_the_uniform_pass():
     # y = 1e4 needs more than 4096 uniform panels, so the adaptive path
-    # alone must pay for the point
+    # alone pays for the point: each side is half_line_integral's value
+    # and estimate bit for bit
     sign = catalog_signal("sign")
     f, count = _counted(sign)
     y = 1e4
     r = sl_forward(f, SLPoint(1.0, 1.0, y), 1e-8)
-    alone = 0
-    for piece, s in ((sign.pos, 1.0 + 1j * y),
-                     (lambda u: sign.neg(-u), 1.0 - 1j * y)):
-        alone += half_line_integral(
-            lambda u, piece=piece, s=s: np.exp(-s * u) * piece(u),
-            sign.bound_pos, 1.0, 0.5e-8, osc=y).evaluations
-    assert count[0] <= alone
+    evaluations, value, estimate = 0, 0j, 0.0
+    for side, piece, s in (("pos", sign.pos, 1.0 + 1j * y),
+                           ("neg", lambda u: sign.neg(-u), 1.0 - 1j * y)):
+        alone = half_line_integral(
+            lambda u, piece=piece, s=s: (
+                np.exp(-s * u) * np.asarray(piece(u), dtype=complex)),
+            sign.bound_for(side), 1.0, 0.5e-8, osc=y)
+        evaluations += alone.evaluations
+        value += alone.value
+        estimate += alone.abs_error_estimate
+    assert count[0] == evaluations
+    assert (r.value, r.abs_error_estimate) == (value, estimate)
     closed = closed_form("sign", 1.0, 1.0, y)
     assert abs(r.value - closed) <= r.abs_error_estimate <= 1e-8
+
+
+@pytest.mark.parametrize("x", [0.5, 2.0])
+@pytest.mark.parametrize("name,side,image", [
+    ("one", "pos", lambda s: 1.0 / s),
+    ("one", "neg", lambda s: 1.0 / s),
+    ("sign", "neg", lambda s: -1.0 / s),
+    ("heaviside", "neg", lambda s: 0.0 * s)])
+def test_one_sided_values_match_closed_forms(name, side, image, x):
+    ys = np.linspace(-20.0, 20.0, 41)
+    values, estimates = one_sided_values(catalog_signal(name), side, x, ys,
+                                         1e-9)
+    assert values.shape == estimates.shape == ys.shape
+    assert np.all(np.abs(values - image(x + 1j * ys)) <= estimates)
+    assert np.all(estimates <= 1e-9)
+
+
+def test_one_sided_divergence_names_the_side():
+    with pytest.raises(DivergenceError, match="positive"):
+        one_sided_values(catalog_signal("ode_rhs"), "pos", 0.5, [0.0], 1e-8)
+    with pytest.raises(DivergenceError, match="negative"):
+        one_sided_values(catalog_signal("sign"), "neg", -0.5, [0.0], 1e-8)
+    # the positive side of ode_rhs grows, its negative side does not
+    values, _ = one_sided_values(catalog_signal("ode_rhs"), "neg", 0.5,
+                                 [0.0], 1e-8)
+    assert abs(values[0] - 2.0) <= 1e-8
 
 
 def test_grid_agrees_with_single_points():

@@ -116,6 +116,21 @@ class TestRationalTable:
         assert isinstance(exc.value, SymLapError)
         assert isinstance(exc.value, OverflowError)
 
+    def test_decaying_term_underflows_to_zero(self):
+        # exp(-800) underflows; only a growing term can overflow
+        v = inverse_laplace_rational([PartialFractionTerm(-1.0 + 0j, 2,
+                                                          1 + 0j)], 800.0)
+        assert v == 0j
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_time_rejected(self, t):
+        terms = parse_transform("1/s - 1/cs").g1_terms
+        with pytest.raises(ValueError, match="t must be finite"):
+            inverse_laplace_rational(terms, t)
+        with pytest.raises(ValueError, match="t must be finite"):
+            inverse_laplace_rational([PartialFractionTerm(-1.0 + 0j, 1,
+                                                          1 + 0j)], t)
+
     def test_zero_at_time_zero_with_simple_pole(self):
         v = inverse_laplace_rational([PartialFractionTerm(-1.0 + 0j, 1,
                                                           1 + 0j)], 0.0)
