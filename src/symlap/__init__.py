@@ -56,7 +56,6 @@ from .expr import (
     RationalFunction,
     SplitTransform,
     evaluate_rational,
-    eval_expression,
     parse_transform,
     polynomial_roots,
 )
@@ -118,7 +117,6 @@ __all__ = [
     "check_rule_consistency",
     "derivative_rule",
     "erf",
-    "eval_expression",
     "evaluate_rational",
     "finite_oscillatory_integral",
     "fourier_reduction",

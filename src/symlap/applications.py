@@ -77,18 +77,20 @@ def heat_transform_pair(s: complex, t: float, tol: float):
     return tp.pos(s), tp.neg(s.conjugate())
 
 
-def heat_transform_identity(s: complex, t: float, tol: float,
-                            h_t: float = 3e-4) -> float:
+_HEAT_STEP = 3e-4
+
+
+def heat_transform_identity(s: complex, t: float, tol: float) -> float:
     """|s^2*G + cs^2*Gm - (G_t + Gm_t)| with time derivatives by central
-    difference at step h_t.  The identity is exact for the solution, so
-    the returned value reflects only discretization."""
+    difference at step _HEAT_STEP in t.  The identity is exact for the
+    solution, so the returned value reflects only discretization."""
     s = complex(s)
     quad_tol = min(tol / 50.0, 1e-9)
     g, gm = heat_transform_pair(s, t, quad_tol)
-    gp, gmp = heat_transform_pair(s, t + h_t, quad_tol)
-    gq, gmq = heat_transform_pair(s, t - h_t, quad_tol)
-    g_dot = (gp - gq) / (2.0 * h_t)
-    gm_dot = (gmp - gmq) / (2.0 * h_t)
+    gp, gmp = heat_transform_pair(s, t + _HEAT_STEP, quad_tol)
+    gq, gmq = heat_transform_pair(s, t - _HEAT_STEP, quad_tol)
+    g_dot = (gp - gq) / (2.0 * _HEAT_STEP)
+    gm_dot = (gmp - gmq) / (2.0 * _HEAT_STEP)
     cs = s.conjugate()
     return abs(s * s * g + cs * cs * gm - g_dot - gm_dot)
 

@@ -3,8 +3,8 @@
 A signal is a function on the whole real line given as two half-line
 pieces.  The value at t = 0 belongs to the positive piece (H(0) = 1
 convention).  Each piece carries an exponential-order envelope
-|f(t)| <= M * exp(a*|t|) that the quadrature engine uses to place its
-truncation point.
+|f(t)| <= M * |t|^d * exp(a*|t|) that the quadrature engine uses to
+place its truncation point.
 
 Signals are represented behaviorally, as evaluable mappings over numpy
 arrays.  All types in this module are immutable values and safe to share
@@ -84,11 +84,12 @@ class PiecewiseSignal:
     or real).  Both pieces must be evaluable anywhere; only pos(t>=0) and
     neg(t<0) are ever used for results.
 
-    growth_degree marks polynomially growing pieces: |f(t)| <= M * |t|^d
-    * exp(a*|t|) with M and a from the piece's bound.  The quadrature
-    then certifies the exact tail of that envelope, a Gamma function
-    (quadrature.truncation_point), so any damping x > a converges at the
-    full rate x - a.
+    bound_pos and bound_neg are the envelopes of the two pieces.  A
+    polynomially growing piece gives its bound a degree d > 0, as the
+    ramp does with ExponentialOrderBound(1.0, 0.0, 1); the quadrature
+    then certifies the exact tail of M * |t|^d * exp(a*|t|), a Gamma
+    function (quadrature.truncation_point), so any damping x > a
+    converges at the full rate x - a.
 
     tail_cut, when present, maps a tolerance to a truncation point T with
     integral of |f| over [T, inf) below that tolerance.  It certifies
@@ -101,7 +102,6 @@ class PiecewiseSignal:
     neg: Callable
     bound_pos: ExponentialOrderBound
     bound_neg: ExponentialOrderBound
-    growth_degree: int = 0
     osc_hint: float = 0.0
     tail_cut: Optional[Callable[[float], float]] = None
 
@@ -118,13 +118,8 @@ class PiecewiseSignal:
         return complex(out[0]) if scalar else out
 
     def bound_for(self, side: str) -> ExponentialOrderBound:
-        """Envelope of the given half-line ("pos" or "neg"): the piece's
-        bound with growth_degree as its polynomial degree, so |f(t)| <=
-        M * |t|^d * exp(a*|t|) holds for every t on that side."""
-        base = self.bound_pos if side == "pos" else self.bound_neg
-        if self.growth_degree == 0:
-            return base
-        return ExponentialOrderBound(base.M, base.a, self.growth_degree)
+        """Envelope of the given half-line ("pos" or "neg")."""
+        return self.bound_pos if side == "pos" else self.bound_neg
 
 
 def _gauss_tail_cut(tol: float) -> float:
@@ -173,8 +168,8 @@ def catalog_signal(name: str, freq: float = 1.0) -> PiecewiseSignal:
         return PiecewiseSignal("heaviside", lambda t: np.ones_like(t),
                                lambda t: np.zeros_like(t), b1, b1)
     if name == "ramp":
-        return PiecewiseSignal("ramp", lambda t: t, lambda t: t,
-                               b1, b1, growth_degree=1)
+        ramp = ExponentialOrderBound(1.0, 0.0, 1)
+        return PiecewiseSignal("ramp", lambda t: t, lambda t: t, ramp, ramp)
     if name == "sincos":
         w = float(freq)
         return PiecewiseSignal(f"sincos(freq={w})",

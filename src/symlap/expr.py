@@ -10,22 +10,28 @@ Grammar (whitespace-insensitive)::
 
 NUMBER is an integer or decimal literal, optionally with an exponent
 part.  'cs' (alias conj(s)) denotes the conjugate variable.  Exponents
-are nonnegative integers.
+are nonnegative integers, at most 64.
 
-Parsing evaluates the expression in an algebra of pairs
-(g1 rational in s, g2 rational in cs).  Sums and differences separate
-componentwise; products and quotients are allowed whenever the result
-stays separable (one operand a constant, or both operands on the same
-side).  Anything that would genuinely couple s with cs, like 1/(s*cs),
-raises SplitError: such transforms are not invertible by the split
-method and no decomposition is guessed.  Constant terms land in g1.
+One grammar, two algebras.  parse_transform reads the text in the
+split algebra of pairs (g1 rational in s, g2 rational in cs).  Sums and
+differences separate componentwise; products and quotients are allowed
+whenever the result stays separable (one operand a constant, or both
+operands on the same side).  Anything that would genuinely couple s with
+cs, like 1/(s*cs), raises SplitError: such transforms are not invertible
+by the split method and no decomposition is guessed.  Constant terms
+land in g1.  eval_expression reads the same grammar in plain complex
+arithmetic at given values of s and cs, with the same ParseError
+positions and the same exponent cap of 64; the tests use it as the
+oracle for the split classification.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -319,13 +325,15 @@ def _lex(text: str):
 
 
 class _Parser:
-    """Recursive descent over the token list, evaluating directly into
-    the (g1, g2) split algebra."""
+    """Recursive descent over the token list.  The grammar, the ParseError
+    positions and the exponent cap live here; every value is built by the
+    algebra, whose mul, div and pow take the operator's position for the
+    errors they raise."""
 
-    def __init__(self, text: str):
-        self.text = text
+    def __init__(self, text: str, algebra):
         self.toks = _lex(text)
         self.k = 0
+        self.alg = algebra
 
     def peek(self):
         return self.toks[self.k]
@@ -341,33 +349,28 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
         return tok
 
-    def parse(self) -> SplitTransform:
+    def parse(self):
         value = self.expr()
         tok = self.peek()
         if tok[0] != "end":
             raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
-        return SplitTransform(value[0], value[1])
+        return value
 
     def expr(self):
         value = self.term()
         while self.peek()[0] in ("+", "-"):
-            op = self.advance()
+            op = self.advance()[0]
             rhs = self.term()
-            if op[0] == "+":
-                value = (value[0] + rhs[0], value[1] + rhs[1])
-            else:
-                value = (value[0] - rhs[0], value[1] - rhs[1])
+            value = (self.alg.add if op == "+" else self.alg.sub)(value, rhs)
         return value
 
     def term(self):
         value = self.factor()
         while self.peek()[0] in ("*", "/"):
-            op = self.advance()
+            op, _, pos = self.advance()
             rhs = self.factor()
-            if op[0] == "*":
-                value = _split_mul(value, rhs, op[2])
-            else:
-                value = _split_div(value, rhs, op[2])
+            value = (self.alg.mul if op == "*" else self.alg.div)(
+                value, rhs, pos)
         return value
 
     def factor(self):
@@ -375,41 +378,37 @@ class _Parser:
         if tok[0] in ("+", "-"):
             self.advance()
             inner = self.factor()
-            if tok[0] == "-":
-                return (-inner[0], -inner[1])
-            return inner
+            return self.alg.neg(inner) if tok[0] == "-" else inner
         return self.power()
 
     def power(self):
         base = self.atom()
-        if self.peek()[0] == "^":
-            op = self.advance()
-            tok = self.advance()
-            if tok[0] != "num" or not tok[1].isdigit():
-                raise ParseError(
-                    "exponent must be a nonnegative integer", tok[2])
-            n = int(tok[1])
-            if n > 64:
-                raise ExprError(f"exponent {n} too large (max 64)", op[2])
-            return _split_pow(base, n, op[2])
-        return base
+        if self.peek()[0] != "^":
+            return base
+        op = self.advance()
+        tok = self.advance()
+        if tok[0] != "num" or not tok[1].isdigit():
+            raise ParseError("exponent must be a nonnegative integer", tok[2])
+        n = int(tok[1])
+        if n > 64:
+            raise ExprError(f"exponent {n} too large (max 64)", op[2])
+        return self.alg.pow(base, n, op[2])
 
     def atom(self):
-        tok = self.advance()
-        kind, txt, pos = tok
+        kind, txt, pos = self.advance()
         if kind == "num":
-            return (RationalFunction.const(float(txt)), _RZERO)
+            return self.alg.const(float(txt))
         if kind == "i":
-            return (RationalFunction.const(1j), _RZERO)
+            return self.alg.const(1j)
         if kind == "s":
-            return (RationalFunction.variable(), _RZERO)
+            return self.alg.s
         if kind == "cs":
-            return (_RZERO, RationalFunction.variable())
+            return self.alg.cs
         if kind == "conj":
             self.expect("(")
             self.expect("s")
             self.expect(")")
-            return (_RZERO, RationalFunction.variable())
+            return self.alg.cs
         if kind == "(":
             value = self.expr()
             self.expect(")")
@@ -418,99 +417,109 @@ class _Parser:
                          if txt else "unexpected end of input", pos)
 
 
+# ---------------------------------------------------------------------------
+# the split algebra: pairs v = (g1 in s, g2 in cs), side k of v being v[k]
+
 _RZERO = RationalFunction.const(0)
+_VAR = RationalFunction.variable()
 
 
-def _is_const_pair(v) -> bool:
-    return v[0].is_constant and v[1].is_constant
+def _on_side(k, r):
+    return (r, _RZERO) if k == 0 else (_RZERO, r)
 
 
-def _pair_const(v) -> complex:
-    return v[0].constant_value() + v[1].constant_value()
-
-
-def _as_s(v):
-    """The whole pair as a rational in s, or None if it truly needs cs.
-    A constant-valued cs component folds into the s side."""
-    if v[1].is_zero:
-        return v[0]
-    if v[1].is_constant:
-        return v[0] + RationalFunction.const(v[1].constant_value())
+def _pair_const(v):
+    """The value of a pair whose two sides are constant, else None."""
+    if v[0].is_constant and v[1].is_constant:
+        return v[0].constant_value() + v[1].constant_value()
     return None
 
 
-def _as_cs(v):
-    if v[0].is_zero:
-        return v[1]
-    if v[0].is_constant:
-        return v[1] + RationalFunction.const(v[0].constant_value())
+def _side(v, k):
+    """The whole pair as a rational on side k, or None if it truly needs
+    the other side.  A constant-valued other side folds into side k."""
+    other = v[1 - k]
+    if other.is_zero:
+        return v[k]
+    if other.is_constant:
+        return v[k] + RationalFunction.const(other.constant_value())
     return None
 
 
 def _split_mul(u, v, pos):
-    if _is_const_pair(u):
-        c = _pair_const(u)
-        return (v[0] * c, v[1] * c)
-    if _is_const_pair(v):
-        c = _pair_const(v)
-        return (u[0] * c, u[1] * c)
-    us, vs = _as_s(u), _as_s(v)
-    if us is not None and vs is not None:
-        return (us * vs, _RZERO)
-    ucs, vcs = _as_cs(u), _as_cs(v)
-    if ucs is not None and vcs is not None:
-        return (_RZERO, ucs * vcs)
+    for a, b in ((u, v), (v, u)):
+        c = _pair_const(a)
+        if c is not None:
+            return (b[0] * c, b[1] * c)
+    for k in (0, 1):
+        a, b = _side(u, k), _side(v, k)
+        if a is not None and b is not None:
+            return _on_side(k, a * b)
     raise SplitError(
         "product couples s with cs and cannot be separated", pos)
 
 
 def _split_div(u, v, pos):
-    if v[0].is_zero and v[1].is_zero:
-        raise ExprError("division by an identically zero expression", pos)
-    if _is_const_pair(v):
-        c = _pair_const(v)
+    c = _pair_const(v)
+    if c is not None:
         if c == 0:
             raise ExprError("division by an identically zero expression", pos)
         return (u[0] * (1.0 / c), u[1] * (1.0 / c))
-    vs = _as_s(v)
-    if vs is not None:
-        us = _as_s(u)
-        if us is None:
-            raise SplitError(
-                "quotient couples s with cs and cannot be separated", pos)
-        return (us / vs, _RZERO)
-    vcs = _as_cs(v)
-    if vcs is not None:
-        ucs = _as_cs(u)
-        if ucs is None:
-            raise SplitError(
-                "quotient couples s with cs and cannot be separated", pos)
-        return (_RZERO, ucs / vcs)
+    for k in (0, 1):
+        b = _side(v, k)
+        if b is not None:
+            a = _side(u, k)
+            if a is None:
+                raise SplitError(
+                    "quotient couples s with cs and cannot be separated", pos)
+            return _on_side(k, a / b)
     raise SplitError("denominator mixes s and cs", pos)
 
 
 def _split_pow(u, n, pos):
-    if n == 0:
-        return (RationalFunction.const(1), _RZERO)
-    out = u
+    out = (RationalFunction.const(1), _RZERO) if n == 0 else u
     for _ in range(n - 1):
         out = _split_mul(out, u, pos)
     return out
+
+
+_SPLIT = SimpleNamespace(
+    const=lambda c: (RationalFunction.const(c), _RZERO),
+    s=(_VAR, _RZERO), cs=(_RZERO, _VAR),
+    add=lambda u, v: (u[0] + v[0], u[1] + v[1]),
+    sub=lambda u, v: (u[0] - v[0], u[1] - v[1]),
+    neg=lambda u: (-u[0], -u[1]),
+    mul=_split_mul, div=_split_div, pow=_split_pow)
 
 
 def parse_transform(text: str) -> SplitTransform:
     """Parse text into a SplitTransform.
 
     Raises ParseError (bad syntax, with position), SplitError (a term
-    mixes s and cs) or ExprError (division by a zero polynomial).
+    mixes s and cs) or ExprError (division by a zero polynomial, or an
+    exponent above 64).
     """
-    return _Parser(text).parse()
+    return SplitTransform(*_Parser(text, _SPLIT).parse())
+
+
+def eval_expression(text: str, s: complex, cs: complex) -> complex:
+    """Numerically evaluate the expression text with the given values
+    substituted for s and cs, without any split classification: the same
+    grammar as parse_transform read in plain complex arithmetic.  Used to
+    cross-check that classification preserves the expression's value."""
+    return _Parser(text, SimpleNamespace(
+        const=complex, s=complex(s), cs=complex(cs),
+        add=operator.add, sub=operator.sub, neg=operator.neg,
+        mul=lambda u, v, pos: u * v,
+        div=lambda u, v, pos: u / v,
+        pow=lambda u, n, pos: u ** n)).parse()
 
 
 # ---------------------------------------------------------------------------
 # evaluation and roots
 
 _POLE_GUARD = 1e-280
+_ABERTH_ITERATIONS = 500
 
 
 def evaluate_rational(r: RationalFunction, z):
@@ -529,8 +538,7 @@ def evaluate_rational(r: RationalFunction, z):
 # iterates of a high-degree polynomial may overflow; the residual tests
 # turn a non-finite result into RootFindingError
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def polynomial_roots(p: Polynomial, *, cluster_tol: float = 1e-8,
-                     max_iter: int = 500):
+def polynomial_roots(p: Polynomial, *, cluster_tol: float = 1e-8):
     """All complex roots of p with multiplicities, as (root, count) pairs.
 
     Uses the Aberth-Ehrlich simultaneous iteration (no companion
@@ -551,7 +559,7 @@ def polynomial_roots(p: Polynomial, *, cluster_tol: float = 1e-8,
     z = radius * np.exp(1j * angles)
 
     converged = False
-    for _ in range(max_iter):
+    for _ in range(_ABERTH_ITERATIONS):
         pv = _horner(monic, z)
         dv = _horner(dcoef, z)
         w = np.where(dv != 0, pv / np.where(dv != 0, dv, 1), 0.1 + 0.1j)
@@ -628,81 +636,3 @@ def _polish(monic, z, mult):
             break  # derivative root is elsewhere, keep the cluster mean
         z = z - step
     return z
-
-
-def eval_expression(text: str, s: complex, cs: complex) -> complex:
-    """Numerically evaluate the raw expression text with the given values
-    substituted for s and cs, without any split classification.  Used to
-    cross-check that classification preserves the expression's value."""
-    return _NumEval(text, complex(s), complex(cs)).run()
-
-
-class _NumEval(_Parser):
-    def __init__(self, text, s, cs):
-        super().__init__(text)
-        self._s = s
-        self._cs = cs
-
-    def run(self):
-        value = self.expr()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
-        return value
-
-    def expr(self):
-        value = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()
-            rhs = self.term()
-            value = value + rhs if op[0] == "+" else value - rhs
-        return value
-
-    def term(self):
-        value = self.factor()
-        while self.peek()[0] in ("*", "/"):
-            op = self.advance()
-            rhs = self.factor()
-            value = value * rhs if op[0] == "*" else value / rhs
-        return value
-
-    def factor(self):
-        tok = self.peek()
-        if tok[0] in ("+", "-"):
-            self.advance()
-            inner = self.factor()
-            return -inner if tok[0] == "-" else inner
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self.peek()[0] == "^":
-            self.advance()
-            tok = self.advance()
-            if tok[0] != "num" or not tok[1].isdigit():
-                raise ParseError(
-                    "exponent must be a nonnegative integer", tok[2])
-            return base ** int(tok[1])
-        return base
-
-    def atom(self):
-        kind, txt, pos = self.advance()
-        if kind == "num":
-            return complex(float(txt))
-        if kind == "i":
-            return 1j
-        if kind == "s":
-            return self._s
-        if kind == "cs":
-            return self._cs
-        if kind == "conj":
-            self.expect("(")
-            self.expect("s")
-            self.expect(")")
-            return self._cs
-        if kind == "(":
-            value = self.expr()
-            self.expect(")")
-            return value
-        raise ParseError(f"expected a value, found {txt!r}"
-                         if txt else "unexpected end of input", pos)

@@ -132,8 +132,9 @@ def inverse_laplace_rational(terms, t: float) -> complex:
     """Sum of the classical table applied to each term at time t >= 0.
 
     Raises ValueError for a non-finite or negative t, and
-    ExpOverflowError (an OverflowError) when exp(pole*t) of some term
-    overflows; a decaying term underflows harmlessly towards 0."""
+    ExpOverflowError (an OverflowError) when exp(pole*t) or
+    t^(order-1) * exp(pole*t) of some term overflows; a decaying term
+    underflows harmlessly towards 0."""
     require_finite(t=t)
     if t < 0:
         raise ValueError("the one-sided table needs t >= 0")
@@ -144,9 +145,29 @@ def inverse_laplace_rational(terms, t: float) -> complex:
                 f"exp({term.pole.real * t:.1f}) overflows for pole "
                 f"{term.pole} at t={t}")
         k = term.order
-        total += (term.coefficient * t ** (k - 1)
+        try:
+            power = t ** (k - 1)
+        except OverflowError:
+            total += _huge_power_term(term, t)
+            continue
+        total += (term.coefficient * power
                   * np.exp(term.pole * t) / math.factorial(k - 1))
     return complex(total)
+
+
+def _huge_power_term(term, t):
+    """The table term at a t whose power t^(order-1) alone overflows a
+    float, from the logarithm of t^(order-1) * exp(pole*t): 0 when the
+    exponential underflows it, ExpOverflowError when the product
+    overflows."""
+    k = term.order
+    log_power = (k - 1) * math.log(t)
+    if log_power + term.pole.real * t > _EXP_GUARD:
+        raise ExpOverflowError(
+            f"t^{k - 1} * exp({term.pole.real * t:.1f}) overflows for pole "
+            f"{term.pole} at t={t}")
+    return (term.coefficient * np.exp(log_power + term.pole * t)
+            / math.factorial(k - 1))
 
 
 def sl_inverse_split(st: SplitTransform, t: float) -> complex:
@@ -161,6 +182,7 @@ def sl_inverse_split(st: SplitTransform, t: float) -> complex:
     that is not strictly proper and ExpOverflowError when a table term
     overflows at t.
     """
+    require_finite(t=t)
     for label, g in (("g1", st.g1), ("g2", st.g2)):
         if not g.is_proper:
             raise PropernessError(

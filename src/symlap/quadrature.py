@@ -305,8 +305,8 @@ def truncation_point(bound: ExponentialOrderBound, x: float,
     method started at z = max(log(M*d!/(tol*r^(d+1))), d) steps past the
     root at most once and then descends to it from above.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    require_positive(tol=tol)
+    require_finite(x=x)
     if bound.M <= 0:
         raise ValueError("bound.M must be positive")
     if x <= bound.a:

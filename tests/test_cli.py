@@ -136,6 +136,13 @@ def test_invert_decaying_term_at_large_time_is_zero():
     assert (t, re, im) == (800.0, 0.0, 0.0)
 
 
+def test_invert_repeated_decaying_pole_at_huge_time_is_zero():
+    # t^2 overflows a float there, the decaying term does not
+    cp = run_cli("invert", "--expr", "1/(s+2)^3", "--t", "1e200")
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout == "t,re,im\n1e+200,0.0,0.0\n"
+
+
 def test_invert_improper_exits_5():
     cp = run_cli("invert", "--expr", "s + 1/cs", "--t", "1")
     assert cp.returncode == 5

@@ -60,7 +60,6 @@ def test_catalog_envelopes_hold_on_dyadic_grid(name):
     for t in ts:
         val = abs(f(t))
         side = "pos" if t >= 0 else "neg"
-        # the ramp's envelope carries its polynomial degree
         envelope = float(f.bound_for(side).envelope(t))
         assert val <= envelope * (1.0 + 1e-12), (name, t, val, envelope)
 
@@ -81,6 +80,7 @@ def test_transform_sample_rejects_non_finite_and_negative_error():
 def test_ramp_bound_is_sharp():
     # |t| itself on both sides: degree 1, M = 1, no exponential growth
     f = catalog_signal("ramp")
+    assert f.bound_pos == f.bound_neg == ExponentialOrderBound(1.0, 0.0, 1)
     ts = np.array([-3.0, -0.5, 0.0, 0.5, 3.0])
     for side in ("pos", "neg"):
         b = f.bound_for(side)

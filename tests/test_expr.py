@@ -322,3 +322,25 @@ def test_eval_expression_matches_cmath():
     v = eval_expression("(s^2 + 1)/(s - 2) + i*cs", z, z.conjugate())
     expected = (z ** 2 + 1) / (z - 2) + 1j * z.conjugate()
     assert cmath.isclose(v, expected, rel_tol=1e-14)
+
+
+@pytest.mark.parametrize("text,error", [
+    ("s^100", ExprError), ("1/s + * 2", ParseError), ("s^1.5", ParseError),
+    ("1/x", ParseError), ("(s + 1", ParseError), ("s cs", ParseError)])
+def test_eval_expression_reads_the_parse_transform_grammar(text, error):
+    # one grammar for both algebras: the same error types, positions and
+    # exponent cap
+    with pytest.raises(error) as split_exc:
+        parse_transform(text)
+    with pytest.raises(error) as eval_exc:
+        eval_expression(text, 1.0 + 1j, 1.0 - 1j)
+    assert str(eval_exc.value) == str(split_exc.value)
+    assert eval_exc.value.position == split_exc.value.position
+
+
+def test_eval_expression_is_not_a_top_level_export():
+    import symlap
+
+    assert "eval_expression" not in symlap.__all__
+    assert not hasattr(symlap, "eval_expression")
+

@@ -122,6 +122,18 @@ class TestRationalTable:
                                                           1 + 0j)], 800.0)
         assert v == 0j
 
+    def test_decaying_term_with_an_overflowing_power_is_zero(self):
+        # t^2 = 1e400 overflows a float, but exp(-1e200) wins
+        v = inverse_laplace_rational([PartialFractionTerm(-1.0 + 0j, 3,
+                                                          1 + 0j)], 1e200)
+        assert v == 0j
+
+    def test_growing_term_with_an_overflowing_power_raises(self):
+        # exp(1e-100) is about 1, so t^2 / 2 = 5e399 overflows the term
+        with pytest.raises(ExpOverflowError, match="overflows"):
+            inverse_laplace_rational([PartialFractionTerm(1e-300 + 0j, 3,
+                                                          1 + 0j)], 1e200)
+
     @pytest.mark.parametrize("t", [math.nan, math.inf])
     def test_non_finite_time_rejected(self, t):
         terms = parse_transform("1/s - 1/cs").g1_terms
@@ -142,6 +154,10 @@ class TestSplitInversion:
     def test_non_finite_time_rejected(self, t):
         with pytest.raises(ValueError, match="t must be finite"):
             sl_inverse_split(parse_transform("1/s - 1/cs"), t)
+
+    def test_negative_infinite_time_is_reported_as_given(self):
+        with pytest.raises(ValueError, match=r"got -inf$"):
+            sl_inverse_split(parse_transform("1/s - 1/cs"), -math.inf)
 
     @pytest.mark.parametrize("t", [2.0, -3.0, 1.0, -1.0, 0.25, -0.25])
     def test_identity_signal(self, t):

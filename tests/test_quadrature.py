@@ -155,6 +155,15 @@ def test_invalid_arguments():
         truncation_point(ExponentialOrderBound(0.0, 0.0), 1.0, 1e-8)
 
 
+@pytest.mark.parametrize("degree", [0, 1])
+@pytest.mark.parametrize("x,tol,name", [
+    (math.nan, 1e-8, "x"), (math.inf, 1e-8, "x"), (-math.inf, 1e-8, "x"),
+    (1.0, math.nan, "tol"), (1.0, math.inf, "tol"), (1.0, 0.0, "tol")])
+def test_truncation_point_rejects_a_non_finite_x_or_tol(degree, x, tol, name):
+    with pytest.raises(ValueError, match=rf"^{name} must be"):
+        truncation_point(ExponentialOrderBound(1.0, 0.0, degree), x, tol)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1e-8])
 def test_non_finite_or_non_positive_tol_and_a_rejected(bad):
     with pytest.raises(ValueError, match="tol"):
