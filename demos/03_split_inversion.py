@@ -12,8 +12,9 @@ from symlap import parse_transform, partial_fractions, sl_inverse_split
 print("1/s^2 - 1/cs^2 inverts to f(t) = t on the whole line:")
 st = parse_transform("1/s^2 - 1/cs^2")
 print(f"  g1 = {st.g1}   g2(cs) = {st.g2.to_text('cs')}")
-for t in (-3.0, -0.25, 0.25, 3.0):
-    print(f"  f({t:+.2f}) = {sl_inverse_split(st, t).real:+.15f}")
+ts = (-3.0, -0.25, 0.25, 3.0)
+for t, v in zip(ts, sl_inverse_split(st, ts)):
+    print(f"  f({t:+.2f}) = {v.real:+.15f}")
 
 print()
 print("Partial fractions drive the table c/(s-a)^k -> c t^(k-1) e^(at)/(k-1)!:")

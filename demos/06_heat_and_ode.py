@@ -53,6 +53,7 @@ print("End to end: invert the displayed rational transforms and compare")
 print("with the closed-form solution:")
 st = parse_transform("1/2 * 1/(s-1) - 1/2 * s/(s^2+1) - 1/2 * 1/(s^2+1) "
                      "+ 1/cs - cs/(cs^2+1)")
-worst = max(abs(sl_inverse_split(st, t) - ode_solution(t))
-            for t in np.linspace(-4.0, 4.0, 17))
+ts = np.linspace(-4.0, 4.0, 17)
+worst = max(abs(v - ode_solution(t))
+            for v, t in zip(sl_inverse_split(st, ts), ts))
 print(f"  worst gap on [-4, 4]: {worst:.2e}")

@@ -62,11 +62,10 @@ def forward_csv(signal: str, x1: float, x2: float, ys, tol: float,
 
 def invert_csv(expr_text: str, ts) -> str:
     st = parse_transform(expr_text)
-    lines = ["t,re,im"]
-    for t in ts:
-        v = sl_inverse_split(st, float(t))
-        lines.append(f"{float(t)!r},{v.real!r},{v.imag!r}")
-    return "\n".join(lines) + "\n"
+    ts = np.asarray(ts, dtype=float)
+    value = sl_inverse_split(st, ts)
+    rows = zip(ts.tolist(), value.real.tolist(), value.imag.tolist())
+    return "t,re,im\n" + "".join(["%r,%r,%r\n" % row for row in rows])
 
 
 def invert_numeric_csv(expr_text: str, x1: float, x2: float, t: float,

@@ -132,26 +132,98 @@ class Polynomial:
         return f"Polynomial({list(self.coef)})"
 
 
-@dataclass(frozen=True)
+def _factor_key(f: Polynomial) -> bytes:
+    """The dictionary key of a monic factor: its coefficient bytes, with
+    every zero made positive so that the sign of a zero does not tell
+    two factors apart."""
+    return (f.coef + 0.0).tobytes()
+
+
+def _factored(p: Polynomial):
+    """(lead, factors) with p = lead * the one monic factor; a constant
+    p has no factor, the zero polynomial has lead 0."""
+    if p.degree < 1:
+        return complex(p.coef[0]), {}
+    lead = p.coef[-1]
+    f = p if lead == 1 else Polynomial(p.coef / lead)
+    return complex(lead), {_factor_key(f): (f, 1)}
+
+
+def _merged(a: dict, b: dict) -> dict:
+    """The factors of a product: multiplicities of shared factors add."""
+    out = dict(a)
+    for key, (f, m) in b.items():
+        out[key] = (f, out[key][1] + m) if key in out else (f, m)
+    return out
+
+
+def _expanded(factors: dict) -> Polynomial:
+    out = Polynomial([1])
+    for f, m in factors.values():
+        for _ in range(m):
+            out = out * f
+    return out
+
+
 class RationalFunction:
-    """Ratio of polynomials, normalized so the denominator is monic."""
+    """scale * prod f^m over the numerator factors, divided by
+    prod g^n over the denominator factors.
 
-    num: Polynomial
-    den: Polynomial
+    A factor is a monic polynomial of degree >= 1, carried once with its
+    multiplicity in a dict {key: (factor, multiplicity)} keyed by its
+    coefficient bytes.  Products and powers add multiplicities, and a
+    quotient moves the divisor's numerator factors into the denominator.
+    A sum goes over the least common multiple of the two denominators
+    (the larger multiplicity of each shared factor), and its numerator
+    becomes one new factor.  Factors that are exactly equal in numerator
+    and denominator cancel.  num and den are the expanded polynomials,
+    den monic, derived on first use.
+    """
 
-    def __post_init__(self):
-        if self.den.is_zero:
+    def __init__(self, num: Polynomial, den: Polynomial):
+        """From expanded polynomials, each of which becomes one factor."""
+        if den.is_zero:
             raise ExprError("division by an identically zero polynomial")
-        lead = self.den.coef[-1]
-        if lead != 1:
-            object.__setattr__(self, "num", Polynomial(self.num.coef / lead))
-            object.__setattr__(self, "den", Polynomial(self.den.coef / lead))
-        if self.num.is_zero and self.den.degree != 0:
-            object.__setattr__(self, "den", Polynomial([1]))
+        nlead, numf = _factored(num)
+        dlead, denf = _factored(den)
+        self._set(nlead / dlead, numf, denf)
+
+    @classmethod
+    def _of(cls, scale, numf: dict, denf: dict) -> "RationalFunction":
+        out = cls.__new__(cls)
+        out._set(scale, numf, denf)
+        return out
+
+    def _set(self, scale, numf, denf):
+        scale = complex(scale)
+        if scale == 0:
+            numf, denf = {}, {}
+        shared = [key for key in numf if key in denf]
+        if shared:
+            numf, denf = dict(numf), dict(denf)
+            for key in shared:
+                k = min(numf[key][1], denf[key][1])
+                for d in (numf, denf):
+                    f, m = d[key]
+                    if m == k:
+                        del d[key]
+                    else:
+                        d[key] = (f, m - k)
+        self.scale, self.numf, self.denf = scale, numf, denf
+
+    @cached_property
+    def num(self) -> Polynomial:
+        if not self.numf:
+            return Polynomial([self.scale])
+        return _expanded(self.numf) * self.scale
+
+    @cached_property
+    def den(self) -> Polynomial:
+        return _expanded(self.denf)
 
     @classmethod
     def const(cls, c) -> "RationalFunction":
-        return cls(Polynomial([c]), Polynomial([1]))
+        return cls._of(c, {}, {})
 
     @classmethod
     def variable(cls) -> "RationalFunction":
@@ -159,18 +231,29 @@ class RationalFunction:
 
     @property
     def is_zero(self) -> bool:
-        return self.num.is_zero
+        return self.scale == 0
 
     @property
     def is_constant(self) -> bool:
-        return self.num.degree <= 0 and self.den.degree == 0
+        return not self.numf and not self.denf
 
     @property
     def is_proper(self) -> bool:
-        return self.num.degree < self.den.degree
+        return self.num_degree < self.den_degree
+
+    @cached_property
+    def num_degree(self) -> int:
+        """Degree of the numerator, -1 for the zero function."""
+        if self.is_zero:
+            return -1
+        return sum(f.degree * m for f, m in self.numf.values())
+
+    @cached_property
+    def den_degree(self) -> int:
+        return sum(f.degree * m for f, m in self.denf.values())
 
     def constant_value(self) -> complex:
-        return complex(self.num.coef[0] / self.den.coef[0])
+        return self.scale
 
     # the parser pairs every atom with a zero side, so sums with the zero
     # function skip the common-denominator products
@@ -179,31 +262,45 @@ class RationalFunction:
             return self
         if self.is_zero:
             return other
-        return RationalFunction(self.num * other.den + other.num * self.den,
-                                self.den * other.den)
+        return self._sum(other, operator.add)
 
     def __sub__(self, other):
         if other.is_zero:
             return self
-        if self.is_zero:  # 0 - num, as the full formula rounds its zeros
-            return RationalFunction(self.num - other.num, other.den)
-        return RationalFunction(self.num * other.den - other.num * self.den,
-                                self.den * other.den)
+        if self.is_zero:
+            return -other
+        return self._sum(other, operator.sub)
+
+    def _sum(self, other, op):
+        lcm = dict(self.denf)
+        for key, (f, m) in other.denf.items():
+            if key not in lcm or lcm[key][1] < m:
+                lcm[key] = (f, m)
+        a, b = (r.num * _expanded({key: (f, m - r.denf.get(key, (f, 0))[1])
+                                   for key, (f, m) in lcm.items()})
+                for r in (self, other))
+        lead, numf = _factored(op(a, b))
+        return RationalFunction._of(lead, numf, lcm)
 
     def __neg__(self):
-        return RationalFunction(Polynomial(-self.num.coef), self.den)
+        return RationalFunction._of(-self.scale, self.numf, self.denf)
 
     def __mul__(self, other):
-        if isinstance(other, RationalFunction):
-            return RationalFunction(self.num * other.num, self.den * other.den)
-        return RationalFunction(self.num * other, self.den)
+        if not isinstance(other, RationalFunction):
+            return RationalFunction._of(self.scale * complex(other),
+                                        self.numf, self.denf)
+        return RationalFunction._of(self.scale * other.scale,
+                                    _merged(self.numf, other.numf),
+                                    _merged(self.denf, other.denf))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if other.num.is_zero:
+        if other.is_zero:
             raise ExprError("division by an identically zero polynomial")
-        return RationalFunction(self.num * other.den, self.den * other.num)
+        return RationalFunction._of(self.scale / other.scale,
+                                    _merged(self.numf, other.denf),
+                                    _merged(self.denf, other.numf))
 
     def __pow__(self, n: int):
         out = RationalFunction.const(1)
@@ -520,6 +617,7 @@ def eval_expression(text: str, s: complex, cs: complex) -> complex:
 
 _POLE_GUARD = 1e-280
 _ABERTH_ITERATIONS = 500
+_CLUSTER_TOL = 1e-8
 
 
 def evaluate_rational(r: RationalFunction, z):
@@ -538,11 +636,11 @@ def evaluate_rational(r: RationalFunction, z):
 # iterates of a high-degree polynomial may overflow; the residual tests
 # turn a non-finite result into RootFindingError
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def polynomial_roots(p: Polynomial, *, cluster_tol: float = 1e-8):
+def polynomial_roots(p: Polynomial):
     """All complex roots of p with multiplicities, as (root, count) pairs.
 
     Uses the Aberth-Ehrlich simultaneous iteration (no companion
-    matrix), clusters iterates closer than cluster_tol into a single
+    matrix), clusters iterates closer than _CLUSTER_TOL into a single
     root with summed multiplicity, and polishes each cluster with the
     multiplicity-aware Newton step.  Multiplicities always sum to the
     degree.  Results are sorted by (real, imag).
@@ -578,10 +676,11 @@ def polynomial_roots(p: Polynomial, *, cluster_tol: float = 1e-8):
             raise RootFindingError(
                 f"root iteration did not converge (max residual {resid:.3e})")
 
-    clusters = _cluster(np.sort_complex(z), cluster_tol)
+    z = np.sort_complex(z)
     out = []
-    for center, mult in clusters:
-        center = _polish(monic, center, mult)
+    for group in _cluster(z, _CLUSTER_TOL):
+        mult = len(group)
+        center = _polish(monic, complex(np.mean(z[group])), mult)
         res = abs(_horner(monic, center))
         if _exceeds(res, 1e-10 * scale, max(1.0, abs(center)), deg):
             raise RootFindingError(
@@ -601,18 +700,17 @@ def _exceeds(resid, factor, base, deg):
 
 
 def _cluster(z, tol):
-    """Greedy transitive clustering of sorted root iterates."""
+    """Greedy transitive clustering of the sorted points z, as lists of
+    indices."""
     groups = []
-    for zi in z:
-        placed = False
+    for i, zi in enumerate(z):
         for g in groups:
-            if any(abs(zi - zj) <= tol for zj in g):
-                g.append(zi)
-                placed = True
+            if any(abs(zi - z[j]) <= tol for j in g):
+                g.append(i)
                 break
-        if not placed:
-            groups.append([zi])
-    return [(complex(np.mean(g)), len(g)) for g in groups]
+        else:
+            groups.append([i])
+    return groups
 
 
 def _polish(monic, z, mult):

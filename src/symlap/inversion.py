@@ -30,7 +30,13 @@ from .errors import (
     PropernessError,
     RootFindingError,
 )
-from .expr import RationalFunction, SplitTransform, polynomial_roots
+from .expr import (
+    _CLUSTER_TOL,
+    RationalFunction,
+    SplitTransform,
+    _cluster,
+    polynomial_roots,
+)
 from .quadrature import (
     finite_oscillatory_integral,
     require_finite,
@@ -62,45 +68,43 @@ class PartialFractionTerm:
 def partial_fractions(r: RationalFunction):
     """Decompose a strictly proper rational function into simple terms.
 
-    Poles come from polynomial_roots of the denominator.  Coefficients
-    are read off a Taylor-series division of the numerator by the
-    deflated denominator around each pole, which stays stable for
+    Poles come from polynomial_roots of each distinct denominator
+    factor, and a root's multiplicity is its factor's.  Roots of
+    different factors closer than 1e-8 merge into one pole, their
+    multiplicities adding.  Coefficients are read off a Taylor-series
+    division of the numerator by the deflated denominator around each
+    pole, both expanded factor by factor, which stays stable for
     repeated poles.  Terms with negligible coefficients (relative to the
     largest one at that pole) are dropped, so removable factors shared
     by numerator and denominator disappear on their own.
 
-    The decomposition is validated by reconstruction at sample points.
-    A repeated pole whose computed roots straddle the default clustering
-    window shows up there as a huge spurious residue pair, in which case
-    the clustering is widened and the decomposition redone.
+    The decomposition is validated by reconstruction at sample points,
+    where the function is evaluated from its factors.
     """
     if not r.is_proper:
         raise PropernessError(
             f"{r} is not strictly proper (numerator degree "
-            f"{r.num.degree} >= denominator degree {r.den.degree}); "
+            f"{r.num_degree} >= denominator degree {r.den_degree}); "
             "no inverse in the rational table")
     if r.is_zero:
         return []
-    last_gap = None
-    for widen in (1.0, 32.0, 1024.0):
-        terms = _decompose(r, cluster_tol=1e-8 * widen)
-        last_gap = _reconstruction_gap(r, terms)
-        if last_gap <= 1e-10:
-            return terms
-    raise RootFindingError(
-        f"partial fractions of {r} failed validation "
-        f"(reconstruction gap {last_gap:.3e})")
-
-
-def _decompose(r, cluster_tol):
+    roots = [(z, k, key) for key, (f, _) in r.denf.items()
+             for z, k in polynomial_roots(f)]
+    roots.sort(key=lambda root: (root[0].real, root[0].imag))
     terms = []
-    for pole, m in polynomial_roots(r.den, cluster_tol=cluster_tol):
-        dshift = r.den.shifted(pole)
-        nshift = r.num.shifted(pole)
-        # den(p+u) = u^m * q(u); discard the first m coefficients, which
-        # are root-cluster residue at drop-off level
-        q = _padded(dshift[m: 2 * m], m)
-        n = _padded(nshift[:m], m)
+    for group in _cluster([z for z, _, _ in roots], _CLUSTER_TOL):
+        # roots of each factor at this pole, counted within the factor
+        at_pole = {}
+        for i in group:
+            z, k, key = roots[i]
+            at_pole[key] = at_pole.get(key, 0) + k
+        m = sum(k * r.denf[key][1] for key, k in at_pole.items())
+        pole = (roots[group[0]][0] if len(group) == 1 else
+                sum(roots[i][0] * roots[i][1] * r.denf[roots[i][2]][1]
+                    for i in group) / m)
+        # den(p+u) = u^m * q(u) and num(p+u) = n(u), to order u^(m-1)
+        q = _taylor(r.denf, pole, m, at_pole)
+        n = r.scale * _taylor(r.numf, pole, m, {})
         t = np.zeros(m, dtype=complex)
         t[0] = n[0] / q[0]
         for j in range(1, m):
@@ -114,13 +118,41 @@ def _decompose(r, cluster_tol):
             if abs(c) <= 1e-13 * scale:
                 continue
             terms.append(PartialFractionTerm(pole, m - j, complex(c)))
+    gap = _reconstruction_gap(r, terms)
+    if not gap <= 1e-10:
+        raise RootFindingError(
+            f"partial fractions of {r} failed validation "
+            f"(reconstruction gap {gap:.3e})")
     return terms
 
 
+def _taylor(factors, p, m, at_pole):
+    """The first m Taylor coefficients at p of the product of the
+    factors, each factor's expansion stripped first of its at_pole[key]
+    leading coefficients: the roots at p, whose values there are
+    root-finding residue."""
+    out = _padded(np.ones(1, dtype=complex), m)
+    for key, (f, mult) in factors.items():
+        c = _padded(f.shifted(p)[at_pole.get(key, 0):][:m], m)
+        for _ in range(mult):
+            out = np.convolve(out, c)[:m]
+    return out
+
+
+def _factored_value(factors, z):
+    out = np.ones_like(z)
+    for f, m in factors.values():
+        out *= f(z) ** m
+    return out
+
+
 def _reconstruction_gap(r, terms):
+    """Largest gap between the function and its terms on a circle around
+    the poles, relative to max(1, |value|)."""
     radius = 1.0 + 2.0 * max([abs(t.pole) for t in terms], default=0.0)
     z = radius * np.exp(2j * np.pi * (np.arange(8) + 0.5) / 8.0)
-    direct = r.num(z) / r.den(z)
+    direct = (r.scale * _factored_value(r.numf, z)
+              / _factored_value(r.denf, z))
     rebuilt = np.zeros_like(z)
     for t in terms:
         rebuilt += t.coefficient / (z - t.pole) ** t.order
@@ -128,69 +160,104 @@ def _reconstruction_gap(r, terms):
                         / np.maximum(1.0, np.abs(direct))))
 
 
-def inverse_laplace_rational(terms, t: float) -> complex:
-    """Sum of the classical table applied to each term at time t >= 0.
+def _times(t):
+    """t flattened to a one-dimensional float array; ValueError names the
+    first non-finite t."""
+    ts = np.asarray(t, dtype=float).ravel()
+    bad = ts[~np.isfinite(ts)]
+    if bad.size:
+        require_finite(t=float(bad[0]))
+    return ts
+
+
+def _shaped(values, t):
+    """The values at the flattened times, as a complex for a float t and
+    in the shape of t otherwise."""
+    if np.ndim(t) == 0:
+        return complex(values[0])
+    return values.reshape(np.shape(t))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def inverse_laplace_rational(terms, t):
+    """Sum of the classical table applied to each term at time t >= 0,
+    for a float t or elementwise for an array of them.
 
     Raises ValueError for a non-finite or negative t, and
     ExpOverflowError (an OverflowError) when exp(pole*t) or
-    t^(order-1) * exp(pole*t) of some term overflows; a decaying term
-    underflows harmlessly towards 0."""
-    require_finite(t=t)
-    if t < 0:
+    t^(order-1) * exp(pole*t) of some term overflows, naming the first
+    such t and the first term at fault there; a decaying term underflows
+    harmlessly towards 0."""
+    ts = _times(t)
+    if (ts < 0).any():
         raise ValueError("the one-sided table needs t >= 0")
-    total = 0j
+    total = np.zeros(len(ts), dtype=complex)
+    fault = None  # (index of the first t at fault, message)
     for term in terms:
-        if term.pole.real * t > _EXP_GUARD:
-            raise ExpOverflowError(
-                f"exp({term.pole.real * t:.1f}) overflows for pole "
-                f"{term.pole} at t={t}")
         k = term.order
-        try:
-            power = t ** (k - 1)
-        except OverflowError:
-            total += _huge_power_term(term, t)
+        power = ts ** (k - 1)
+        # where t^(order-1) alone overflows, go by its logarithm, which
+        # is positive there
+        huge = np.isinf(power)
+        log_power = np.zeros_like(ts)
+        any_huge = huge.any()
+        if any_huge:
+            log_power[huge] = (k - 1) * np.log(ts[huge])
+        over = log_power + term.pole.real * ts > _EXP_GUARD
+        if over.any():
+            j = int(np.argmax(over))
+            if fault is None or j < fault[0]:
+                fault = (j, _overflow_message(term, float(ts[j]), huge[j]))
             continue
-        total += (term.coefficient * power
-                  * np.exp(term.pole * t) / math.factorial(k - 1))
-    return complex(total)
+        value = (term.coefficient * power * np.exp(term.pole * ts)
+                 / math.factorial(k - 1))
+        if any_huge:
+            value[huge] = (term.coefficient
+                           * np.exp(log_power[huge] + term.pole * ts[huge])
+                           / math.factorial(k - 1))
+        total += value
+    if fault is not None:
+        raise ExpOverflowError(fault[1])
+    return _shaped(total, t)
 
 
-def _huge_power_term(term, t):
-    """The table term at a t whose power t^(order-1) alone overflows a
-    float, from the logarithm of t^(order-1) * exp(pole*t): 0 when the
-    exponential underflows it, ExpOverflowError when the product
-    overflows."""
-    k = term.order
-    log_power = (k - 1) * math.log(t)
-    if log_power + term.pole.real * t > _EXP_GUARD:
-        raise ExpOverflowError(
-            f"t^{k - 1} * exp({term.pole.real * t:.1f}) overflows for pole "
-            f"{term.pole} at t={t}")
-    return (term.coefficient * np.exp(log_power + term.pole * t)
-            / math.factorial(k - 1))
+def _overflow_message(term, t, huge):
+    growth = f"exp({term.pole.real * t:.1f})"
+    if huge and term.pole.real * t <= _EXP_GUARD:
+        growth = f"t^{term.order - 1} * {growth}"
+    return f"{growth} overflows for pole {term.pole} at t={t}"
 
 
-def sl_inverse_split(st: SplitTransform, t: float) -> complex:
-    """Invert a split rational transform at time t.
+def sl_inverse_split(st: SplitTransform, t):
+    """Invert a split rational transform at time t, a float or an array
+    of them.
 
     Both sides must be strictly proper (the zero function counts).  The
     positive side g1 is inverted at t for t >= 0; the cs side g2 is
-    inverted at -t for t < 0.  Each side is decomposed once per
-    SplitTransform and the terms are reused at every later t.
+    inverted at -t for t < 0, in one table evaluation per side.  Each
+    side is decomposed once per SplitTransform and the terms are reused
+    at every later t.
 
     Raises ValueError for a non-finite t, PropernessError for a side
     that is not strictly proper and ExpOverflowError when a table term
-    overflows at t.
+    overflows at some t, naming the first such t.
     """
-    require_finite(t=t)
+    ts = _times(t)
     for label, g in (("g1", st.g1), ("g2", st.g2)):
         if not g.is_proper:
             raise PropernessError(
                 f"{label} = {g} is not strictly proper; the split "
                 "transform has no classical inverse")
-    if t >= 0:
-        return inverse_laplace_rational(st.g1_terms, t)
-    return inverse_laplace_rational(st.g2_terms, -t)
+    out = np.zeros(len(ts), dtype=complex)
+    neg = ts < 0
+    sides = [(~neg, "g1_terms", 1.0), (neg, "g2_terms", -1.0)]
+    if neg[:1].any():  # the side of the first t first, for its errors
+        sides.reverse()
+    for mask, terms, sign in sides:
+        if mask.any():
+            out[mask] = inverse_laplace_rational(getattr(st, terms),
+                                                 sign * ts[mask])
+    return _shaped(out, t)
 
 
 def sl_inverse_numeric_pair(F, x1: float, x2: float, t: float, A: float,

@@ -165,8 +165,8 @@ def criterion_split_inversion() -> CriterionResult:
     ]
     parts = []
     for text, f in cases:
-        st = parse_transform(text)
-        worst = max(abs(sl_inverse_split(st, t) - f(t)) for t in ts)
+        values = sl_inverse_split(parse_transform(text), ts)
+        worst = max(abs(v - f(t)) for v, t in zip(values.tolist(), ts))
         parts.append(Part(text, worst, 1e-12))
     return _finish("split_inversion", parts)
 
@@ -284,9 +284,10 @@ def criterion_ode_application() -> CriterionResult:
     cont = max(abs(y0p - y0m), abs(yp0p - yp0m), abs(y0p))
     worst_tr = max(ode_transform_check(2.0 + 0j, 1e-7),
                    ode_transform_check(3.0 + 1j, 1e-7))
-    st = parse_transform(ODE_TRANSFORM_TEXT)
-    worst_inv = max(abs(sl_inverse_split(st, t) - ode_solution(t))
-                    for t in (0.5, -0.5, 1.0, -1.0, 3.0, -3.0))
+    ts = (0.5, -0.5, 1.0, -1.0, 3.0, -3.0)
+    values = sl_inverse_split(parse_transform(ODE_TRANSFORM_TEXT), ts)
+    worst_inv = max(abs(v - ode_solution(t))
+                    for v, t in zip(values.tolist(), ts))
     return _finish("ode_application", [
         Part("residual on [-10,10]", worst_res, 1e-12),
         Part("continuity at 0", cont, 1e-12),

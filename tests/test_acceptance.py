@@ -143,3 +143,37 @@ def test_grid_rows_agree_with_single_points(name, freq):
         for y, v, e in zip(verify._GRID_Y, values, estimates):
             p = forward.sl_forward(f, SLPoint(x, x, float(y)), 1e-9)
             assert abs(v - p.value) <= e + p.abs_error_estimate, (x, y)
+
+
+def test_root_finding_horner_calls_are_pinned(monkeypatch):
+    # machine-independent: the Horner evaluations made inside each
+    # polynomial_roots call of one suite run.  Roots are found per
+    # denominator factor, so no call runs to the iteration cap of
+    # _ABERTH_ITERATIONS rounds (two evaluations each); the expanded ODE
+    # denominator (s-1)(s^2+1)^2 alone used to take 1000
+    from symlap import expr, inversion
+
+    counts = []
+    inside = [False]
+    horner = expr._horner
+    roots = inversion.polynomial_roots
+
+    def counted_horner(c, z):
+        if inside[0]:
+            counts[-1] += 1
+        return horner(c, z)
+
+    def counted_roots(p):
+        counts.append(0)
+        inside[0] = True
+        try:
+            return roots(p)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(expr, "_horner", counted_horner)
+    monkeypatch.setattr(inversion, "polynomial_roots", counted_roots)
+    verify.run_all()
+    assert len(counts) == 14
+    assert sum(counts) == 116
+    assert max(counts) == 16

@@ -8,12 +8,14 @@ from symlap.errors import (
     AccuracyError,
     ExpOverflowError,
     PropernessError,
+    RootFindingError,
     SymLapError,
 )
 from symlap.expr import evaluate_rational, parse_transform
 from symlap.forward import sl_forward
 from symlap.inversion import (
     PartialFractionTerm,
+    _reconstruction_gap,
     inverse_laplace_rational,
     partial_fractions,
     sl_inverse_numeric,
@@ -184,6 +186,32 @@ class TestSplitInversion:
         with pytest.raises(PropernessError):
             sl_inverse_split(parse_transform("2 + 1/s"), 1.0)
 
+    def test_time_array_is_the_single_times_elementwise(self):
+        st = parse_transform("1/2 * 1/(s-1) - 1/2 * s/(s^2+1) - 1/2 * "
+                             "1/(s^2+1) + 1/cs - cs/(cs^2+1)")
+        ts = np.linspace(-3.0, 3.0, 41)
+        values = sl_inverse_split(st, ts)
+        single = [sl_inverse_split(st, float(t)) for t in ts]
+        assert values.tobytes() == np.array(single).tobytes()
+
+    def test_time_array_keeps_its_shape(self):
+        st = parse_transform("1/s^2 - 1/cs^2")
+        ts = np.array([[-2.0, -0.5], [0.5, 2.0]])
+        values = sl_inverse_split(st, ts)
+        assert values.shape == (2, 2)
+        assert np.allclose(values, ts, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("ts", [[-400.0, 0.0, 400.0],
+                                    [400.0, 0.0, -400.0]])
+    def test_overflow_names_the_first_time_at_fault(self, ts):
+        st = parse_transform("1/(s-2) + 2/(cs-2)")
+        with pytest.raises(ExpOverflowError) as exc:
+            sl_inverse_split(st, ts)
+        with pytest.raises(ExpOverflowError) as first:
+            sl_inverse_split(st, ts[0])
+        assert str(exc.value) == str(first.value)
+        assert str(exc.value).endswith("at t=400.0")
+
     def test_roundtrip_against_forward_transform(self):
         # forward transform of the recovered signal matches the rational
         # transform it came from, at asymmetric points too
@@ -200,6 +228,59 @@ class TestSplitInversion:
                           + evaluate_rational(st.g2, complex(x2, -y)))
                 got = sl_forward(f, SLPoint(x1, x2, y), 1e-8).value
                 assert abs(got - target) <= 1e-6
+
+
+class TestRepeatedPoles:
+    """Poles of multiplicity 3 and up, which the root finder could not
+    resolve while it saw only the expanded denominator."""
+
+    @pytest.mark.parametrize("k", [3, 4, 20, 64])
+    def test_power_of_a_linear_factor(self, k):
+        st = parse_transform(f"1/(s+1)^{k}")
+        [term] = st.g1_terms
+        assert (term.pole, term.order) == (-1.0, k)
+        assert term.coefficient == pytest.approx(1.0, rel=1e-15)
+        ts = np.linspace(0.0, 3.0 * k, 61)
+        want = np.exp((k - 1) * np.log(ts[1:]) - ts[1:]
+                      - math.lgamma(k))
+        got = sl_inverse_split(st, ts)
+        assert got[0] == 0.0
+        assert np.allclose(got[1:], want, rtol=1e-12, atol=0.0)
+
+    def test_fourth_power_of_a_quadratic(self):
+        # sympy.inverse_laplace_transform(1/(s**2 + 1)**4, s, t)
+        def want(t):
+            return (t ** 3 * np.cos(t) / 48 - t ** 2 * np.sin(t) / 8
+                    - 5 * t * np.cos(t) / 16 + 5 * np.sin(t) / 16)
+
+        st = parse_transform("1/(s^2+1)^4")
+        assert sorted((t.order for t in st.g1_terms)) == [1, 1, 2, 2, 3, 3,
+                                                          4, 4]
+        ts = np.linspace(0.0, 20.0, 81)
+        assert np.max(np.abs(sl_inverse_split(st, ts) - want(ts))) <= 1e-12
+
+    def test_two_poles_of_order_20_are_rejected(self):
+        # exactly, the terms are (-1)^j C(19+j, j) / (s+1)^(20-j) and
+        # C(19+j, j) / (s+2)^(20-j), up to 3.5e10 in size.  They cancel
+        # to about 1e-22 on the check circle, and their sum in doubles
+        # misses f(1) = 1.1e-47 by 9.5e-7, so no decomposition is
+        # accurate enough to return
+        with pytest.raises(RootFindingError, match="failed validation"):
+            partial_fractions(parse_transform("1/((s+1)^20*(s+2)^20)").g1)
+
+    def test_straddled_cluster_is_rejected(self):
+        # one expanded cubic factor: Aberth leaves its triple root spread
+        # by about eps^(1/3), wider than the clustering window, and the
+        # three simple poles it would give carry residues near 1e10
+        with pytest.raises(RootFindingError, match="failed validation"):
+            partial_fractions(parse_transform("1/(s^3+3*s^2+3*s+1)").g1)
+
+    def test_shared_root_of_two_factors_merges(self):
+        # (s+1) and s^2+2s+1 share the root -1: one pole of order 3
+        [term] = parse_transform("1/((s+1)*(s^2+2*s+1))").g1_terms
+        assert term.order == 3
+        assert term.pole == pytest.approx(-1.0, abs=1e-8)
+        assert term.coefficient == pytest.approx(1.0, rel=1e-8)
 
 
 def closed_form_transform(name):
@@ -336,3 +417,65 @@ class TestNumericInversionPair:
         F = closed_form_transform("sign")
         with pytest.raises(AccuracyError, match=f"t={t}"):
             sl_inverse_numeric(F, x1, x2, t, 100.0, 1e-6)
+
+
+def _apart_terms(expr, s):
+    """{(pole, order): coefficient} of sympy.apart over the Gaussian
+    rationals, in exact arithmetic."""
+    import sympy
+
+    out = {}
+    for term in sympy.Add.make_args(sympy.apart(expr, s, extension=sympy.I)):
+        coef, rest = term.as_independent(s)
+        base, power = rest.as_base_exp()
+        b1, b0 = sympy.Poly(base, s).all_coeffs()
+        out[(-b0 / b1, -int(power))] = coef / b1 ** -power
+    return out
+
+
+@pytest.mark.parametrize("seed, top", [(61, 3), (61, 8), (61, 14), (61, 20),
+                                       (62, 20)])
+def test_partial_fractions_agree_with_sympy_apart(seed, top):
+    # num(s) / ((s - a)^top (s - b)^k ((s - al)^2 + be^2)^q), every number
+    # a multiple of 1/2, so the text and sympy state the same function
+    import sympy
+
+    rng = np.random.default_rng([seed, top])
+    s = sympy.Symbol("s")
+    a, b = (sympy.Rational(int(v), 2)
+            for v in rng.choice(np.arange(-4, 3), 2, replace=False))
+    al = sympy.Rational(int(rng.integers(-3, 2)), 2)
+    be = sympy.Rational(int(rng.integers(1, 5)), 2)
+    k, q = (int(v) for v in rng.integers(1, 4, 2))
+    num = [int(v) for v in rng.integers(-3, 4, 3)]
+    quad = [al ** 2 + be ** 2, -2 * al]
+    expr = (sum(c * s ** j for j, c in enumerate(num))
+            / ((s - a) ** top * (s - b) ** k
+               * (s ** 2 + quad[1] * s + quad[0]) ** q))
+    text = (f"({num[0]} + {num[1]}*s + {num[2]}*s^2)/((s-({float(a)}))^{top}"
+            f"*(s-({float(b)}))^{k}*(s^2+({float(quad[1])})*s"
+            f"+{float(quad[0])})^{q})")
+    exact = _apart_terms(expr, s)
+    r = parse_transform(text).g1
+    try:
+        terms = partial_fractions(r)
+    except RootFindingError:
+        # a rejection must come from rounding the decomposition cannot
+        # avoid: the exact terms, rounded to doubles, rebuild the
+        # function no better than a tenth of the 1e-10 allowance
+        rounded = [PartialFractionTerm(complex(p), order, complex(c))
+                   for (p, order), c in exact.items()]
+        assert _reconstruction_gap(r, rounded) > 1e-11
+        return
+    poles = {t.pole for t in terms}
+    assert len(poles) == len({p for p, _ in exact}) == 4
+    for pole in {p for p, _ in exact}:
+        near = min(poles, key=lambda z: abs(z - complex(pole)))
+        assert abs(near - complex(pole)) <= 1e-12 * (1 + abs(near))
+        want = {order: complex(c) for (p, order), c in exact.items()
+                if p == pole}
+        got = {t.order: t.coefficient for t in terms if t.pole == near}
+        size = max(abs(c) for c in want.values())
+        for order in set(want) | set(got):
+            assert abs(got.get(order, 0) - want.get(order, 0)) \
+                <= 1e-10 * size, (pole, order)
