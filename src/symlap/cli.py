@@ -32,7 +32,7 @@ from .errors import (
     PropernessError,
     RootFindingError,
 )
-from .expr import evaluate_rational, parse_transform
+from .expr import parse_transform
 from .forward import sl_forward_values
 from .inversion import sl_inverse_numeric_pair, sl_inverse_split
 
@@ -70,14 +70,8 @@ def invert_csv(expr_text: str, ts) -> str:
 
 def invert_numeric_csv(expr_text: str, x1: float, x2: float, t: float,
                        A: float, tol: float) -> str:
-    st = parse_transform(expr_text)
-
-    def F(a1, a2, y):
-        y = np.asarray(y)
-        return (evaluate_rational(st.g1, a1 + 1j * y)
-                + evaluate_rational(st.g2, a2 - 1j * y))
-
-    full, half = sl_inverse_numeric_pair(F, x1, x2, t, A, tol)
+    full, half = sl_inverse_numeric_pair(parse_transform(expr_text), x1, x2,
+                                         t, A, tol)
     sens = abs(full - half)
     return ("t,re,im,a_sensitivity\n"
             f"{float(t)!r},{full.real!r},{full.imag!r},{sens!r}\n")

@@ -252,6 +252,14 @@ class RationalFunction:
     def den_degree(self) -> int:
         return sum(f.degree * m for f, m in self.denf.values())
 
+    @cached_property
+    def is_real(self) -> bool:
+        """Whether every coefficient is real, so that r(conj z) is
+        conj r(z)."""
+        return self.scale.imag == 0 and not any(
+            f.coef.imag.any()
+            for f, _ in (*self.numf.values(), *self.denf.values()))
+
     def constant_value(self) -> complex:
         return self.scale
 
@@ -361,6 +369,12 @@ class SplitTransform:
         from .inversion import partial_fractions
 
         return partial_fractions(self.g2)
+
+    @property
+    def is_real(self) -> bool:
+        """Whether both sides have real coefficients, so that the signal
+        is real and F(x1, x2, -y) = conj F(x1, x2, y)."""
+        return self.g1.is_real and self.g2.is_real
 
     def pretty(self) -> str:
         if self.g2.is_zero:
@@ -639,7 +653,8 @@ def evaluate_rational(r: RationalFunction, z):
 def polynomial_roots(p: Polynomial):
     """All complex roots of p with multiplicities, as (root, count) pairs.
 
-    Uses the Aberth-Ehrlich simultaneous iteration (no companion
+    A linear p has the one root -c0/c1, returned directly.  Otherwise
+    uses the Aberth-Ehrlich simultaneous iteration (no companion
     matrix), clusters iterates closer than _CLUSTER_TOL into a single
     root with summed multiplicity, and polishes each cluster with the
     multiplicity-aware Newton step.  Multiplicities always sum to the
@@ -649,6 +664,8 @@ def polynomial_roots(p: Polynomial):
     if deg < 1:
         raise ValueError("need a polynomial of degree >= 1")
     monic = p.coef / p.coef[-1]
+    if deg == 1:
+        return [(complex(0.0 - monic[0]), 1)]
     dcoef = _derivative(monic)
     scale = max(1.0, float(np.max(np.abs(monic))))
 

@@ -14,7 +14,11 @@ which converges to the jump midpoint (f(t+) + f(t-))/2 as A grows.  A is
 a caller-supplied truncation; transforms of jump signals decay only like
 1/y, so no absolute certificate at fixed A is possible and callers judge
 truncation by comparing the values at A and A/2, which
-sl_inverse_numeric_pair reads off one set of quadrature panels.
+sl_inverse_numeric_pair reads off one set of quadrature panels on
+[0, A].  A SplitTransform with real coefficients, the transform of a
+real signal, has F(x1, x2, -y) = conj F(x1, x2, y): it is evaluated at
+y >= 0 only and reconstructs with an imaginary part of exactly 0.0.
+Any other input is evaluated at +-y.
 """
 
 from __future__ import annotations
@@ -35,9 +39,11 @@ from .expr import (
     RationalFunction,
     SplitTransform,
     _cluster,
+    evaluate_rational,
     polynomial_roots,
 )
 from .quadrature import (
+    Hermitian,
     finite_oscillatory_integral,
     require_finite,
     require_positive,
@@ -260,17 +266,39 @@ def sl_inverse_split(st: SplitTransform, t):
     return _shaped(out, t)
 
 
+def _on_line(F, x1: float, x2: float):
+    """F(x1, x2, y) as the integrand of finite_oscillatory_integral.
+
+    A SplitTransform evaluates g1(x1 + i*y) + g2(x2 - i*y).  When all
+    its coefficients are real it is the transform of a real signal, its
+    values at -y the conjugates of those at y, and it goes in as a
+    Hermitian, evaluated at y >= 0 only.  Any other SplitTransform or
+    callable goes in as it is and is evaluated at +-y.
+    """
+    if not isinstance(F, SplitTransform):
+        return lambda y: F(x1, x2, y)
+
+    def on_line(y):
+        return (evaluate_rational(F.g1, x1 + 1j * y)
+                + evaluate_rational(F.g2, x2 - 1j * y))
+
+    return Hermitian(on_line) if F.is_real else on_line
+
+
 def sl_inverse_numeric_pair(F, x1: float, x2: float, t: float, A: float,
                             tol: float) -> tuple[complex, complex]:
     """Fourier-integral reconstruction of the signal behind F at time t,
     truncated at A and at A/2.
 
-    F must accept (x1, x2, y) with y a numpy array and return the
-    transform values on that grid.  Both values approximate the jump
-    midpoint (f(t+) + f(t-))/2 and come from one set of quadrature
-    panels; the discretization error of each is held below tol while
-    truncation in A remains the caller's concern (their difference
-    gauges it).
+    F is a SplitTransform, or a callable that accepts (x1, x2, y) with y
+    a numpy array and returns the transform values on that grid.  Both
+    values approximate the jump midpoint (f(t+) + f(t-))/2 and come from
+    one set of quadrature panels on [0, A]; the discretization error of
+    each is held below tol while truncation in A remains the caller's
+    concern (their difference gauges it).  A SplitTransform with real
+    coefficients is evaluated at y >= 0 only and its values are real,
+    their imaginary part exactly 0.0; any other F is evaluated at +-y
+    (_on_line, quadrature._symmetric_parts).
 
     Raises ValueError for a non-finite or non-positive tol or A, or a
     non-finite x1, x2 or t, and AccuracyError when the prefactor
@@ -284,8 +312,7 @@ def sl_inverse_numeric_pair(F, x1: float, x2: float, t: float, A: float,
             f"prefactor exp(x*t) overflows at x={x}, t={t}")
     prefactor = math.exp(x * t)
     inner_tol = tol / max(prefactor, 1.0)
-    res = finite_oscillatory_integral(lambda y: F(x1, x2, y), t, A,
-                                      inner_tol)
+    res = finite_oscillatory_integral(_on_line(F, x1, x2), t, A, inner_tol)
     return prefactor * res.value, prefactor * res.half_value
 
 

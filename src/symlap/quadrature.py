@@ -63,10 +63,14 @@ on the adaptive path with the phase bound (|y| + |osc|)*T; refinement
 never tests against it.
 
 finite_oscillatory_integral, the Fourier integral behind numeric
-inversion, is factored the same way in t: one uniform pass at one
-oscillation per panel, where the model predicts phi(pi) ~ 8e-9 of the
-panel's integral of |F|, after which over-budget panels are bisected in
-place by the same refinement loop the adaptive path uses.
+inversion, is factored the same way in t and runs on [0, A] only: for a
+conjugate-symmetric H (H(-y) = conj H(y), the transform of a real
+signal) the integral over [-A, A] is 2*Re of the integral over [0, A],
+and any other F is split into two such parts (_symmetric_parts).  One
+uniform pass at one oscillation per panel, where the model predicts
+phi(pi) ~ 8e-9 of the panel's integral of |F|, is followed by bisection
+in place of the panels over budget, by the same refinement loop the
+adaptive path uses.
 
 Integrands must accept a 1-d numpy float array and return an array of
 values (complex or real).  Panels are kept in ascending position order
@@ -77,6 +81,7 @@ matter how the work would be scheduled.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 
@@ -161,6 +166,12 @@ _SOLO_ZGEMV = 2 ** 12
 # the t_j = y*h*x_j of the first 8 nodes
 _PAIRED = np.array([np.repeat(w[:8], 2)[:15] for w in (_WGK, _WGK - _WG)])
 _IXGK8 = 1j * _XGK[:8]
+# Kronrod and Kronrod-minus-Gauss weights as a real 30 x 4 matrix: the
+# real and imaginary parts of 15 complex node values in, the real and
+# imaginary parts of K and K - G out
+_KG_REAL = np.zeros((30, 4))
+_KG_REAL[0::2, 0] = _KG_REAL[1::2, 1] = _WGK
+_KG_REAL[0::2, 2] = _KG_REAL[1::2, 3] = _WGK - _WG
 
 
 @dataclass(frozen=True)
@@ -231,8 +242,10 @@ def _adaptive(f, a, b, n0, tol, phase=0.0):
     """
     grid = np.linspace(a, b, n0 + 1)
     lefts, rights = grid[:-1], grid[1:]
-    k, e, m = _panel_estimates(f, lefts, rights)
-    _, _, k, e, m, evals = _refine(f, lefts, rights, k, e, m, tol, 15 * n0)
+    panels = functools.partial(_panel_estimates, f)
+    k, e, m = panels(lefts, rights)
+    _, _, k, e, m, evals = _refine(panels, lefts, rights, k, e, m, tol,
+                                   15 * n0)
     return (complex(k.sum()), float(e.sum()),
             _rounding(math.ceil(math.log2(evals)), m.sum(), phase), evals)
 
@@ -245,14 +258,16 @@ def _rounding(depth, magnitude, phase=0.0):
     return _EPS * magnitude * (depth + phase + 2.0)
 
 
-def _refine(f, lefts, rights, k, e, m, tol, evals):
+def _refine(panels, lefts, rights, k, e, m, tol, evals, cost=15):
     """Bisect panels until their |K - G| sum is at most tol.
 
     lefts, rights, k, e and m describe the panels (Kronrod values, error
     estimates and Kronrod sums of |f|) and evals counts the evaluations
-    spent on them so far.  Returns the refined (lefts, rights, k, e, m,
-    evals).  A round that would take evals past MAX_EVALUATIONS is not
-    started: AccuracyError carries the best value and estimate instead.
+    spent on them so far.  panels(lefts, rights) returns k, e and m of
+    new panels at cost evaluations each.  Returns the refined (lefts,
+    rights, k, e, m, evals).  A round that would take evals past
+    MAX_EVALUATIONS is not started: AccuracyError carries the best value
+    and estimate instead.
     Refinement never tests against rounding.  Panels stay
     sorted by position and a split panel is replaced in place by its two
     halves, so existing panel edges survive; each round bisects every
@@ -264,17 +279,17 @@ def _refine(f, lefts, rights, k, e, m, tol, evals):
         if not mask.any():
             mask = e == e.max()
         n = int(mask.sum())
-        if evals + 30 * n > MAX_EVALUATIONS:
+        if evals + 2 * cost * n > MAX_EVALUATIONS:
             raise AccuracyError(
                 f"refinement budget exhausted ({evals} evaluations, the "
-                f"next round needs {30 * n} more); best "
+                f"next round needs {2 * cost * n} more); best "
                 f"estimate error {e.sum():.3e} > tol {tol:.3e}",
                 value=complex(k.sum()), abs_error_estimate=float(e.sum()))
         mids = (lefts[mask] + rights[mask]) / 2.0
         # both halves of every split panel in one call: left halves first
-        kh, eh, mh = _panel_estimates(f, np.concatenate([lefts[mask], mids]),
-                                      np.concatenate([mids, rights[mask]]))
-        evals += 30 * n
+        kh, eh, mh = panels(np.concatenate([lefts[mask], mids]),
+                            np.concatenate([mids, rights[mask]]))
+        evals += 2 * cost * n
         # rebuild the panel list in position order, split panels in place
         counts = np.where(mask, 2, 1)
         pos = np.cumsum(counts) - counts
@@ -537,22 +552,90 @@ def laplace_grid(piece, bound: ExponentialOrderBound, x: float, ys,
     return values, estimates
 
 
+class Hermitian:
+    """A function H of y with H(-y) = conj(H(y)), the Fourier transform
+    of a real signal: finite_oscillatory_integral evaluates H at y >= 0
+    only.  H accepts a 1-d numpy float array."""
+
+    __slots__ = ("H",)
+
+    def __init__(self, H):
+        self.H = H
+
+
+def _symmetric_parts(F):
+    """F as conjugate-symmetric parts on y >= 0: a function of y
+    returning one row per part, and the evaluations of F per node.
+
+    A Hermitian is its own part.  Any other F is split into
+    H1 = (F(y) + conj F(-y))/2 and H2 = (F(y) - conj F(-y))/(2i), the
+    transforms of the real and imaginary parts of the signal, so that
+    F = H1 + i*H2; both come from one call of F on the nodes and their
+    mirror images.
+    """
+    if isinstance(F, Hermitian):
+        return (lambda y: _finite(F.H(y))[None]), 1
+
+    def parts(y):
+        v = _finite(F(np.concatenate([y, -y])))
+        right, left = v[:y.size], np.conj(v[y.size:])
+        return np.stack([(right + left) / 2.0, (right - left) * -0.5j])
+
+    return parts, 2
+
+
+def _half_range_panels(parts, t, mids, half):
+    """The panels centred at mids, of half-width half (one float, or one
+    per panel), for the integral of H(y)*exp(i*y*t) over [-A, A] with H
+    given by its conjugate-symmetric parts on [0, A].
+
+    With K_k a part's Kronrod value on a panel, the panel and its mirror
+    image add 2*Re(K_1) + 2i*Re(K_2).  Returns those sums, the panels'
+    |K - G| summed over the parts (half the mirrored pair's) and twice
+    their Kronrod sums of |H_k|, the scale of the rounding.  The phase
+    factors as exp(i*t*y) = exp(i*t*c) * exp(i*t*h*x_j) at the nodes of
+    a panel with midpoint c and half-width h, and the panel phase drops
+    out of |K - G|.
+    """
+    offsets = np.multiply.outer(half, _XGK)
+    vals = parts((mids[:, None] + offsets).ravel()).reshape(-1, mids.size,
+                                                            15)
+    # rows of node values times phases, read as reals, meet the Kronrod
+    # and Kronrod-minus-Gauss weights in real products of inner
+    # dimension 30, each below OpenBLAS's helper-thread size
+    rows = (vals * np.exp(1j * t * offsets)).reshape(-1, 15).view(float)
+    step = _SOLO_DGEMM // _KG_REAL.size
+    sums = np.concatenate([rows[i:i + step] @ _KG_REAL
+                           for i in range(0, len(rows), step)])
+    sums = sums.view(complex).reshape(-1, mids.size, 2)
+    k = (half * np.exp(1j * t * mids)) * sums[..., 0]
+    e = half * np.abs(sums[..., 1]).sum(axis=0)
+    m = 2.0 * half * np.einsum("qpj,j->p", np.abs(vals), _WGK)
+    value = (2.0 * k[0].real).astype(complex)
+    if len(k) == 2:
+        value.imag = 2.0 * k[1].real
+    return value, e, m
+
+
 def finite_oscillatory_integral(F, t: float, A: float,
                                 tol: float) -> OscillatoryResult:
     """(1/2pi) * integral of F(y)*exp(i*y*t) over [-A, A], and over
     [-A/2, A/2] from the same panels.
 
-    One uniform GK15 pass over panels one oscillation of the kernel
-    wide, min(4, 2pi/(|t|+1)), their number a multiple of 4 so that
-    +-A/2 are panel edges.  With panel midpoints c_p and half-width h,
-    exp(i*t*y) = exp(i*t*c_p) * exp(i*t*h*x_j) at the nodes, so one
-    15-vector w_j * exp(i*t*h*x_j) is contracted against the panel
-    values of F; the Kronrod-minus-Gauss weights give each panel's
-    |K - G| the same way (the panel phase drops out of the modulus).
-    Panels over their share of the budget, typically near poles of F
-    close to the real axis, are bisected in place, which keeps +-A/2 as
-    edges: half_value is the sum over the inner panels, and their
-    |K - G| sum is part of abs_error_estimate.
+    F is a Hermitian, evaluated at y >= 0 only, or any callable on a 1-d
+    numpy float array, evaluated at +-y and split into the parts H1 and
+    H2 with F = H1 + i*H2 (_symmetric_parts).  One pass over [0, A]
+    serves both: the value is 2*Re(I1) + 2i*Re(I2), I_k the integral of
+    H_k(y)*exp(i*y*t) over [0, A].
+
+    The pass is uniform GK15 over [0, A] with panels one oscillation of
+    the kernel wide, min(4, 2pi/(|t|+1)), their number even so that A/2
+    is a panel edge.  Panels over their share of the budget, typically
+    near poles of F close to the real axis, are bisected in place, which
+    keeps A/2 as an edge: half_value is the sum over the panels below
+    it, and their |K - G| sum is part of abs_error_estimate.  The
+    estimate is 2 * sum |K - G| over [0, A] plus the rounding
+    allowance, over 2pi, so refinement runs to a sum of tol*pi.
 
     The error estimate covers discretization and rounding only;
     truncation in A is the caller's concern.  Raises ValueError for a
@@ -560,32 +643,25 @@ def finite_oscillatory_integral(F, t: float, A: float,
     """
     require_positive(A=A, tol=tol)
     require_finite(t=t)
-
-    def g(y):
-        return np.asarray(F(y), dtype=complex) * np.exp(1j * t * y)
-
+    parts, per_node = _symmetric_parts(F)
     width = min(4.0, 2.0 * math.pi / (abs(t) + 1.0))
-    n0 = 4 * math.ceil(A / (2.0 * width))
-    if 15 * n0 > MAX_EVALUATIONS:
+    n = 2 * math.ceil(A / (2.0 * width))
+    cost = 15 * per_node  # evaluations of F per panel
+    if cost * n > MAX_EVALUATIONS:
         raise AccuracyError(
-            f"budget cannot resolve the oscillation: {n0} initial panels "
-            f"need {15 * n0} evaluations (> {MAX_EVALUATIONS})")
-    half = A / n0
-    edges = -A + 2.0 * half * np.arange(n0 + 1)
-    lefts, rights = edges[:-1], edges[1:]
-    mids = lefts + half
-    vals = _finite(F((mids[:, None] + half * _XGK).ravel())).reshape(n0, 15)
-    kernel = np.exp(1j * t * half * _XGK)
-    k = half * np.exp(1j * t * mids) * np.einsum(
-        "pj,j->p", vals, _WGK * kernel)
-    e = half * np.abs(np.einsum("pj,j->p", vals, (_WGK - _WG) * kernel))
-    m = half * np.einsum("pj,j->p", np.abs(vals), _WGK)
+            f"budget cannot resolve the oscillation: {n} initial panels "
+            f"need {cost * n} evaluations (> {MAX_EVALUATIONS})")
+    half = A / (2 * n)
+    edges = 2.0 * half * np.arange(n + 1)
+    k, e, m = _half_range_panels(parts, t, edges[:-1] + half, half)
+    lefts, rights, k, e, m, evals = _refine(
+        lambda lo, hi: _half_range_panels(parts, t, (lo + hi) / 2.0,
+                                          (hi - lo) / 2.0),
+        edges[:-1], edges[1:], k, e, m, tol * math.pi, cost * n, cost)
+    inner = rights <= edges[n // 2]
+    estimate = 2.0 * e.sum() + _rounding(math.ceil(math.log2(evals)),
+                                         m.sum(), abs(t) * A)
     two_pi = 2.0 * math.pi
-    lefts, rights, k, e, m, evals = _refine(g, lefts, rights, k, e, m,
-                                            tol * two_pi, 15 * n0)
-    inner = (lefts >= edges[n0 // 4]) & (rights <= edges[3 * n0 // 4])
-    estimate = e.sum() + _rounding(math.ceil(math.log2(evals)), m.sum(),
-                                   abs(t) * A)
     return OscillatoryResult(complex(k.sum()) / two_pi,
                              float(estimate) / two_pi, A, evals,
                              complex(k[inner].sum()) / two_pi)

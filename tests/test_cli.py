@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from symlap.cli import forward_csv, grid_points, main
+from symlap.cli import forward_csv, grid_points, invert_numeric_csv, main
 from symlap.core import CATALOG_NAMES, catalog_signal
 from symlap.errors import DivergenceError
 from symlap.forward import sl_forward_grid
@@ -167,6 +167,33 @@ def test_invert_numeric_midpoint():
                  "--x2", "1", "--t", "0", "--A", "1000", "--tol", "1e-6")
     _, re, im, _ = map(float, cp.stdout.strip().splitlines()[1].split(","))
     assert abs(re) <= 5e-3
+
+
+@pytest.mark.parametrize("expr", ["1/s - 1/cs", "(1+i)*(1-i)/(s+2)^2",
+                                  "0.57/(s+1.85) + 1.81/(cs+1.0)"])
+def test_invert_numeric_of_a_real_expression_prints_a_zero_im(expr):
+    # real coefficients: a real signal, integrated over [0, A] as 2*Re
+    cp = run_cli("invert-numeric", "--expr", expr, "--x1", "0.5", "--x2",
+                 "0.5", "--t", "-1.5", "--A", "250")
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout.splitlines()[1].split(",")[2] == "0.0"
+
+
+@pytest.mark.parametrize("t", [-2.0, -0.5, 0.5, 1.5, 3.0])
+@pytest.mark.parametrize("A", [250.0, 1000.0])
+def test_invert_numeric_of_a_complex_expression(t, A):
+    # f = (1+i)exp(-t) for t > 0 and -exp(2t) for t < 0: the real and
+    # imaginary parts come from the transforms of Re f and Im f.
+    # Truncation: |J|/(pi*A*|t|) for the jump J = 2 + i at 0, plus at
+    # most 4/(pi*A) from the 1/y^2 remainder, times the prefactor
+    x1, x2 = 0.4, 0.5
+    row = invert_numeric_csv("(1+i)/(s+1) - 1/(cs+2)", x1, x2, t, A, 1e-8)
+    _, re, im, _ = map(float, row.splitlines()[1].split(","))
+    f = (1 + 1j) * math.exp(-t) if t > 0 else -math.exp(2.0 * t)
+    allow = ((abs(2 + 1j) / abs(t) + 4.0) * math.exp(max(x1 * t, -x2 * t))
+             / (math.pi * A))
+    assert abs(re - f.real) <= allow
+    assert abs(im - f.imag) <= allow
 
 
 @pytest.mark.parametrize("bad,code", [

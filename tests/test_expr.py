@@ -190,6 +190,14 @@ class TestRoots:
             assert np.max(np.abs(rec - monic)
                           / np.maximum(1.0, np.abs(monic))) <= 1e-9
 
+    @pytest.mark.parametrize("coef", [[2.0, 1.0], [-0.5, 4.0], [0.0, 1.0],
+                                      [3 + 1j, 2 - 1j], [1e-300, 1.0]])
+    def test_linear_root_without_iteration(self, coef):
+        # -c0/c1 directly, with no iteration
+        [(root, mult)] = polynomial_roots(Polynomial(coef))
+        assert mult == 1
+        assert root == 0.0 - coef[0] / coef[1]
+
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
             polynomial_roots(Polynomial([3.0]))
@@ -325,6 +333,15 @@ def test_polynomial_taylor_shift():
 def test_rational_function_requires_nonzero_denominator():
     with pytest.raises(ExprError):
         RationalFunction(Polynomial([1.0]), Polynomial([0.0]))
+
+
+@pytest.mark.parametrize("text,real", [
+    ("1/s - 1/cs", True), ("0.57/(s+1.85) + 1.81/(cs+1.0)^2", True),
+    ("(1+i)*(1-i)/(s+2)", True), ("i*i/s", True), ("0", True),
+    ("(1+i)/(s+1) - 1/(cs+2)", False), ("1/(s-i)", False),
+    ("1/s + i/cs", False)])
+def test_real_coefficients_are_read_off_both_sides(text, real):
+    assert parse_transform(text).is_real is real
 
 
 def test_monic_normalization():

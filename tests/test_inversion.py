@@ -399,11 +399,13 @@ class TestNumericInversionPair:
             with pytest.raises(ValueError, match=field):
                 fn(F, **args)
 
-    @pytest.mark.parametrize("t", [20.0, 30.0])
+    @pytest.mark.parametrize("t", [25.0, 30.0])
     def test_failing_call_stays_inside_the_evaluation_budget(self, t):
         # tol / exp(x*t) lies below the rounding floor of the panel sums,
         # so refinement cannot succeed; the round that would overshoot
-        # MAX_EVALUATIONS is never started
+        # MAX_EVALUATIONS is never started.  Refined panels factor their
+        # phase like the uniform pass, which took the floor of the |K - G|
+        # sum from about 1e-12 to 4e-16, so t = 20 now converges
         F, calls = counting(closed_form_transform("sign"))
         with pytest.raises(AccuracyError, match="budget exhausted") as exc:
             sl_inverse_numeric(F, 1.0, 1.0, t, 1000.0, 1e-6)

@@ -6,11 +6,14 @@ import pytest
 from _oracles import simpson
 from symlap.core import ExponentialOrderBound
 from symlap.errors import AccuracyError, DivergenceError
+from symlap.expr import parse_transform
+from symlap.inversion import _on_line
 from symlap.quadrature import (
     _PHI,
     _WG,
     _WGK,
     _XGK,
+    Hermitian,
     _block_phased_sum,
     _tail_bound,
     finite_oscillatory_integral,
@@ -237,6 +240,23 @@ def test_inversion_evaluation_counts_are_pinned(t, evaluations):
     assert r.evaluations == evaluations
 
 
+@pytest.mark.parametrize("t,evaluations", [(0.0, 3780), (2.0, 7200),
+                                           (3.75, 11340)])
+def test_real_split_evaluation_counts_are_pinned(t, evaluations):
+    # the sign signal's SplitTransform has real coefficients, so it is a
+    # Hermitian evaluated at y >= 0 only: half the callable's count
+    H = _on_line(parse_transform("1/s - 1/cs"), 1.0, 1.0)
+    assert isinstance(H, Hermitian)
+    sizes = []
+
+    def counted(y):
+        sizes.append(y.size)
+        return H.H(y)
+
+    r = finite_oscillatory_integral(Hermitian(counted), t, 1000.0, 1e-6)
+    assert r.evaluations == sum(sizes) == evaluations
+
+
 def test_refinement_evaluates_each_round_in_one_call():
     # both halves of a round's split panels go to F together: 6 rounds of
     # 2 panels each after the initial pass, where two calls per round
@@ -252,18 +272,50 @@ def test_refinement_evaluates_each_round_in_one_call():
     assert r.evaluations == 1140
 
 
-@pytest.mark.parametrize("case", range(10))
+# SplitTransforms of the certificate sweep: two with real coefficients,
+# which enter the kernel as a Hermitian, and two with complex ones,
+# which are split into the transforms of Re f and Im f
+_SPLITS = ("1/s - 1/cs", "1/(s+0.5)^2 + 1/(cs+1)",
+           "(1+i)/(s+1) - 1/(cs+2)", "1/(s-i) + i/cs")
+
+
+def _mp_split(text):
+    """The SplitTransform of text as F(x1, x2, y) for mpmath numbers."""
+    import mpmath
+
+    st = parse_transform(text)
+
+    def rational(r, z):
+        def poly(p):
+            return mpmath.polyval([mpmath.mpc(complex(c))
+                                   for c in p.coef[::-1]], z)
+        return poly(r.num) / poly(r.den)
+
+    return lambda x1, x2, y: (rational(st.g1, x1 + 1j * y)
+                              + rational(st.g2, x2 - 1j * y))
+
+
+@pytest.mark.parametrize("case", range(16))
 def test_certificate_holds_at_one_oscillation_per_panel(case):
     # seeded sweep against mpmath at 30 digits, split at the initial
-    # panel edges; both the [-A, A] and the [-A/2, A/2] value
+    # panel edges; both the [-A, A] and the [-A/2, A/2] value.  Cases
+    # 0-9 are callables, 10-15 SplitTransforms as sl_inverse_numeric_pair
+    # passes them to the kernel
     import mpmath
     rng = np.random.default_rng([31, case])
     x1, x2 = rng.uniform(0.05, 1.0, 2)
     t = float(rng.uniform(-4.0, 4.0))
     A = float(rng.uniform(10.0, 200.0))
     tol = 10.0 ** -int(rng.integers(6, 11))
-    F = (_jump, _two_pole)[case % 2]
-    r = finite_oscillatory_integral(lambda y: F(x1, x2, y), t, A, tol)
+    if case < 10:
+        F = (_jump, _two_pole)[case % 2]
+        integrand = lambda y: F(x1, x2, y)
+    else:
+        text = _SPLITS[case % 4]
+        F = _mp_split(text)
+        integrand = _on_line(parse_transform(text), x1, x2)
+        assert isinstance(integrand, Hermitian) == (case % 4 < 2)
+    r = finite_oscillatory_integral(integrand, t, A, tol)
     n0 = 4 * math.ceil(A / (2.0 * min(4.0, 2.0 * math.pi / (abs(t) + 1.0))))
     edges = -A + (2.0 * A / n0) * np.arange(n0 + 1)
     with mpmath.workdps(30):
