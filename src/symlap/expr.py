@@ -132,21 +132,17 @@ class Polynomial:
         return f"Polynomial({list(self.coef)})"
 
 
-def _factor_key(f: Polynomial) -> bytes:
-    """The dictionary key of a monic factor: its coefficient bytes, with
-    every zero made positive so that the sign of a zero does not tell
-    two factors apart."""
-    return (f.coef + 0.0).tobytes()
-
-
 def _factored(p: Polynomial):
     """(lead, factors) with p = lead * the one monic factor; a constant
-    p has no factor, the zero polynomial has lead 0."""
+    p has no factor, the zero polynomial has lead 0.  Every zero of the
+    factor's coefficients is made positive, so that the sign of a zero
+    does not tell two factors apart: the coefficient bytes are the
+    factor's dictionary key."""
     if p.degree < 1:
         return complex(p.coef[0]), {}
     lead = p.coef[-1]
-    f = p if lead == 1 else Polynomial(p.coef / lead)
-    return complex(lead), {_factor_key(f): (f, 1)}
+    f = Polynomial((p.coef if lead == 1 else p.coef / lead) + 0.0)
+    return complex(lead), {f.coef.tobytes(): (f, 1)}
 
 
 def _merged(a: dict, b: dict) -> dict:
@@ -157,12 +153,14 @@ def _merged(a: dict, b: dict) -> dict:
     return out
 
 
-def _expanded(factors: dict) -> Polynomial:
-    out = Polynomial([1])
-    for f, m in factors.values():
+def _expanded(pairs) -> Polynomial:
+    """The product of the factors f of the (f, m) pairs, each m times;
+    the empty product is 1."""
+    out = None
+    for f, m in pairs:
         for _ in range(m):
-            out = out * f
-    return out
+            out = f if out is None else out * f
+    return Polynomial([1]) if out is None else out
 
 
 class RationalFunction:
@@ -176,8 +174,12 @@ class RationalFunction:
     A sum goes over the least common multiple of the two denominators
     (the larger multiplicity of each shared factor), and its numerator
     becomes one new factor.  Factors that are exactly equal in numerator
-    and denominator cancel.  num and den are the expanded polynomials,
-    den monic, derived on first use.
+    and denominator cancel.
+
+    num and den are the expanded polynomials, den monic, derived on
+    first use and kept: sums expand the numerators of their terms, and
+    to_text prints both.  Evaluation never needs them; evaluate_rational
+    goes by the factors.
     """
 
     def __init__(self, num: Polynomial, den: Polynomial):
@@ -215,11 +217,11 @@ class RationalFunction:
     def num(self) -> Polynomial:
         if not self.numf:
             return Polynomial([self.scale])
-        return _expanded(self.numf) * self.scale
+        return _expanded(self.numf.values()) * self.scale
 
     @cached_property
     def den(self) -> Polynomial:
-        return _expanded(self.denf)
+        return _expanded(self.denf.values())
 
     @classmethod
     def const(cls, c) -> "RationalFunction":
@@ -284,11 +286,19 @@ class RationalFunction:
         for key, (f, m) in other.denf.items():
             if key not in lcm or lcm[key][1] < m:
                 lcm[key] = (f, m)
-        a, b = (r.num * _expanded({key: (f, m - r.denf.get(key, (f, 0))[1])
-                                   for key, (f, m) in lcm.items()})
-                for r in (self, other))
+        a, b = (r._over(lcm) for r in (self, other))
         lead, numf = _factored(op(a, b))
         return RationalFunction._of(lead, numf, lcm)
+
+    def _over(self, lcm: dict) -> Polynomial:
+        """The numerator of self written over the denominator lcm: num
+        times the factors of lcm that den lacks, num itself when it
+        lacks none."""
+        lacking = [(f, m - self.denf.get(key, (f, 0))[1])
+                   for key, (f, m) in lcm.items()]
+        if not any(k for _, k in lacking):
+            return self.num
+        return self.num * _expanded(lacking)
 
     def __neg__(self):
         return RationalFunction._of(-self.scale, self.numf, self.denf)
@@ -634,16 +644,41 @@ _ABERTH_ITERATIONS = 500
 _CLUSTER_TOL = 1e-8
 
 
+def _factors_at(factors: dict, z):
+    """prod f(z)^m over the factors, or None for the empty product.  A
+    monic linear factor costs one addition, z + c0; any other factor is
+    evaluated by Horner's rule."""
+    out = None
+    for f, m in factors.values():
+        c = f.coef
+        v = z + c[0] if len(c) == 2 and c[1] == 1 else _horner(c, z)
+        if m > 1:
+            v = v ** m
+        out = v if out is None else out * v
+    return out
+
+
 def evaluate_rational(r: RationalFunction, z):
-    """num(z)/den(z) by Horner evaluation; accepts scalars or arrays.
+    """r(z) from the factors of r: r.scale * prod f(z)^m over the
+    numerator factors, divided by prod g(z)^n over the denominator
+    factors (_factors_at); accepts scalars or arrays.
+
+    Each factor is evaluated on its own, so the value keeps its digits
+    next to a repeated pole, where the expanded denominator would lose
+    them to cancellation.
 
     Raises PoleError when the denominator magnitude falls below the
     underflow guard at any requested point.
     """
-    den = r.den(z)
-    if np.min(np.abs(den)) < _POLE_GUARD:
+    den = _factors_at(r.denf, z)
+    if den is not None and np.min(np.abs(den)) < _POLE_GUARD:
         raise PoleError(f"evaluation at a pole of {r}")
-    out = r.num(z) / den
+    num = _factors_at(r.numf, z)
+    out = r.scale if num is None else r.scale * num
+    if den is not None:
+        out = out / den
+    elif num is None:  # a constant, in the shape of z
+        out = out + 0.0 * np.asarray(z)
     return complex(out) if np.ndim(out) == 0 else out
 
 

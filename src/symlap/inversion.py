@@ -145,20 +145,12 @@ def _taylor(factors, p, m, at_pole):
     return out
 
 
-def _factored_value(factors, z):
-    out = np.ones_like(z)
-    for f, m in factors.values():
-        out *= f(z) ** m
-    return out
-
-
 def _reconstruction_gap(r, terms):
     """Largest gap between the function and its terms on a circle around
     the poles, relative to max(1, |value|)."""
     radius = 1.0 + 2.0 * max([abs(t.pole) for t in terms], default=0.0)
     z = radius * np.exp(2j * np.pi * (np.arange(8) + 0.5) / 8.0)
-    direct = (r.scale * _factored_value(r.numf, z)
-              / _factored_value(r.denf, z))
+    direct = evaluate_rational(r, z)
     rebuilt = np.zeros_like(z)
     for t in terms:
         rebuilt += t.coefficient / (z - t.pole) ** t.order
@@ -302,7 +294,8 @@ def sl_inverse_numeric_pair(F, x1: float, x2: float, t: float, A: float,
 
     Raises ValueError for a non-finite or non-positive tol or A, or a
     non-finite x1, x2 or t, and AccuracyError when the prefactor
-    exp(x*t) overflows.
+    exp(x*t) overflows or the refinement budget runs out; the latter
+    carries the value at A and its estimate, both times exp(x*t).
     """
     require_positive(tol=tol, A=A)
     require_finite(x1=x1, x2=x2, t=t)
@@ -312,7 +305,14 @@ def sl_inverse_numeric_pair(F, x1: float, x2: float, t: float, A: float,
             f"prefactor exp(x*t) overflows at x={x}, t={t}")
     prefactor = math.exp(x * t)
     inner_tol = tol / max(prefactor, 1.0)
-    res = finite_oscillatory_integral(_on_line(F, x1, x2), t, A, inner_tol)
+    try:
+        res = finite_oscillatory_integral(_on_line(F, x1, x2), t, A,
+                                          inner_tol)
+    except AccuracyError as exc:
+        if exc.value is not None:
+            exc.value *= prefactor
+            exc.abs_error_estimate *= prefactor
+        raise
     return prefactor * res.value, prefactor * res.half_value
 
 

@@ -258,7 +258,8 @@ def _rounding(depth, magnitude, phase=0.0):
     return _EPS * magnitude * (depth + phase + 2.0)
 
 
-def _refine(panels, lefts, rights, k, e, m, tol, evals, cost=15):
+def _refine(panels, lefts, rights, k, e, m, tol, evals, cost=15,
+            result=None):
     """Bisect panels until their |K - G| sum is at most tol.
 
     lefts, rights, k, e and m describe the panels (Kronrod values, error
@@ -267,7 +268,9 @@ def _refine(panels, lefts, rights, k, e, m, tol, evals, cost=15):
     new panels at cost evaluations each.  Returns the refined (lefts,
     rights, k, e, m, evals).  A round that would take evals past
     MAX_EVALUATIONS is not started: AccuracyError carries the best value
-    and estimate instead.
+    and estimate instead, result(k, e, m, evals) when a result function
+    is given (the caller's value and estimate for these panels), else
+    the sums of k and e.
     Refinement never tests against rounding.  Panels stay
     sorted by position and a split panel is replaced in place by its two
     halves, so existing panel edges survive; each round bisects every
@@ -280,11 +283,13 @@ def _refine(panels, lefts, rights, k, e, m, tol, evals, cost=15):
             mask = e == e.max()
         n = int(mask.sum())
         if evals + 2 * cost * n > MAX_EVALUATIONS:
+            value, estimate = ((complex(k.sum()), float(e.sum()))
+                               if result is None else result(k, e, m, evals))
             raise AccuracyError(
                 f"refinement budget exhausted ({evals} evaluations, the "
                 f"next round needs {2 * cost * n} more); best "
                 f"estimate error {e.sum():.3e} > tol {tol:.3e}",
-                value=complex(k.sum()), abs_error_estimate=float(e.sum()))
+                value=value, abs_error_estimate=estimate)
         mids = (lefts[mask] + rights[mask]) / 2.0
         # both halves of every split panel in one call: left halves first
         kh, eh, mh = panels(np.concatenate([lefts[mask], mids]),
@@ -639,7 +644,9 @@ def finite_oscillatory_integral(F, t: float, A: float,
 
     The error estimate covers discretization and rounding only;
     truncation in A is the caller's concern.  Raises ValueError for a
-    non-finite t or a non-finite or non-positive A or tol.
+    non-finite t or a non-finite or non-positive A or tol, and
+    AccuracyError when the evaluation budget runs out, carrying the
+    value and estimate of the panels refined so far.
     """
     require_positive(A=A, tol=tol)
     require_finite(t=t)
@@ -653,15 +660,21 @@ def finite_oscillatory_integral(F, t: float, A: float,
             f"need {cost * n} evaluations (> {MAX_EVALUATIONS})")
     half = A / (2 * n)
     edges = 2.0 * half * np.arange(n + 1)
+    two_pi = 2.0 * math.pi
+
+    def result(k, e, m, evals):
+        """The value and estimate the panels give, also the payload of
+        an AccuracyError from _refine."""
+        estimate = 2.0 * e.sum() + _rounding(math.ceil(math.log2(evals)),
+                                             m.sum(), abs(t) * A)
+        return complex(k.sum()) / two_pi, float(estimate) / two_pi
+
     k, e, m = _half_range_panels(parts, t, edges[:-1] + half, half)
     lefts, rights, k, e, m, evals = _refine(
         lambda lo, hi: _half_range_panels(parts, t, (lo + hi) / 2.0,
                                           (hi - lo) / 2.0),
-        edges[:-1], edges[1:], k, e, m, tol * math.pi, cost * n, cost)
+        edges[:-1], edges[1:], k, e, m, tol * math.pi, cost * n, cost,
+        result)
     inner = rights <= edges[n // 2]
-    estimate = 2.0 * e.sum() + _rounding(math.ceil(math.log2(evals)),
-                                         m.sum(), abs(t) * A)
-    two_pi = 2.0 * math.pi
-    return OscillatoryResult(complex(k.sum()) / two_pi,
-                             float(estimate) / two_pi, A, evals,
+    return OscillatoryResult(*result(k, e, m, evals), A, evals,
                              complex(k[inner].sum()) / two_pi)

@@ -179,3 +179,42 @@ def test_root_finding_horner_calls_are_pinned(monkeypatch):
     assert len(counts) == 14
     assert sum(counts) == 32
     assert max(counts) == 16
+
+
+@pytest.mark.parametrize("text, products", [
+    ("0.57/(s+1.85) + 1.81/(cs+1.0)", 0),
+    ("0.78/(s+1.75)^2 + -1.13/(cs+0.65)", 0),
+    (verify.ODE_TRANSFORM_TEXT, 14)], ids=["simple", "squared", "ode"])
+def test_polynomial_products_per_parse_are_pinned(monkeypatch, text,
+                                                  products):
+    # machine-independent: the Polynomial products, by a polynomial or a
+    # number, of one parse_transform after a warm-up parse.  A sum
+    # multiplies a numerator only by the factors of the common
+    # denominator that its own denominator lacks, so (s + a) takes none;
+    # when every sum convolved with the polynomial 1 these took 4, 4 and
+    # 34
+    from symlap import expr
+
+    count = [0]
+    mul = expr.Polynomial.__mul__
+
+    def counted(self, other):
+        count[0] += 1
+        return mul(self, other)
+
+    expr.parse_transform(text)
+    monkeypatch.setattr(expr.Polynomial, "__mul__", counted)
+    monkeypatch.setattr(expr.Polynomial, "__rmul__", counted)
+    expr.parse_transform(text)
+    assert count[0] == products
+
+
+def test_numeric_inversion_builds_no_expanded_polynomial():
+    # evaluation goes by the factors; num and den, cached on first use,
+    # serve only printing and the tests
+    from symlap import expr, inversion
+
+    st = expr.parse_transform("0.57/(s+1.85) + 1.81/(cs+1.0)^2")
+    inversion.sl_inverse_numeric_pair(st, 0.5, 0.5, 1.0, 250.0, 1e-6)
+    for g in (st.g1, st.g2):
+        assert "num" not in vars(g) and "den" not in vars(g)

@@ -1,8 +1,10 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
+from symlap import inversion
 from symlap.core import SLPoint, catalog_signal
 from symlap.errors import (
     AccuracyError,
@@ -333,6 +335,22 @@ class TestNumericInversion:
         assert e2 <= e1 + 1e-6
 
 
+def sign_truncated_at(t, A):
+    """The sign's inversion at x1 = x2 = 1 and t > 0, truncated at A.
+
+    Its transform is -2iy/(1 + y^2), so the value is 1 - exp(t) * (2/pi)
+    * Im of the integral of g(y)*exp(i*t*y) over [A, inf), with g(y) =
+    y/(1 + y^2) = (1/(y - i) + 1/(y + i))/2.  Integration by parts
+    expands that integral as -exp(i*t*A) * sum_k (-1)^k g^(k)(A) /
+    (i*t)^(k+1), whose terms shrink like k!/(A*t)^k.
+    """
+    series = sum(0.5 * math.factorial(k)
+                 * ((A - 1j) ** (-k - 1) + (A + 1j) ** (-k - 1))
+                 / (1j * t) ** (k + 1) for k in range(6))
+    tail = -cmath.exp(1j * t * A) * series
+    return 1.0 - math.exp(t) * 2.0 / math.pi * tail.imag
+
+
 def counting(F):
     """F wrapped to count the y values it is evaluated at."""
     calls = []
@@ -414,11 +432,69 @@ class TestNumericInversionPair:
         assert math.isfinite(abs(exc.value.value))
         assert exc.value.abs_error_estimate > 0
 
+    @pytest.mark.parametrize("F", [closed_form_transform("sign"),
+                                   parse_transform("1/s - 1/cs")],
+                             ids=["callable", "split"])
+    def test_exhausted_budget_carries_the_signal_value(self, F):
+        # the payload is the value at A and the estimate a result would
+        # carry, both times exp(x*t): about -1.28e6 and 1.8 here, where
+        # the panel sums alone read -1.1e-4 and 4.7e-16
+        with pytest.raises(AccuracyError, match="budget exhausted") as exc:
+            sl_inverse_numeric(F, 1.0, 1.0, 25.0, 1000.0, 1e-6)
+        want = sign_truncated_at(25.0, 1000.0)
+        assert want == pytest.approx(-1.28e6, rel=1e-2)
+        estimate = exc.value.abs_error_estimate
+        assert abs(exc.value.value - want) <= estimate <= 1e-5 * abs(want)
+
     @pytest.mark.parametrize("x1,x2,t", [(1.0, 1.0, 1e3), (1.0, 2.0, -400.0)])
     def test_prefactor_overflow_is_an_accuracy_error(self, x1, x2, t):
         F = closed_form_transform("sign")
         with pytest.raises(AccuracyError, match=f"t={t}"):
             sl_inverse_numeric(F, x1, x2, t, 100.0, 1e-6)
+
+
+class TestNumericInversionNearRepeatedPoles:
+    """1/(s+1)^k + 1/(cs+1) on lines x1 + iy that pass the pole of order
+    k at -1 at a distance 1 + x1.  Evaluated from the expanded (s+1)^k,
+    F lost its digits near the pole, the |K - G| sums stalled above
+    their share and 5 of these 9 ran out of the 2^20 budget."""
+
+    @staticmethod
+    def counted(monkeypatch, st):
+        """Evaluations of st.g1 in numeric inversion, as a list."""
+        calls = []
+
+        def evaluate(r, z):
+            if r is st.g1:
+                calls.append(np.size(z))
+            return evaluate_rational(r, z)
+
+        monkeypatch.setattr(inversion, "evaluate_rational", evaluate)
+        return calls
+
+    @pytest.mark.parametrize("x1, k", [
+        (x1, k) for x1 in (-0.9, -0.8, -0.5) for k in (6, 10, 14)
+        if (x1, k) != (-0.9, 14)])  # see test_closest_highest_order_raises
+    def test_value_within_the_truncation_allowance(self, monkeypatch, x1,
+                                                   k):
+        st = parse_transform(f"1/(s+1)^{k} + 1/(cs+1)")
+        calls = self.counted(monkeypatch, st)
+        t, A = 2.0, 1000.0
+        v = sl_inverse_numeric(st, x1, 0.5, t, A, 1e-6)
+        assert sum(calls) < 10_000
+        # truncation: |J|/(pi*A*|t|) + 4/(pi*A) times the prefactor, for
+        # the jump J = -1 at t = 0
+        allow = math.exp(x1 * t) * (1.0 / (math.pi * A * t)
+                                    + 4.0 / (math.pi * A))
+        assert abs(v - sl_inverse_split(st, t)) <= allow
+
+    def test_closest_highest_order_raises(self, monkeypatch):
+        # |F| reaches 1e14 on the line; the |K - G| sums still stall
+        st = parse_transform("1/(s+1)^14 + 1/(cs+1)")
+        calls = self.counted(monkeypatch, st)
+        with pytest.raises(AccuracyError, match="budget exhausted"):
+            sl_inverse_numeric(st, -0.9, 0.5, 2.0, 1000.0, 1e-6)
+        assert sum(calls) <= MAX_EVALUATIONS
 
 
 def _apart_terms(expr, s):
