@@ -670,6 +670,10 @@ def evaluate_rational(r: RationalFunction, z):
     Raises PoleError when the denominator magnitude falls below the
     underflow guard at any requested point.
     """
+    # a scalar z as a one-element array: numpy's array loops fuse complex
+    # products and square by np.square, its scalars do neither
+    scalar = np.ndim(z) == 0
+    z = np.reshape(z, 1) if scalar else z
     den = _factors_at(r.denf, z)
     if den is not None and np.min(np.abs(den)) < _POLE_GUARD:
         raise PoleError(f"evaluation at a pole of {r}")
@@ -679,7 +683,7 @@ def evaluate_rational(r: RationalFunction, z):
         out = out / den
     elif num is None:  # a constant, in the shape of z
         out = out + 0.0 * np.asarray(z)
-    return complex(out) if np.ndim(out) == 0 else out
+    return complex(out[0]) if scalar else out
 
 
 # iterates of a high-degree polynomial may overflow; the residual tests

@@ -162,9 +162,8 @@ def _times(t):
     """t flattened to a one-dimensional float array; ValueError names the
     first non-finite t."""
     ts = np.asarray(t, dtype=float).ravel()
-    bad = ts[~np.isfinite(ts)]
-    if bad.size:
-        require_finite(t=float(bad[0]))
+    if np.count_nonzero(np.isfinite(ts)) < ts.size:
+        require_finite(t=float(ts[~np.isfinite(ts)][0]))
     return ts
 
 
@@ -187,7 +186,7 @@ def inverse_laplace_rational(terms, t):
     such t and the first term at fault there; a decaying term underflows
     harmlessly towards 0."""
     ts = _times(t)
-    if (ts < 0).any():
+    if np.count_nonzero(ts < 0):
         raise ValueError("the one-sided table needs t >= 0")
     total = np.zeros(len(ts), dtype=complex)
     fault = None  # (index of the first t at fault, message)
@@ -198,11 +197,11 @@ def inverse_laplace_rational(terms, t):
         # is positive there
         huge = np.isinf(power)
         log_power = np.zeros_like(ts)
-        any_huge = huge.any()
+        any_huge = np.count_nonzero(huge)
         if any_huge:
             log_power[huge] = (k - 1) * np.log(ts[huge])
         over = log_power + term.pole.real * ts > _EXP_GUARD
-        if over.any():
+        if np.count_nonzero(over):
             j = int(np.argmax(over))
             if fault is None or j < fault[0]:
                 fault = (j, _overflow_message(term, float(ts[j]), huge[j]))
@@ -249,10 +248,10 @@ def sl_inverse_split(st: SplitTransform, t):
     out = np.zeros(len(ts), dtype=complex)
     neg = ts < 0
     sides = [(~neg, "g1_terms", 1.0), (neg, "g2_terms", -1.0)]
-    if neg[:1].any():  # the side of the first t first, for its errors
+    if ts.size and neg[0]:  # the side of the first t first, for its errors
         sides.reverse()
     for mask, terms, sign in sides:
-        if mask.any():
+        if np.count_nonzero(mask):
             out[mask] = inverse_laplace_rational(getattr(st, terms),
                                                  sign * ts[mask])
     return _shaped(out, t)

@@ -26,8 +26,10 @@ midpoints c_p and half-width h, and with u_pj = c_p + h*x_j
 
     K_p(y) = h * exp(-i*y*c_p) * sum_j w_j * v(u_pj) * exp(-i*y*h*x_j),
 
-v(u) = f(u)*exp(-x*u).  The node phases are shared by all panels, so the
-integrand is evaluated once per node rather than once per node and y.
+v(u) = f(u)*exp(-x*u), real for a real f: its damping, pair sums and
+moduli stay in real arithmetic, to the bits of its complex cast.  The
+node phases are shared by all panels, so the integrand is evaluated
+once per node rather than once per node and y.
 The nodes come in pairs x_(14-j) = -x_j, so with t_j = y*h*x_j a pair
 adds w_j*(v_j + v_(14-j))*cos(t_j) - i*w_j*(v_j - v_(14-j))*sin(t_j).
 A real Y x 15 table of weighted cosines and sines and the centre weight
@@ -36,9 +38,10 @@ and centre values, read as 15 x 2P reals, and one real BLAS product of
 inner dimension 15 gives the Y x P node sums, read back as complex.  The
 panel phases factor in blocks: with p = a*B + b and B about sqrt(P),
 exp(-i*y*c_p) is an outer factor exp(-2i*y*B*h*a) times an inner one
-exp(-i*y*(2b+1)*h).  A batched product contracts each y's node sums,
-viewed as ceil(P/B) blocks of B, with its B inner phases, and the block
-sums are dotted with the outer phases: Y*(P/B + B) complex exps and no
+exp(-i*y*(2b+1)*h), both from one exp per y over one vector of steps
+2Ba and 2b+1.  A batched product contracts each y's node sums, viewed
+as ceil(P/B) blocks of B, with its B inner phases, and the block sums
+are dotted with the outer phases: Y*(P/B + B) complex exps and no
 Y x P phase table.  The same node product with the weights w^K - w^G
 gives each panel's |K_p - G_p| (the panel phase drops out of the
 modulus), so every y carries the certificate the adaptive path would
@@ -166,6 +169,7 @@ _SOLO_ZGEMV = 2 ** 12
 # the t_j = y*h*x_j of the first 8 nodes
 _PAIRED = np.array([np.repeat(w[:8], 2)[:15] for w in (_WGK, _WGK - _WG)])
 _IXGK8 = 1j * _XGK[:8]
+_ODD = np.arange(1.0, 2.0 * _MAX_PANELS, 2.0)  # panel midpoints over h
 # Kronrod and Kronrod-minus-Gauss weights as a real 30 x 4 matrix: the
 # real and imaginary parts of 15 complex node values in, the real and
 # imaginary parts of K and K - G out
@@ -214,8 +218,8 @@ def require_finite(**values):
 
 
 def _finite(vals):
-    vals = np.asarray(vals, dtype=complex)
-    if not np.isfinite(vals).all():
+    vals = np.asarray(vals)
+    if np.count_nonzero(np.isfinite(vals)) < vals.size:
         raise AccuracyError("integrand returned a non-finite value")
     return vals
 
@@ -226,7 +230,8 @@ def _panel_estimates(f, lefts, rights):
     half = (rights - lefts) / 2.0
     mid = (lefts + rights) / 2.0
     nodes = mid[:, None] + half[:, None] * _XGK[None, :]
-    vals = _finite(f(nodes.ravel())).reshape(len(lefts), 15)
+    vals = np.asarray(_finite(f(nodes.ravel())),
+                      dtype=complex).reshape(len(lefts), 15)
     # einsum, unlike @, never hands the product to threaded BLAS
     k = np.einsum("pj,j->p", vals, _WGK) * half
     g = np.einsum("pj,j->p", vals, _WG) * half
@@ -365,6 +370,7 @@ def _tail_bound(bound, x, T):
             * (1.0 + 4.0 * (d + 3) * _EPS))
 
 
+@functools.lru_cache(maxsize=64)  # passes repeat bounds, x and tol
 def _truncate(bound, x, tol, tail_cut):
     """Truncation of a half-line integral to tolerance tol: returns T,
     the certified tail beyond T (at most tol/2), the decay length that
@@ -419,7 +425,7 @@ def half_line_integral(integrand, bound: ExponentialOrderBound, x: float,
     """
     require_positive(tol=tol)
     require_finite(x=x, osc=osc)
-    T, tail, scale, _ = _truncate(bound, x, tol, tail_cut)
+    T, tail, scale, _ = _truncate(bound, float(x), float(tol), tail_cut)
     if T <= 0.0:
         # tail bound alone already meets the tolerance
         _finite(integrand(np.zeros(1)))
@@ -431,29 +437,83 @@ def half_line_integral(integrand, bound: ExponentialOrderBound, x: float,
     return QuadratureResult(value, tail + disc + rounding, T, evals)
 
 
+@functools.lru_cache(maxsize=64)  # shared by the passes of one P
+def _phase_steps(block, nb):
+    """i times _block_phased_sum's steps 2*block*a and 2b + 1, real part +0."""
+    return 1j * np.concatenate([np.arange(nb) * (2.0 * block), _ODD[:block]])
+
+
 def _block_phased_sum(terms, y, half, block):
     """For each row k, the sum over p of exp(-i*y_k*c_p) * terms[k, p]
     with c_p = (2p + 1)*half, for terms of whole blocks of block panels
     (a ragged last block padded with zeros).
 
     With p = a*block + b, c_p = 2*block*half*a + (2b + 1)*half, so the
-    phase is an outer factor from a Y x nb table times an inner one from
-    a Y x block table: one batched product contracts each row's
-    nb x block view with its block inner phases, and a second dots the
-    nb block sums with the outer phases.  That takes Y*(nb + block)
-    complex exps and no Y x P table.
+    phase is an outer factor times an inner one, both from one exp over
+    the nb + block steps of _phase_steps: one batched product contracts
+    each row's nb x block view with its block inner phases, and a second
+    dots the nb block sums with the outer phases.  That takes
+    Y*(nb + block) complex exps and no Y x P table.
     """
     Y, P = terms.shape
     nb = P // block
-    arg = -1j * half * y[:, None]
-    outer = np.exp(arg * np.arange(0.0, 2.0 * block * nb, 2.0 * block))
-    inner = np.exp(arg * np.arange(1.0, 2.0 * block, 2.0))[:, :, None]
+    # -half*y times i*step is -1j*half*y*step to the bit
+    phases = np.exp((-half * y)[:, None] * _phase_steps(block, nb))
+    inner = phases[:, nb:, None]
     terms = terms.reshape(Y, nb, block)
     sums = np.empty((Y, nb, 1), dtype=complex)
     step = (_SOLO_ZGEMV - 1) // block  # blocks per product
     for a in range(0, nb, step):
         np.matmul(terms[:, a:a + step], inner, out=sums[:, a:a + step])
-    return (outer[:, None, :] @ sums)[:, 0, 0]
+    return (phases[:, None, :nb] @ sums)[:, 0, 0]
+
+
+def _grid_pass(piece, x, ys, ay, T, theta, scale, omega):
+    """laplace_grid's uniform pass for every y of ys (ay = |ys|, omega
+    the rates): values, panel |K - G| sums and rounding allowances."""
+    top = float(omega.max())
+    P = _panel_count(T, min(2.0 * theta / top, scale) if top else scale)
+    half = T / (2.0 * P)
+    block = math.isqrt(P - 1) + 1
+    nb = -(-P // block)
+    # node j of panel p in row j, column p; a real piece stays real,
+    # the same bits as on its complex cast
+    nodes = (half * _XGK)[:, None] + _ODD[:P] * half
+    v = _finite(piece(nodes.ravel())).reshape(15, P) * np.exp(-x * nodes)
+    # rows [sum_0, -i*difference_0, ..., -i*difference_6, centre] of
+    # the node pairs j, 14 - j, each real and imaginary part a column
+    # of its own, meet real phase rows w*[cos(t_0), sin(t_0), ...,
+    # sin(t_6), 1] (exp(i*t) read as reals; t_7 = 0 gives exactly 1);
+    # zero panels pad the last block, as -i*0 in the difference rows
+    pairs = np.zeros((15, nb * block), dtype=complex)
+    pairs[:14:2, :P] = v[:7] + v[:7:-1]
+    pairs[1:14:2, :P] = (v[:7] - v[:7:-1]) * -1j
+    pairs[1:14:2, P:] = 0j * -1j
+    pairs[14, :P] = v[7]
+    pairs = pairs.view(float)
+    values, disc = np.empty(ys.shape, dtype=complex), np.empty(ys.shape)
+    step = max(1, _SOLO_DGEMM // (2 * pairs.size))
+    for lo in range(0, ys.size, step):
+        k = slice(lo, lo + step)
+        y = ys[k]
+        trig = np.exp((half * y)[:, None] * _IXGK8).view(float)
+        # Kronrod rows, then Kronrod-minus-Gauss rows
+        sums = ((_PAIRED[:, None] * trig[:, :15]).reshape(-1, 15)
+                @ pairs).view(complex)
+        values[k] = half * _block_phased_sum(sums[:y.size], y, half, block)
+        disc[k] = half * np.abs(sums[y.size:]).sum(axis=1)
+    # a term passes a pair sum, 15 products summed in whatever order
+    # BLAS takes, block panels and nb blocks: at most 1 + 14 +
+    # (block - 1) + (nb - 1) additions.  The real and imaginary parts
+    # are separate real sums, each over at most sqrt(2) times the
+    # pair's sum of moduli: the sqrt(2).  Phase arguments: at most
+    # |y|*T for the outer factor and |y|*2*block*half for the inner
+    # one and the nodes together; 3 for the three phase products
+    rounding = _rounding(
+        block + nb + 13,
+        math.sqrt(2.0) * half * float((np.abs(v.T, order="C") @ _WGK).sum()),
+        ay * (T + 2.0 * block * half) + 3.0)
+    return values, disc, rounding
 
 
 def laplace_grid(piece, bound: ExponentialOrderBound, x: float, ys,
@@ -480,72 +540,39 @@ def laplace_grid(piece, bound: ExponentialOrderBound, x: float, ys,
     A y that 4096 panels of that kind cannot resolve goes straight to
     half_line_integral with osc = |y| + |osc|, and so does a y whose
     panel |K - G| sum exceeds tol/2; its value and estimate are
-    half_line_integral's.  The node pairs x_j, -x_j meet their weighted
-    cosines and sines in real BLAS products of inner dimension 15, in
-    chunks of y that OpenBLAS runs on the calling thread; the panel
-    phases are applied block by block (_block_phased_sum).  Estimates
-    are tail bound + panel |K - G| sum + rounding allowance.
+    half_line_integral's.  The node pairs x_j, -x_j, real for a real
+    piece, meet their weighted cosines and sines in real BLAS products
+    of inner dimension 15, in chunks of y kept on the calling thread;
+    the panel phases come by block from one exp per y over one step
+    vector (_block_phased_sum).  Estimates are tail bound + panel
+    |K - G| sum + rounding allowance.
     """
     ys = np.asarray(ys, dtype=float)
-    T, tail, scale, mass = _truncate(bound, x, tol, tail_cut)
+    T, tail, scale, mass = _truncate(bound, float(x), float(tol), tail_cut)
     if T <= 0.0 or ys.size == 0:
         _finite(piece(np.zeros(1)))
         return np.zeros(ys.shape, dtype=complex), np.full(ys.shape, tail)
     # the largest tabulated theta within the share, else the smallest
     share = _MODEL_SHARE * tol / (2.0 * mass) if mass > 0 else math.inf
     theta = _THETA[max(bisect.bisect_right(_PHI, share) - 1, 0)]
-    omega = np.abs(ys) + (abs(osc) + abs(x))
+    ay = np.abs(ys)
+    omega = ay + (abs(osc) + abs(x))
     if tail_cut is not None:
         # the mean decay rate of a piece that falls below tol/2 by its cut
         omega += (abs(math.log(2.0 / tol))
                   / max(float(tail_cut(tol / 2.0)), _EPS))
     served = omega <= 2.0 * theta * _MAX_PANELS / T
-    values = np.empty(ys.shape, dtype=complex)
-    disc = np.full(ys.shape, np.inf)  # a y the pass skips is refined
-    rounding = np.zeros(ys.shape)
-    if served.any():
-        top = float(omega[served].max())
-        P = _panel_count(T, min(2.0 * theta / top, scale) if top else scale)
-        half = T / (2.0 * P)
-        block = math.isqrt(P - 1) + 1
-        nb = -(-P // block)
-        nodes = np.arange(1.0, 2.0 * P, 2.0)[:, None] * half + half * _XGK
-        v = _finite(piece(nodes.ravel())).reshape(P, 15) * np.exp(-x * nodes)
-        # rows [sum_0, -i*difference_0, ..., -i*difference_6, centre] of
-        # the node pairs j, 14 - j, each real and imaginary part a column
-        # of its own, meet real phase rows w*[cos(t_0), sin(t_0), ...,
-        # sin(t_6), 1] (exp(i*t) read as reals; t_7 = 0 gives exactly 1);
-        # zero panels pad the last block
-        vt = v.T
-        pairs = np.zeros((15, nb * block), dtype=complex)
-        np.add(vt[:7], vt[:7:-1], out=pairs[:14:2, :P])
-        np.subtract(vt[:7], vt[:7:-1], out=pairs[1:14:2, :P])
-        pairs[1:14:2] *= -1j
-        pairs[14, :P] = vt[7]
-        pairs = pairs.view(float)
-        idx = served.nonzero()[0]
-        step = max(1, _SOLO_DGEMM // (2 * pairs.size))
-        for lo in range(0, idx.size, step):
-            k = idx[lo:lo + step]
-            y = ys[k]
-            trig = np.exp((half * y)[:, None] * _IXGK8).view(float)
-            # Kronrod rows, then Kronrod-minus-Gauss rows
-            sums = ((_PAIRED[:, None] * trig[:, :15]).reshape(-1, 15)
-                    @ pairs).view(complex)
-            values[k] = half * _block_phased_sum(sums[:k.size], y, half,
-                                                 block)
-            disc[k] = half * np.abs(sums[k.size:]).sum(axis=1)
-        # a term passes a pair sum, 15 products summed in whatever order
-        # BLAS takes, block panels and nb blocks: at most 1 + 14 +
-        # (block - 1) + (nb - 1) additions.  The real and imaginary parts
-        # are separate real sums, each over at most sqrt(2) times the
-        # pair's sum of moduli: the sqrt(2).  Phase arguments: at most
-        # |y|*T for the outer factor and |y|*2*block*half for the inner
-        # one and the nodes together; 3 for the three phase products
-        rounding[served] = _rounding(
-            block + nb + 13,
-            math.sqrt(2.0) * half * float((np.abs(v) @ _WGK).sum()),
-            np.abs(ys[served]) * (T + 2.0 * block * half) + 3.0)
+    if served.all():  # the usual case: no gather or scatter
+        values, disc, rounding = _grid_pass(piece, x, ys, ay, T, theta,
+                                            scale, omega)
+    else:
+        values = np.zeros(ys.shape, dtype=complex)
+        disc = np.full(ys.shape, np.inf)  # a y the pass skips is refined
+        rounding = np.zeros(ys.shape)
+        if served.any():
+            values[served], disc[served], rounding[served] = _grid_pass(
+                piece, x, ys[served], ay[served], T, theta, scale,
+                omega[served])
     estimates = tail + disc + rounding
     for k in (disc > tol / 2.0).nonzero()[0]:
         s = x + 1j * ys[k]

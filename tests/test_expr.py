@@ -365,6 +365,20 @@ class TestEvaluation:
                     [evaluate_rational(r, complex(z)) for z in points]):
             assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
 
+    def test_a_scalar_gets_the_bits_of_the_same_z_in_an_array(self):
+        # numpy squares an array by np.square and fuses its complex
+        # products, a complex scalar by neither: at -0.97 + 0.02i the
+        # scalar once read ...661.05151 and the array ...661.051506
+        r = parse_transform("(s-2)^3*(s^2+s+1)/((s+1)^7*(s^2+1)^2)").g1
+        z = -0.97 + 0.02j
+        assert evaluate_rational(r, z) == evaluate_rational(r, np.array(
+            [z, 1.0]))[0]
+        rng = np.random.default_rng(20261019)
+        zs = rng.uniform(-3.0, 3.0, 2000) + 1j * rng.uniform(-3.0, 3.0, 2000)
+        whole = evaluate_rational(r, zs)
+        one_by_one = np.array([evaluate_rational(r, complex(z)) for z in zs])
+        assert whole.tobytes() == one_by_one.tobytes()
+
 
 def test_polynomial_taylor_shift():
     p = Polynomial([0, 0, 1])  # z^2 around 3: 9 + 6u + u^2

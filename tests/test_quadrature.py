@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from _oracles import simpson
-from symlap.core import ExponentialOrderBound
+from symlap.core import CATALOG_NAMES, ExponentialOrderBound, catalog_signal
 from symlap.errors import AccuracyError, DivergenceError
 from symlap.expr import parse_transform
 from symlap.inversion import _on_line
@@ -471,3 +471,48 @@ def test_grid_of_a_zero_envelope_under_tail_cut():
     values, est = laplace_grid(np.zeros_like, ExponentialOrderBound(0.0, 0.0),
                                0.0, [0.0, 2.0], 1e-8, tail_cut=lambda tol: 1.0)
     assert np.all(values == 0.0) and np.all(est <= 1e-8)
+
+
+@pytest.mark.parametrize("ys", [[0.7], np.linspace(-50.0, 50.0, 201)],
+                         ids=["one-y", "201-y"])
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_real_piece_gives_the_bits_of_its_complex_cast(name, ys):
+    # a real piece is damped, paired and summed in real arithmetic; a
+    # zero imaginary part changes no bit of values or estimates, y = 0
+    # and the zero piece of heaviside's negative side included
+    f = catalog_signal(name, 1.3)
+    ys = np.concatenate([[0.0], ys])
+    for side, x in (("pos", 1.5), ("neg", 0.75)):
+        piece = f.pos if side == "pos" else (lambda u: f.neg(-u))
+        args = (f.bound_for(side), x, ys, 1e-9)
+        kw = {"osc": f.osc_hint, "tail_cut": f.tail_cut}
+        real = laplace_grid(piece, *args, **kw)
+        cast = laplace_grid(lambda u: piece(u).astype(complex), *args, **kw)
+        for a, b in zip(real, cast):
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_grid_rejects_a_non_finite_integrand_value(bad, dtype):
+    # one node of the uniform pass returns bad; no value is returned
+    def piece(u):
+        out = np.exp(-u).astype(dtype)
+        out[u.size // 2] = bad
+        return out
+
+    with pytest.raises(AccuracyError,
+                       match="integrand returned a non-finite value"):
+        laplace_grid(piece, B10, 1.0, [0.0, 3.0], 1e-8)
+
+
+def test_truncation_memo_takes_numpy_scalars_and_zero_d_arrays():
+    # the truncation is memoized on (bound, x, tol, tail_cut), as floats
+    want = laplace_grid(lambda u: np.exp(-u), B10, 1.0, [0.5], 1e-8)
+    for x, tol in ((np.array(1.0), np.array(1e-8)),
+                   (np.float64(1.0), np.float64(1e-8))):
+        got = laplace_grid(lambda u: np.exp(-u), B10, x, [0.5], tol)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+        r = half_line_integral(lambda u: np.exp(-u), B10, x, tol)
+        assert r == half_line_integral(lambda u: np.exp(-u), B10, 1.0, 1e-8)
