@@ -95,6 +95,11 @@ class PiecewiseSignal:
     integral of |f| over [T, inf) below that tolerance.  It certifies
     absolute integrability for signals (like a Gaussian) that decay
     faster than any exponential envelope records.
+
+    Each piece must be smooth on its half-line.  The error estimate
+    compares two Gauss-Kronrod rules on each panel, and a jump or kink
+    inside a panel, such as the pulse t < 1 or |t - 1|, can leave the
+    error orders of magnitude above the estimate.
     """
 
     name: str

@@ -107,12 +107,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        out = Polynomial([1])
-        for _ in range(int(n)):
-            out = out * self
-        return out
-
     def deriv(self):
         return Polynomial(_derivative(self.coef))
 
@@ -319,12 +313,6 @@ class RationalFunction:
         return RationalFunction._of(self.scale / other.scale,
                                     _merged(self.numf, other.denf),
                                     _merged(self.denf, other.numf))
-
-    def __pow__(self, n: int):
-        out = RationalFunction.const(1)
-        for _ in range(int(n)):
-            out = out * self
-        return out
 
     def __str__(self):
         return self.to_text("s")

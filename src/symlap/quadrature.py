@@ -45,25 +45,30 @@ are dotted with the outer phases: Y*(P/B + B) complex exps and no
 Y x P phase table.  The same node product with the weights w^K - w^G
 gives each panel's |K_p - G_p| (the panel phase drops out of the
 modulus), so every y carries the certificate the adaptive path would
-report for these panels.  Every product has an inner dimension of at
-most 64 and is cut, in rows or blocks, below the size at which OpenBLAS
-hands it to helper threads (_SOLO_DGEMM, _SOLO_ZGEMV): a helper thread
-spins between calls, which doubles the CPU time of a forward grid for no
-gain in wall time.  On one thread the sums do not depend on
-OPENBLAS_NUM_THREADS, so `symlap forward` writes the same bytes under
-any setting.
+report for these panels.  Every product of a pass of at most 4096
+panels has an inner dimension of at most 64 and is cut, in rows or
+blocks, below the size at which OpenBLAS hands it to helper threads
+(_SOLO_DGEMM, _SOLO_ZGEMV): a helper thread spins between calls, which
+doubles the CPU time of a forward grid for no gain in wall time.  A
+larger pass, whose one-y node product alone is above that size, takes
+its node products through einsum, which never calls BLAS.  On one
+thread the sums do not depend on OPENBLAS_NUM_THREADS, so `symlap
+forward` writes the same bytes under any setting.
 
 The panel width comes from the GK15 error model: on a panel where the
 integrand turns by theta radians per half-width, sum_p |K_p - G_p| is
 about phi(theta) * integral of |v|, with phi(theta) = |sum_j (w^K_j -
-w^G_j) * exp(i*theta*x_j)| / 2 tabulated once.  The pass takes the
-widest panels whose predicted sum is a quarter of its budget, at most
-4096 of them.  A y those cannot resolve, or whose panel sum misses its
-budget, is re-integrated by half_line_integral, the adaptive path,
-which starts from panels a quarter period of |y| + |osc| wide.  The
-reported estimate adds a rounding allowance for the sums and phases,
-on the adaptive path with the phase bound (|y| + |osc|)*T; refinement
-never tests against it.
+w^G_j) * exp(i*theta*x_j)| / 2 tabulated once.  A pass takes the
+widest panels whose predicted sum is a quarter of its budget.  The y
+that 4096 such panels resolve share one pass; the others share a
+second, sized for the fastest of them and refused with AccuracyError,
+before any evaluation, when it needs more than 2^20 evaluations.  A y
+whose panel sum misses its budget is bisected by the adaptive path,
+starting from the model-width panels of its own rate.
+half_line_integral is the one-y case of the same code: its integrand,
+damped already, is a piece at y = 0.  The reported estimate adds a
+rounding allowance for the sums and phases; refinement never tests
+against it.
 
 finite_oscillatory_integral, the Fourier integral behind numeric
 inversion, is factored the same way in t and runs on [0, A] only: for a
@@ -144,7 +149,7 @@ _WG[1::2] = _WG7
 
 MAX_EVALUATIONS = 2 ** 20
 _EPS = float(np.finfo(float).eps)
-_MAX_PANELS = 4096
+_MAX_PANELS = 4096  # laplace_grid's first pass; farther y take a second
 
 # GK15 error model on a panel of half-width h whose integrand turns at
 # theta = omega*h radians per unit: phi(theta) = |sum_j (w^K_j - w^G_j) *
@@ -243,7 +248,8 @@ def _adaptive(f, a, b, n0, tol, phase=0.0):
     starting from n0 equal panels; phase bounds the arguments of the
     phases inside f (see _rounding).
 
-    Returns (value, error_sum, rounding allowance, evaluations).
+    Returns the value and its estimate, the |K - G| sum plus the
+    rounding allowance.
     """
     grid = np.linspace(a, b, n0 + 1)
     lefts, rights = grid[:-1], grid[1:]
@@ -251,8 +257,8 @@ def _adaptive(f, a, b, n0, tol, phase=0.0):
     k, e, m = panels(lefts, rights)
     _, _, k, e, m, evals = _refine(panels, lefts, rights, k, e, m, tol,
                                    15 * n0)
-    return (complex(k.sum()), float(e.sum()),
-            _rounding(math.ceil(math.log2(evals)), m.sum(), phase), evals)
+    return complex(k.sum()), float(e.sum()) + _rounding(
+        math.ceil(math.log2(evals)), m.sum(), phase)
 
 
 def _rounding(depth, magnitude, phase=0.0):
@@ -399,9 +405,20 @@ def _truncate(bound, x, tol, tail_cut):
         f"damping x={x} does not exceed growth rate a={bound.a}")
 
 
-def _panel_count(T, width):
-    """Initial number of panels on [0, T], between 4 and _MAX_PANELS."""
-    return int(min(max(math.ceil(T / width), 4), _MAX_PANELS))
+def _affordable(panels, cost):
+    """Raise AccuracyError, before any evaluation, unless panels initial
+    panels of cost evaluations each fit in MAX_EVALUATIONS."""
+    if cost * panels > MAX_EVALUATIONS:
+        raise AccuracyError(
+            f"budget cannot resolve the oscillation: {panels} initial "
+            f"panels need {cost * panels} evaluations (> {MAX_EVALUATIONS})")
+
+
+def _panel_count(T, theta, scale, rate):
+    """Number of model-width panels on [0, T], at least 4, for an
+    integrand turning at rate: min(2*theta/rate, decay length) wide."""
+    return max(math.ceil(T / (min(2.0 * theta / rate, scale) if rate
+                              else scale)), 4)
 
 
 def half_line_integral(integrand, bound: ExponentialOrderBound, x: float,
@@ -413,28 +430,35 @@ def half_line_integral(integrand, bound: ExponentialOrderBound, x: float,
     applied to it, so |integrand(t)| <= M * t^d * exp((a - x)*t) and the
     tail beyond the truncation point is certified analytically.
 
-    osc hints at the dominant oscillation frequency of the integrand so
-    initial panels, a quarter period wide, resolve it; adaptivity
-    catches whatever the hint misses.  It also bounds the phases inside
-    the integrand, so the rounding allowance covers phases up to
-    |osc|*T.  tail_cut, when given, supplies a truncation point for
-    integrands decaying faster than the envelope describes; for x >= 0
-    it is used whenever it cuts shorter than the envelope (_truncate).
-    Raises ValueError for a non-finite or non-positive tol or a
-    non-finite x or osc.
+    This is laplace_grid's path at one y: the integrand, damped already,
+    is a piece at y = 0 and damping 0 under the envelope shifted by x.
+    The rate is x - a either way, so T, the tail and the mass are those
+    _truncate gives for the caller's bound and x, and so are its errors.
+    osc is the integrand's oscillation rate, which sizes the panels; it
+    also bounds the phases inside the integrand, so the estimate adds
+    eps * mass * |osc| * T for them.  tail_cut, when given, supplies a
+    truncation point for integrands decaying faster than the envelope
+    describes; for x >= 0 it is used whenever it cuts shorter than the
+    envelope (_truncate).  Raises ValueError for a non-finite or
+    non-positive tol or a non-finite x or osc, and AccuracyError when
+    the evaluation budget cannot meet tol.
     """
     require_positive(tol=tol)
     require_finite(x=x, osc=osc)
-    T, tail, scale, _ = _truncate(bound, float(x), float(tol), tail_cut)
-    if T <= 0.0:
-        # tail bound alone already meets the tolerance
-        _finite(integrand(np.zeros(1)))
-        return QuadratureResult(0j, tail, 0.0, 1)
-    # panels a quarter period of the oscillation wide
-    n0 = _panel_count(T, min(math.pi / (4.0 * (abs(osc) + 1.0)), scale))
-    value, disc, rounding, evals = _adaptive(integrand, 0.0, T, n0,
-                                             tol / 2.0, abs(osc) * T)
-    return QuadratureResult(value, tail + disc + rounding, T, evals)
+    x = float(x)
+    T, _, _, mass = _truncate(bound, x, float(tol), tail_cut)
+    evaluations = [0]
+
+    def counted(u):
+        evaluations[0] += u.size
+        return integrand(u)
+
+    # a tail_cut bounds the integral of |f| only where x >= 0 damps it
+    values, estimates = laplace_grid(
+        counted, ExponentialOrderBound(bound.M, bound.a - x, bound.degree),
+        0.0, [0.0], tol, osc=osc, tail_cut=tail_cut if x >= 0.0 else None)
+    return QuadratureResult(complex(values[0]), float(estimates[0])
+                            + _EPS * mass * abs(osc) * T, T, evaluations[0])
 
 
 @functools.lru_cache(maxsize=64)  # shared by the passes of one P
@@ -471,14 +495,15 @@ def _block_phased_sum(terms, y, half, block):
 def _grid_pass(piece, x, ys, ay, T, theta, scale, omega):
     """laplace_grid's uniform pass for every y of ys (ay = |ys|, omega
     the rates): values, panel |K - G| sums and rounding allowances."""
-    top = float(omega.max())
-    P = _panel_count(T, min(2.0 * theta / top, scale) if top else scale)
+    P = _panel_count(T, theta, scale, float(omega.max()))
+    _affordable(P, 15)
     half = T / (2.0 * P)
     block = math.isqrt(P - 1) + 1
     nb = -(-P // block)
     # node j of panel p in row j, column p; a real piece stays real,
     # the same bits as on its complex cast
-    nodes = (half * _XGK)[:, None] + _ODD[:P] * half
+    odd = _ODD[:P] if P <= _MAX_PANELS else np.arange(1.0, 2.0 * P, 2.0)
+    nodes = (half * _XGK)[:, None] + odd * half
     v = _finite(piece(nodes.ravel())).reshape(15, P) * np.exp(-x * nodes)
     # rows [sum_0, -i*difference_0, ..., -i*difference_6, centre] of
     # the node pairs j, 14 - j, each real and imaginary part a column
@@ -493,17 +518,21 @@ def _grid_pass(piece, x, ys, ay, T, theta, scale, omega):
     pairs = pairs.view(float)
     values, disc = np.empty(ys.shape, dtype=complex), np.empty(ys.shape)
     step = max(1, _SOLO_DGEMM // (2 * pairs.size))
+    # a one-y product above _SOLO_DGEMM, only ever in a pass beyond
+    # _MAX_PANELS, goes to einsum, which never hands it to threaded BLAS
+    dot = (np.matmul if 2 * pairs.size <= _SOLO_DGEMM
+           else functools.partial(np.einsum, "ij,j...->i..."))
     for lo in range(0, ys.size, step):
         k = slice(lo, lo + step)
         y = ys[k]
         trig = np.exp((half * y)[:, None] * _IXGK8).view(float)
         # Kronrod rows, then Kronrod-minus-Gauss rows
-        sums = ((_PAIRED[:, None] * trig[:, :15]).reshape(-1, 15)
-                @ pairs).view(complex)
+        sums = dot((_PAIRED[:, None] * trig[:, :15]).reshape(-1, 15),
+                   pairs).view(complex)
         values[k] = half * _block_phased_sum(sums[:y.size], y, half, block)
         disc[k] = half * np.abs(sums[y.size:]).sum(axis=1)
     # a term passes a pair sum, 15 products summed in whatever order
-    # BLAS takes, block panels and nb blocks: at most 1 + 14 +
+    # BLAS or einsum takes, block panels and nb blocks: at most 1 + 14 +
     # (block - 1) + (nb - 1) additions.  The real and imaginary parts
     # are separate real sums, each over at most sqrt(2) times the
     # pair's sum of moduli: the sqrt(2).  Phase arguments: at most
@@ -511,7 +540,8 @@ def _grid_pass(piece, x, ys, ay, T, theta, scale, omega):
     # one and the nodes together; 3 for the three phase products
     rounding = _rounding(
         block + nb + 13,
-        math.sqrt(2.0) * half * float((np.abs(v.T, order="C") @ _WGK).sum()),
+        math.sqrt(2.0) * half * float(dot(np.abs(v.T, order="C"),
+                                          _WGK).sum()),
         ay * (T + 2.0 * block * half) + 3.0)
     return values, disc, rounding
 
@@ -525,26 +555,29 @@ def laplace_grid(piece, bound: ExponentialOrderBound, x: float, ys,
     half_line_integral, with osc the oscillation of piece itself; T, the
     tail and the mass of |v| come from _truncate.
 
-    One uniform GK15 pass over [0, T] serves every y.  Its panel width
-    comes from the GK15 error model (_PHI): a panel of half-width h on
-    which the integrand turns at rate omega has theta = omega*h, and the
-    pass's |K - G| sum is about phi(theta) times the integral of |v| over
-    [0, T], at most the envelope's mass M*d!/(x - a)^(d+1)
-    (M*T^(d+1)/(d+1) under a tail_cut with x <= a).  theta is the largest
-    value up to pi whose prediction is a quarter of the tol/2 panel
-    budget.  omega bounds the rate of the damped kernel,
+    Uniform GK15 passes over [0, T] serve the y, many to a pass.  The
+    panel width comes from the GK15 error model (_PHI): a panel of
+    half-width h on which the integrand turns at rate omega has
+    theta = omega*h, and the pass's |K - G| sum is about phi(theta)
+    times the integral of |v| over [0, T], at most the envelope's mass
+    M*d!/(x - a)^(d+1) (M*T^(d+1)/(d+1) under a tail_cut with x <= a).
+    theta is the largest value up to pi whose prediction is a quarter
+    of the tol/2 panel budget.  omega bounds the rate of the damped kernel,
     |y| + |osc| + |x|, plus, for a piece with a tail_cut, the mean decay
     rate that certifies, log(2/tol)/tail_cut(tol/2).  The width is
     min(2*theta/max omega, decay length).
 
-    A y that 4096 panels of that kind cannot resolve goes straight to
-    half_line_integral with osc = |y| + |osc|, and so does a y whose
-    panel |K - G| sum exceeds tol/2; its value and estimate are
-    half_line_integral's.  The node pairs x_j, -x_j, real for a real
-    piece, meet their weighted cosines and sines in real BLAS products
-    of inner dimension 15, in chunks of y kept on the calling thread;
-    the panel phases come by block from one exp per y over one step
-    vector (_block_phased_sum).  Estimates are tail bound + panel
+    The y that _MAX_PANELS (4096) such panels reach share one pass.
+    The others share a second one, sized the same way for the largest of
+    their rates; when it would need more than MAX_EVALUATIONS
+    evaluations, AccuracyError is raised before any evaluation.  A y
+    whose panel |K - G| sum exceeds tol/2 is bisected by _adaptive from
+    the model-width panels of its own rate, with the phase bound |y|*T
+    in its rounding allowance.  The node pairs x_j, -x_j, real for a
+    real piece, meet their weighted cosines and sines in real BLAS
+    products of inner dimension 15, in chunks of y kept on the calling
+    thread; the panel phases come by block from one exp per y over one
+    step vector (_block_phased_sum).  Estimates are tail bound + panel
     |K - G| sum + rounding allowance.
     """
     ys = np.asarray(ys, dtype=float)
@@ -561,26 +594,26 @@ def laplace_grid(piece, bound: ExponentialOrderBound, x: float, ys,
         # the mean decay rate of a piece that falls below tol/2 by its cut
         omega += (abs(math.log(2.0 / tol))
                   / max(float(tail_cut(tol / 2.0)), _EPS))
-    served = omega <= 2.0 * theta * _MAX_PANELS / T
-    if served.all():  # the usual case: no gather or scatter
+    near = omega <= 2.0 * theta * _MAX_PANELS / T
+    if near.all():  # the usual case: no gather or scatter
         values, disc, rounding = _grid_pass(piece, x, ys, ay, T, theta,
                                             scale, omega)
     else:
-        values = np.zeros(ys.shape, dtype=complex)
-        disc = np.full(ys.shape, np.inf)  # a y the pass skips is refined
-        rounding = np.zeros(ys.shape)
-        if served.any():
-            values[served], disc[served], rounding[served] = _grid_pass(
-                piece, x, ys[served], ay[served], T, theta, scale,
-                omega[served])
+        values = np.empty(ys.shape, dtype=complex)
+        disc, rounding = np.empty(ys.shape), np.empty(ys.shape)
+        # the far pass first, so that one over budget evaluates nothing
+        for part in (~near, near):
+            if part.any():
+                values[part], disc[part], rounding[part] = _grid_pass(
+                    piece, x, ys[part], ay[part], T, theta, scale,
+                    omega[part])
     estimates = tail + disc + rounding
     for k in (disc > tol / 2.0).nonzero()[0]:
         s = x + 1j * ys[k]
-        res = half_line_integral(
-            lambda u, s=s: np.exp(-s * u) * np.asarray(piece(u),
-                                                        dtype=complex),
-            bound, x, tol, osc=abs(ys[k]) + abs(osc), tail_cut=tail_cut)
-        values[k], estimates[k] = res.value, res.abs_error_estimate
+        values[k], estimate = _adaptive(
+            lambda u: np.exp(-s * u) * piece(u), 0.0, T,
+            _panel_count(T, theta, scale, omega[k]), tol / 2.0, ay[k] * T)
+        estimates[k] = tail + estimate
     return values, estimates
 
 
@@ -681,10 +714,7 @@ def finite_oscillatory_integral(F, t: float, A: float,
     width = min(4.0, 2.0 * math.pi / (abs(t) + 1.0))
     n = 2 * math.ceil(A / (2.0 * width))
     cost = 15 * per_node  # evaluations of F per panel
-    if cost * n > MAX_EVALUATIONS:
-        raise AccuracyError(
-            f"budget cannot resolve the oscillation: {n} initial panels "
-            f"need {cost * n} evaluations (> {MAX_EVALUATIONS})")
+    _affordable(n, cost)
     half = A / (2 * n)
     edges = 2.0 * half * np.arange(n + 1)
     two_pi = 2.0 * math.pi

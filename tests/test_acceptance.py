@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from symlap import forward, quadrature, verify
+from symlap import forward, verify
 from symlap.core import SLPoint, catalog_signal
 
 
@@ -82,30 +82,24 @@ def test_report_is_stable_json():
     assert text == verify.report_json()
 
 
-def test_suite_makes_one_grid_pass_per_damping_row(monkeypatch):
+def test_suite_makes_one_grid_pass_per_damping_row(monkeypatch,
+                                                  adaptive_calls):
     # machine-independent; point-by-point grid criteria made 406 calls,
     # 402 of them at a single y.  The derivative-rule, heat and ODE
     # checks add 56 one-y passes, which replaced their 56 adaptive
     # integrals, and no y of the suite falls back to the adaptive path
     sizes = []
-    adaptive = []
     grid = forward.laplace_grid
-    refine = quadrature._adaptive
 
     def counted(piece, bound, x, ys, tol, **kwargs):
         sizes.append(np.size(ys))
         return grid(piece, bound, x, ys, tol, **kwargs)
 
-    def counted_adaptive(*args):
-        adaptive.append(args)
-        return refine(*args)
-
     monkeypatch.setattr(forward, "laplace_grid", counted)
-    monkeypatch.setattr(quadrature, "_adaptive", counted_adaptive)
     verify.run_all()
     assert len(sizes) == 182
     assert sizes.count(1) == 108
-    assert adaptive == []
+    assert adaptive_calls == []
 
 
 @pytest.mark.parametrize("name,evaluations", [

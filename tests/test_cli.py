@@ -273,7 +273,8 @@ def _blas_name() -> str:
     return config.get("Build Dependencies", {}).get("blas", {}).get("name", "")
 
 
-# Runs the 401-point sincos grid 10 times and prints the CPU clock ticks
+# Runs the 401-point sincos grid and a sign grid with y = 1e4 (whose
+# second pass has 38,071 panels) 10 times and prints the CPU clock ticks
 # (utime + stime) that every thread but the main one spent meanwhile,
 # then the same for a complex product that OpenBLAS does split over
 # threads, to show that helper threads are there to be seen.  OpenBLAS's
@@ -310,9 +311,11 @@ def settled_ticks():
 
 ys = grid_points(-59.0, 59.0, 400)
 forward_csv("sincos", 0.5, 1.0, ys, 1e-8)
+forward_csv("sign", 1.0, 1.0, [0.5, 1e4], 1e-8)
 before = settled_ticks()
 for _ in range(10):
     forward_csv("sincos", 0.5, 1.0, ys, 1e-8)
+    forward_csv("sign", 1.0, 1.0, [0.5, 1e4], 1e-8)
 grid = helper_ticks() - before
 a = np.ones((400, 400)) * (1.0 + 1.0j)
 before = helper_ticks()

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from _oracles import simpson
-from symlap import quadrature
 from symlap.core import (
     CATALOG_NAMES,
     ExponentialOrderBound,
@@ -13,15 +12,15 @@ from symlap.core import (
     SLPoint,
     catalog_signal,
 )
-from symlap.errors import DivergenceError
+from symlap.errors import AccuracyError, DivergenceError
 from symlap.forward import (
     fourier_reduction,
     one_sided_values,
     sl_forward,
     sl_forward_grid,
     sl_forward_symmetric,
+    sl_forward_values,
 )
-from symlap.quadrature import half_line_integral
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -184,23 +183,9 @@ def _sweep_grid(rng):
     return [float(y) for y in ys]
 
 
-@pytest.fixture
-def fallbacks(monkeypatch):
-    """Arguments of every call to the adaptive path."""
-    calls = []
-    adaptive = quadrature._adaptive
-
-    def counted(*args):
-        calls.append(args)
-        return adaptive(*args)
-
-    monkeypatch.setattr(quadrature, "_adaptive", counted)
-    return calls
-
-
 @pytest.mark.parametrize("tol", [1e-4, 1e-6, 1e-8, 1e-10, 1e-12])
 @pytest.mark.parametrize("name", CATALOG_NAMES)
-def test_grid_sweep_meets_certificate(name, tol, fallbacks):
+def test_grid_sweep_meets_certificate(name, tol, adaptive_calls):
     rng = np.random.default_rng([20261018, CATALOG_NAMES.index(name),
                                  int(-math.log10(tol))])
     for _ in range(2):
@@ -219,15 +204,15 @@ def test_grid_sweep_meets_certificate(name, tol, fallbacks):
             # at 1e-12 the rounding allowance alone may exceed tol
             assert np.all(est <= tol)
         # the error-model panels resolve every y on the first pass
-        assert fallbacks == []
+        assert adaptive_calls == []
 
 
-def test_tight_tolerance_grid_needs_no_fallback(fallbacks):
+def test_tight_tolerance_grid_needs_no_fallback(adaptive_calls):
     # panels half an oscillation wide sent 17 of these 201 points to the
     # adaptive path
     ys = list(np.linspace(-59.0, 59.0, 201))
     samples = sl_forward_grid(catalog_signal("one"), 1.0, 1.0, ys, 1e-12)
-    assert fallbacks == []
+    assert adaptive_calls == []
     gap = np.abs(np.array([p.value for p in samples])
                  - closed_form("one", 1.0, 1.0, ys))
     assert np.all(gap <= [p.abs_error_estimate for p in samples])
@@ -246,28 +231,61 @@ def _counted(f):
     return dataclasses.replace(f, pos=wrap(f.pos), neg=wrap(f.neg)), count
 
 
-def test_y_beyond_the_panel_cap_skips_the_uniform_pass():
-    # y = 1e4 needs more than 4096 uniform panels, so the adaptive path
-    # alone pays for the point: each side is half_line_integral's value
-    # and estimate bit for bit
-    sign = catalog_signal("sign")
-    f, count = _counted(sign)
-    y = 1e4
-    r = sl_forward(f, SLPoint(1.0, 1.0, y), 1e-8)
-    evaluations, value, estimate = 0, 0j, 0.0
-    for side, piece, s in (("pos", sign.pos, 1.0 + 1j * y),
-                           ("neg", lambda u: sign.neg(-u), 1.0 - 1j * y)):
-        alone = half_line_integral(
-            lambda u, piece=piece, s=s: (
-                np.exp(-s * u) * np.asarray(piece(u), dtype=complex)),
-            sign.bound_for(side), 1.0, 0.5e-8, osc=y)
-        evaluations += alone.evaluations
-        value += alone.value
-        estimate += alone.abs_error_estimate
-    assert count[0] == evaluations
-    assert (r.value, r.abs_error_estimate) == (value, estimate)
-    closed = closed_form("sign", 1.0, 1.0, y)
+def test_y_beyond_the_panel_cap_takes_a_second_uniform_pass(adaptive_calls):
+    # y = 1e4 needs more than 4096 model-width panels, so a second pass
+    # sized for it serves it, with no bisection; the restart from
+    # quarter-period panels it replaced took 1,870,740 evaluations
+    f, count = _counted(catalog_signal("sign"))
+    r = sl_forward(f, SLPoint(1.0, 1.0, 1e4), 1e-8)
+    assert count[0] == 1142130
+    assert adaptive_calls == []
+    closed = closed_form("sign", 1.0, 1.0, 1e4)
     assert abs(r.value - closed) <= r.abs_error_estimate <= 1e-8
+
+
+@pytest.mark.parametrize("ys", [[1e5], [0.0, 2.0, 1e5]],
+                         ids=["alone", "beside near y"])
+def test_y_beyond_the_budget_raises_before_any_evaluation(ys):
+    # y = 1e5 needs 380,669 panels a side, 5.7 million evaluations; the
+    # restart spent about 900,000 a side before it raised.  The pass of
+    # the far y runs first, so near y beside it cost nothing either
+    f, count = _counted(catalog_signal("sign"))
+    with pytest.raises(AccuracyError, match="budget cannot resolve"):
+        sl_forward_values(f, 1.0, 1.0, ys, 1e-8)
+    assert count[0] == 0
+
+
+def test_near_y_keep_their_bits_beside_a_far_y():
+    # the far y of a grid gets a pass of its own, so the near ones keep
+    # the bits of the grid without it
+    sign = catalog_signal("sign")
+    near = list(np.linspace(-10.0, 10.0, 21))
+    alone = sl_forward_values(sign, 1.0, 1.0, near, 1e-8)
+    mixed = sl_forward_values(sign, 1.0, 1.0, near + [5e3], 1e-8)
+    for a, b in zip(alone, mixed):
+        assert a.tobytes() == b[:21].tobytes()
+    gap = abs(mixed[0][21] - closed_form("sign", 1.0, 1.0, 5e3))
+    assert gap <= mixed[1][21] <= 1e-8
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_large_y_meet_certificate_or_raise(name):
+    # |y| from 200 to 3e4, beyond the draws of the grid sweep: a value
+    # within its estimate and tol, or AccuracyError from a pass that
+    # needs more than the evaluation budget
+    rng = np.random.default_rng([20261019, CATALOG_NAMES.index(name)])
+    for x in (0.5, 1.0, 2.0):
+        if name == "ode_rhs" and x <= 1.0:
+            continue  # x must exceed a = 1
+        for tol in (1e-6, 1e-8):
+            for y in np.exp(rng.uniform(math.log(200.0), math.log(3e4), 3)):
+                try:
+                    r = sl_forward(catalog_signal(name),
+                                   SLPoint(x, x, float(y)), tol)
+                except AccuracyError:
+                    continue
+                gap = abs(r.value - closed_form(name, x, x, float(y)))
+                assert gap <= r.abs_error_estimate <= tol, (x, tol, y)
 
 
 @pytest.mark.parametrize("x", [0.5, 2.0])
@@ -306,15 +324,17 @@ def test_grid_agrees_with_single_points():
                                             + one.abs_error_estimate)
 
 
-def test_missed_oscillation_falls_back_to_refinement(fallbacks):
+def test_missed_oscillation_falls_back_to_refinement(adaptive_calls):
     # cos(40 t) without an osc_hint: panels sized for |y| <= 1 span
-    # several periods, so every y misses its budget and is refined
-    fast = PiecewiseSignal(
+    # several periods, so every y misses its budget and is refined from
+    # its own model-width panels (quarter-period panels took 15,750)
+    fast, count = _counted(PiecewiseSignal(
         "fast", lambda t: np.cos(40.0 * t), lambda t: np.zeros_like(t),
-        ExponentialOrderBound(1.0, 0.0), ExponentialOrderBound(1.0, 0.0))
+        ExponentialOrderBound(1.0, 0.0), ExponentialOrderBound(1.0, 0.0)))
     ys = [-1.0, -0.5, 0.0, 0.5, 1.0]
     samples = sl_forward_grid(fast, 1.0, 2.0, ys, 1e-8)
-    assert len(fallbacks) == len(ys)
+    assert len(adaptive_calls) == len(ys)
+    assert count[0] == 16710
     for y, p in zip(ys, samples):
         s1 = 1.0 + 1j * y
         assert abs(p.value - s1 / (s1 ** 2 + 1600.0)) <= p.abs_error_estimate
@@ -356,21 +376,22 @@ def test_grid_divergence_names_the_side():
         sl_forward_grid(catalog_signal("sign"), 1.0, -0.5, [0.0, 2.0], 1e-8)
 
 
-@pytest.mark.parametrize("tol", [1e-10, 1e-12])
-def test_only_y_beyond_the_panel_cap_reach_the_adaptive_path(tol,
-                                                             fallbacks):
+@pytest.mark.parametrize("tol,evaluations", [(1e-10, 267630),
+                                             (1e-12, 354780)])
+def test_y_beyond_the_panel_cap_need_no_adaptive_path(tol, evaluations,
+                                                      adaptive_calls):
     # the ramp at x = 0.25: 4096 model-width panels reach |y| of about
-    # 102 at tol 1e-10 and 63 at 1e-12, so the largest |y| are refined
-    # and the rest served by the uniform pass
+    # 102 at tol 1e-10 and 63 at 1e-12, and the larger |y| share a
+    # second pass; restarting them took 5,505,420 and 21,520,500
+    # evaluations
+    f, count = _counted(catalog_signal("ramp"))
     ys = list(np.linspace(-120.0, 120.0, 241))
-    samples = sl_forward_grid(catalog_signal("ramp"), 0.25, 0.25, ys, tol)
+    samples = sl_forward_grid(f, 0.25, 0.25, ys, tol)
+    assert adaptive_calls == []
+    assert count[0] == evaluations
     gap = np.abs(np.array([p.value for p in samples])
                  - closed_form("ramp", 0.25, 0.25, ys))
     assert np.all(gap <= [p.abs_error_estimate for p in samples])
-    # _adaptive(f, 0, T, n0, tol, |y|*T)
-    refined = sorted(args[5] / args[2] for args in fallbacks)
-    first = {1e-10: 90.0, 1e-12: 60.0}[tol]
-    assert refined and refined[0] > first
 
 
 @pytest.mark.parametrize("name,x1,x2,ymax,n,evaluations", [

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from _oracles import simpson
+from symlap import quadrature
 from symlap.core import CATALOG_NAMES, ExponentialOrderBound, catalog_signal
 from symlap.errors import AccuracyError, DivergenceError
 from symlap.expr import parse_transform
 from symlap.inversion import _on_line
 from symlap.quadrature import (
+    _EPS,
     _PHI,
     _WG,
     _WGK,
@@ -68,6 +70,50 @@ def test_half_line_divergence_when_damping_too_small():
     with pytest.raises(DivergenceError):
         half_line_integral(lambda t: np.exp(t), ExponentialOrderBound(1.0, 1.0),
                            0.5, 1e-8)
+
+
+def test_half_line_keeps_the_callers_errors_and_phase_allowance(
+        monkeypatch):
+    # half_line_integral runs laplace_grid's path on its integrand at
+    # damping 0, but truncates on the caller's bound and x
+    with pytest.raises(DivergenceError,
+                       match=r"^damping x=0\.5 does not exceed growth rate "
+                             r"a=1\.0$"):
+        half_line_integral(lambda t: np.exp(0.5 * t),
+                           ExponentialOrderBound(1.0, 1.0), 0.5, 1e-8)
+    # the phases y*t inside exp(-(1 + i*y)*t) are bounded by osc*T, and
+    # the estimate adds eps * mass * osc * T for them (mass M/(x-a) = 1)
+    # to the grid path's
+    grid = []
+
+    def recorded(*args, **kwargs):
+        grid.append(laplace_grid(*args, **kwargs))
+        return grid[-1]
+
+    monkeypatch.setattr(quadrature, "laplace_grid", recorded)
+    y = 50.0
+    r = half_line_integral(lambda t: np.exp(-(1.0 + 1j * y) * t), B10, 1.0,
+                           1e-10, osc=y)
+    (value,), (estimate,) = grid[0]
+    assert r.value == value
+    assert r.abs_error_estimate == estimate + _EPS * y * r.truncation_point
+    assert abs(r.value - 1.0 / (1.0 + 1j * y)) <= r.abs_error_estimate
+    assert r.abs_error_estimate <= 1e-10
+
+
+def test_half_line_ignores_a_tail_cut_under_negative_damping():
+    # exp(-t^2) <= exp(2.25 - 3t); at x = -2 the integrand exp(-t^2 + 2t)
+    # is larger beyond the Gaussian's cut than the cut certifies, so
+    # only the envelope, at rate x - a = 1, may truncate
+    def cut(tol):
+        return math.sqrt(math.log(1.0 / tol))
+
+    r = half_line_integral(lambda t: np.exp(-t * t + 2.0 * t),
+                           ExponentialOrderBound(math.exp(2.25), -3.0), -2.0,
+                           1e-8, tail_cut=cut)
+    exact = math.e * math.sqrt(math.pi) / 2.0 * (1.0 + math.erf(1.0))
+    assert r.truncation_point > 20.0
+    assert abs(r.value - exact) <= r.abs_error_estimate <= 1e-8
 
 
 def test_half_line_degenerate_tolerance_returns_zero_estimate():
