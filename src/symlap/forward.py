@@ -13,10 +13,10 @@ Along a line of fixed damping (x1, x2) the oscillation y is the Fourier
 direction, so a whole y-grid is evaluated at once: each half-line takes
 one factored GK15 pass over uniform panels shared by its y, and a second
 for the y beyond 4096 such panels (quadrature.laplace_grid); only a y
-whose panel certificate misses its budget is refined adaptively.  one_sided_values is that pass for
-one half-line, and the one path by which the package takes a one-sided
-transform: the derivative rules and the heat and ODE checks call it
-too.  sl_forward_values returns a grid's values and estimates as
+whose panel certificate misses its budget has its own panels bisected.
+one_sided_values is that pass for one half-line, and the one path by
+which the package takes a one-sided transform: the derivative rules and
+the heat and ODE checks call it too.  sl_forward_values returns a grid's values and estimates as
 arrays, which `symlap forward` writes as they are; sl_forward_grid
 wraps them as TransformSamples, and sl_forward is the one-point grid.
 """

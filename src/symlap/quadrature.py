@@ -1,13 +1,14 @@
 """Semi-infinite and finite oscillatory integration with certified truncation.
 
-The workhorse is an adaptive Gauss-Kronrod 7/15 scheme over a panel list.
-Each panel is estimated with the 15-point Kronrod rule; the difference
-against the embedded 7-point Gauss rule serves as the local error
-estimate.  Panels whose error exceeds their fair share of the budget are
-bisected until the error sum fits, or a hard evaluation budget (2^20
-integrand evaluations) runs out, in which case an AccuracyError carrying
-the best estimate is raised rather than returning a silently degraded
-value.
+Both directions use one Gauss-Kronrod 7/15 scheme: a uniform pass of
+panels, each estimated with the 15-point Kronrod rule, the difference
+against the embedded 7-point Gauss rule serving as the local error
+estimate, and one refinement loop (_refine) that bisects the panels
+whose error exceeds their fair share of the budget until the error sum
+fits, or a hard evaluation budget (2^20 integrand evaluations) runs
+out.  Then an AccuracyError carrying the value and estimate the panels
+would have given is raised rather than a silently degraded value
+returned.
 
 Half-line integrals split the tolerance evenly: the certified tail
 beyond T gets half, panel refinement on [0, T] gets the other half.
@@ -44,13 +45,12 @@ as ceil(P/B) blocks of B, with its B inner phases, and the block sums
 are dotted with the outer phases: Y*(P/B + B) complex exps and no
 Y x P phase table.  The same node product with the weights w^K - w^G
 gives each panel's |K_p - G_p| (the panel phase drops out of the
-modulus), so every y carries the certificate the adaptive path would
-report for these panels.  Every product of a pass of at most 4096
-panels has an inner dimension of at most 64 and is cut, in rows or
-blocks, below the size at which OpenBLAS hands it to helper threads
-(_SOLO_DGEMM, _SOLO_ZGEMV): a helper thread spins between calls, which
-doubles the CPU time of a forward grid for no gain in wall time.  A
-larger pass, whose one-y node product alone is above that size, takes
+modulus), so every y carries the certificate of its panels.  Every
+product of a pass of at most 4096 panels has an inner dimension of at
+most 64 and is cut, in rows or blocks, below the size at which
+OpenBLAS hands it to helper threads (_SOLO_DGEMM, _SOLO_ZGEMV): a
+helper thread spins between calls, which doubles the CPU time of a
+forward grid for no gain in wall time.  A larger pass, whose one-y node product alone is above that size, takes
 its node products through einsum, which never calls BLAS.  On one
 thread the sums do not depend on OPENBLAS_NUM_THREADS, so `symlap
 forward` writes the same bytes under any setting.
@@ -63,8 +63,11 @@ widest panels whose predicted sum is a quarter of its budget.  The y
 that 4096 such panels resolve share one pass; the others share a
 second, sized for the fastest of them and refused with AccuracyError,
 before any evaluation, when it needs more than 2^20 evaluations.  A y
-whose panel sum misses its budget is bisected by the adaptive path,
-starting from the model-width panels of its own rate.
+whose panel sum misses its budget has its own panels of the pass handed
+to _refine: their Kronrod values with the panel phase, their |K - G|
+and their Kronrod sums of |v| come from the pass's node sums, so no
+node is evaluated twice, and the halves are evaluated by _phased_panels
+with the kernel exp(-i*y*u), as numeric inversion evaluates its panels.
 half_line_integral is the one-y case of the same code: its integrand,
 damped already, is a piece at y = 0.  The reported estimate adds a
 rounding allowance for the sums and phases; refinement never tests
@@ -77,8 +80,8 @@ signal) the integral over [-A, A] is 2*Re of the integral over [0, A],
 and any other F is split into two such parts (_symmetric_parts).  One
 uniform pass at one oscillation per panel, where the model predicts
 phi(pi) ~ 8e-9 of the panel's integral of |F|, is followed by bisection
-in place of the panels over budget, by the same refinement loop the
-adaptive path uses.
+in place of the panels over budget, by the same refinement loop and the
+same phase-factored panels (_phased_panels) as a forward y.
 
 Integrands must accept a 1-d numpy float array and return an array of
 values (complex or real).  Panels are kept in ascending position order
@@ -229,38 +232,6 @@ def _finite(vals):
     return vals
 
 
-def _panel_estimates(f, lefts, rights):
-    """Kronrod values, |K - G| error estimates and Kronrod sums of |f|
-    (the scale of their rounding), vectorized over panels."""
-    half = (rights - lefts) / 2.0
-    mid = (lefts + rights) / 2.0
-    nodes = mid[:, None] + half[:, None] * _XGK[None, :]
-    vals = np.asarray(_finite(f(nodes.ravel())),
-                      dtype=complex).reshape(len(lefts), 15)
-    # einsum, unlike @, never hands the product to threaded BLAS
-    k = np.einsum("pj,j->p", vals, _WGK) * half
-    g = np.einsum("pj,j->p", vals, _WG) * half
-    return k, np.abs(k - g), np.einsum("pj,j->p", np.abs(vals), _WGK) * half
-
-
-def _adaptive(f, a, b, n0, tol, phase=0.0):
-    """Adaptively integrate f over [a, b] to absolute tolerance tol,
-    starting from n0 equal panels; phase bounds the arguments of the
-    phases inside f (see _rounding).
-
-    Returns the value and its estimate, the |K - G| sum plus the
-    rounding allowance.
-    """
-    grid = np.linspace(a, b, n0 + 1)
-    lefts, rights = grid[:-1], grid[1:]
-    panels = functools.partial(_panel_estimates, f)
-    k, e, m = panels(lefts, rights)
-    _, _, k, e, m, evals = _refine(panels, lefts, rights, k, e, m, tol,
-                                   15 * n0)
-    return complex(k.sum()), float(e.sum()) + _rounding(
-        math.ceil(math.log2(evals)), m.sum(), phase)
-
-
 def _rounding(depth, magnitude, phase=0.0):
     """Rounding allowance for a GK15 sum whose Kronrod sum of
     |integrand| is magnitude: at most depth additions on any term's path
@@ -269,19 +240,17 @@ def _rounding(depth, magnitude, phase=0.0):
     return _EPS * magnitude * (depth + phase + 2.0)
 
 
-def _refine(panels, lefts, rights, k, e, m, tol, evals, cost=15,
-            result=None):
+def _refine(panels, lefts, rights, k, e, m, tol, evals, cost, result):
     """Bisect panels until their |K - G| sum is at most tol.
 
     lefts, rights, k, e and m describe the panels (Kronrod values, error
     estimates and Kronrod sums of |f|) and evals counts the evaluations
-    spent on them so far.  panels(lefts, rights) returns k, e and m of
-    new panels at cost evaluations each.  Returns the refined (lefts,
-    rights, k, e, m, evals).  A round that would take evals past
-    MAX_EVALUATIONS is not started: AccuracyError carries the best value
-    and estimate instead, result(k, e, m, evals) when a result function
-    is given (the caller's value and estimate for these panels), else
-    the sums of k and e.
+    spent on them so far.  panels(mids, halves) returns k, e and m of
+    new panels, given by their midpoints and half-widths, at cost
+    evaluations each.  Returns the refined (lefts, rights, k, e, m,
+    evals).  A round that would take evals past MAX_EVALUATIONS is not
+    started: AccuracyError carries result(k, e, m, evals), the caller's
+    value and estimate for the panels refined so far, instead.
     Refinement never tests against rounding.  Panels stay
     sorted by position and a split panel is replaced in place by its two
     halves, so existing panel edges survive; each round bisects every
@@ -294,8 +263,7 @@ def _refine(panels, lefts, rights, k, e, m, tol, evals, cost=15,
             mask = e == e.max()
         n = int(mask.sum())
         if evals + 2 * cost * n > MAX_EVALUATIONS:
-            value, estimate = ((complex(k.sum()), float(e.sum()))
-                               if result is None else result(k, e, m, evals))
+            value, estimate = result(k, e, m, evals)
             raise AccuracyError(
                 f"refinement budget exhausted ({evals} evaluations, the "
                 f"next round needs {2 * cost * n} more); best "
@@ -303,8 +271,9 @@ def _refine(panels, lefts, rights, k, e, m, tol, evals, cost=15,
                 value=value, abs_error_estimate=estimate)
         mids = (lefts[mask] + rights[mask]) / 2.0
         # both halves of every split panel in one call: left halves first
-        kh, eh, mh = panels(np.concatenate([lefts[mask], mids]),
-                            np.concatenate([mids, rights[mask]]))
+        lo = np.concatenate([lefts[mask], mids])
+        hi = np.concatenate([mids, rights[mask]])
+        kh, eh, mh = panels((lo + hi) / 2.0, (hi - lo) / 2.0)
         evals += 2 * cost * n
         # rebuild the panel list in position order, split panels in place
         counts = np.where(mask, 2, 1)
@@ -492,9 +461,11 @@ def _block_phased_sum(terms, y, half, block):
     return (phases[:, None, :nb] @ sums)[:, 0, 0]
 
 
-def _grid_pass(piece, x, ys, ay, T, theta, scale, omega):
+def _grid_pass(piece, x, ys, ay, omega, T, tail, tol, theta, scale):
     """laplace_grid's uniform pass for every y of ys (ay = |ys|, omega
-    the rates): values, panel |K - G| sums and rounding allowances."""
+    the rates): values and estimates, tail + panel |K - G| sum +
+    rounding allowance.  A y whose |K - G| sum exceeds tol/2 has its own
+    panels of this pass bisected by _refine."""
     P = _panel_count(T, theta, scale, float(omega.max()))
     _affordable(P, 15)
     half = T / (2.0 * P)
@@ -516,21 +487,11 @@ def _grid_pass(piece, x, ys, ay, T, theta, scale, omega):
     pairs[1:14:2, P:] = 0j * -1j
     pairs[14, :P] = v[7]
     pairs = pairs.view(float)
-    values, disc = np.empty(ys.shape, dtype=complex), np.empty(ys.shape)
     step = max(1, _SOLO_DGEMM // (2 * pairs.size))
     # a one-y product above _SOLO_DGEMM, only ever in a pass beyond
     # _MAX_PANELS, goes to einsum, which never hands it to threaded BLAS
     dot = (np.matmul if 2 * pairs.size <= _SOLO_DGEMM
            else functools.partial(np.einsum, "ij,j...->i..."))
-    for lo in range(0, ys.size, step):
-        k = slice(lo, lo + step)
-        y = ys[k]
-        trig = np.exp((half * y)[:, None] * _IXGK8).view(float)
-        # Kronrod rows, then Kronrod-minus-Gauss rows
-        sums = dot((_PAIRED[:, None] * trig[:, :15]).reshape(-1, 15),
-                   pairs).view(complex)
-        values[k] = half * _block_phased_sum(sums[:y.size], y, half, block)
-        disc[k] = half * np.abs(sums[y.size:]).sum(axis=1)
     # a term passes a pair sum, 15 products summed in whatever order
     # BLAS or einsum takes, block panels and nb blocks: at most 1 + 14 +
     # (block - 1) + (nb - 1) additions.  The real and imaginary parts
@@ -538,12 +499,44 @@ def _grid_pass(piece, x, ys, ay, T, theta, scale, omega):
     # pair's sum of moduli: the sqrt(2).  Phase arguments: at most
     # |y|*T for the outer factor and |y|*2*block*half for the inner
     # one and the nodes together; 3 for the three phase products
-    rounding = _rounding(
-        block + nb + 13,
-        math.sqrt(2.0) * half * float(dot(np.abs(v.T, order="C"),
-                                          _WGK).sum()),
-        ay * (T + 2.0 * block * half) + 3.0)
-    return values, disc, rounding
+    mass = dot(np.abs(v.T, order="C"), _WGK)  # sum_j w_j*|v_pj| by panel
+    rounding = _rounding(block + nb + 13,
+                         math.sqrt(2.0) * half * float(mass.sum()),
+                         ay * (T + 2.0 * block * half) + 3.0)
+    values, estimates = np.empty(ys.shape, dtype=complex), np.empty(ys.shape)
+    for lo in range(0, ys.size, step):
+        chunk = slice(lo, lo + step)
+        y = ys[chunk]
+        trig = np.exp((half * y)[:, None] * _IXGK8).view(float)
+        # Kronrod rows, then Kronrod-minus-Gauss rows
+        sums = dot((_PAIRED[:, None] * trig[:, :15]).reshape(-1, 15),
+                   pairs).view(complex)
+        values[chunk] = half * _block_phased_sum(sums[:y.size], y, half,
+                                                 block)
+        disc = half * np.abs(sums[y.size:]).sum(axis=1)
+        estimates[chunk] = tail + disc + rounding[chunk]
+        for i in (disc > tol / 2.0).nonzero()[0]:
+            t = -float(y[i])  # the kernel exp(i*t*u) of _phased_panels
+
+            def panels(mids, halves):
+                k, e, m = _phased_panels(
+                    lambda u: _finite(piece(u)) * np.exp(-x * u), t, mids,
+                    halves)
+                return k[0], e, m
+
+            def result(k, e, m, evals):
+                return complex(k.sum()), tail + float(e.sum()) + _rounding(
+                    math.ceil(math.log2(evals)), float(m.sum()), abs(t) * T)
+
+            # this y's panels: K_p with its panel phase, |K_p - G_p| and
+            # the Kronrod sums of |v|
+            edges = 2.0 * half * np.arange(P + 1)
+            values[lo + i], estimates[lo + i] = result(*_refine(
+                panels, edges[:-1], edges[1:],
+                half * np.exp(1j * t * (odd * half)) * sums[i, :P],
+                half * np.abs(sums[y.size + i, :P]), half * mass, tol / 2.0,
+                15 * P, 15, result)[2:])
+    return values, estimates
 
 
 def laplace_grid(piece, bound: ExponentialOrderBound, x: float, ys,
@@ -571,14 +564,15 @@ def laplace_grid(piece, bound: ExponentialOrderBound, x: float, ys,
     The others share a second one, sized the same way for the largest of
     their rates; when it would need more than MAX_EVALUATIONS
     evaluations, AccuracyError is raised before any evaluation.  A y
-    whose panel |K - G| sum exceeds tol/2 is bisected by _adaptive from
-    the model-width panels of its own rate, with the phase bound |y|*T
-    in its rounding allowance.  The node pairs x_j, -x_j, real for a
-    real piece, meet their weighted cosines and sines in real BLAS
-    products of inner dimension 15, in chunks of y kept on the calling
-    thread; the panel phases come by block from one exp per y over one
-    step vector (_block_phased_sum).  Estimates are tail bound + panel
-    |K - G| sum + rounding allowance.
+    whose panel |K - G| sum exceeds tol/2 has its own panels of the pass
+    bisected by _refine, and its rounding allowance is that of the
+    refined panels' sum with the phase bound |y|*T; when the budget runs
+    out, the AccuracyError carries that y's value and estimate.  The
+    node pairs x_j, -x_j, real for a real piece, meet their weighted
+    cosines and sines in real BLAS products of inner dimension 15, in
+    chunks of y kept on the calling thread; the panel phases come by
+    block from one exp per y over one step vector (_block_phased_sum).
+    Estimates are tail bound + panel |K - G| sum + rounding allowance.
     """
     ys = np.asarray(ys, dtype=float)
     T, tail, scale, mass = _truncate(bound, float(x), float(tol), tail_cut)
@@ -596,24 +590,15 @@ def laplace_grid(piece, bound: ExponentialOrderBound, x: float, ys,
                   / max(float(tail_cut(tol / 2.0)), _EPS))
     near = omega <= 2.0 * theta * _MAX_PANELS / T
     if near.all():  # the usual case: no gather or scatter
-        values, disc, rounding = _grid_pass(piece, x, ys, ay, T, theta,
-                                            scale, omega)
-    else:
-        values = np.empty(ys.shape, dtype=complex)
-        disc, rounding = np.empty(ys.shape), np.empty(ys.shape)
-        # the far pass first, so that one over budget evaluates nothing
-        for part in (~near, near):
-            if part.any():
-                values[part], disc[part], rounding[part] = _grid_pass(
-                    piece, x, ys[part], ay[part], T, theta, scale,
-                    omega[part])
-    estimates = tail + disc + rounding
-    for k in (disc > tol / 2.0).nonzero()[0]:
-        s = x + 1j * ys[k]
-        values[k], estimate = _adaptive(
-            lambda u: np.exp(-s * u) * piece(u), 0.0, T,
-            _panel_count(T, theta, scale, omega[k]), tol / 2.0, ay[k] * T)
-        estimates[k] = tail + estimate
+        return _grid_pass(piece, x, ys, ay, omega, T, tail, tol, theta,
+                          scale)
+    values, estimates = np.empty(ys.shape, dtype=complex), np.empty(ys.shape)
+    # the far pass first, so that one over budget evaluates nothing
+    for part in (~near, near):
+        if part.any():
+            values[part], estimates[part] = _grid_pass(
+                piece, x, ys[part], ay[part], omega[part], T, tail, tol,
+                theta, scale)
     return values, estimates
 
 
@@ -649,18 +634,16 @@ def _symmetric_parts(F):
     return parts, 2
 
 
-def _half_range_panels(parts, t, mids, half):
-    """The panels centred at mids, of half-width half (one float, or one
-    per panel), for the integral of H(y)*exp(i*y*t) over [-A, A] with H
-    given by its conjugate-symmetric parts on [0, A].
+def _phased_panels(parts, t, mids, half):
+    """GK15 panels centred at mids, of half-width half (one float, or one
+    per panel), for the integrals of H_k(u)*exp(i*t*u), with parts(u)
+    giving the H_k at the nodes, one row per part (a flat array for one).
 
-    With K_k a part's Kronrod value on a panel, the panel and its mirror
-    image add 2*Re(K_1) + 2i*Re(K_2).  Returns those sums, the panels'
-    |K - G| summed over the parts (half the mirrored pair's) and twice
-    their Kronrod sums of |H_k|, the scale of the rounding.  The phase
-    factors as exp(i*t*y) = exp(i*t*c) * exp(i*t*h*x_j) at the nodes of
-    a panel with midpoint c and half-width h, and the panel phase drops
-    out of |K - G|.
+    Returns each part's Kronrod values (one row per part), the panels'
+    |K - G| and their Kronrod sums of |H_k|, the scale of the rounding,
+    both summed over the parts.  The phase factors as exp(i*t*u) =
+    exp(i*t*c) * exp(i*t*h*x_j) at the nodes of a panel with midpoint c
+    and half-width h, and the panel phase drops out of |K - G|.
     """
     offsets = np.multiply.outer(half, _XGK)
     vals = parts((mids[:, None] + offsets).ravel()).reshape(-1, mids.size,
@@ -675,11 +658,8 @@ def _half_range_panels(parts, t, mids, half):
     sums = sums.view(complex).reshape(-1, mids.size, 2)
     k = (half * np.exp(1j * t * mids)) * sums[..., 0]
     e = half * np.abs(sums[..., 1]).sum(axis=0)
-    m = 2.0 * half * np.einsum("qpj,j->p", np.abs(vals), _WGK)
-    value = (2.0 * k[0].real).astype(complex)
-    if len(k) == 2:
-        value.imag = 2.0 * k[1].real
-    return value, e, m
+    m = half * np.einsum("qpj,j->p", np.abs(vals), _WGK)
+    return k, e, m
 
 
 def finite_oscillatory_integral(F, t: float, A: float,
@@ -719,6 +699,16 @@ def finite_oscillatory_integral(F, t: float, A: float,
     edges = 2.0 * half * np.arange(n + 1)
     two_pi = 2.0 * math.pi
 
+    def panels(mids, halves):
+        """The panels and their mirror images, which add 2*Re(K_1) +
+        2i*Re(K_2): those sums, their |K - G| summed over the parts (half
+        the mirrored pair's) and twice the Kronrod sums of |H_k|."""
+        k, e, m = _phased_panels(parts, t, mids, halves)
+        value = (2.0 * k[0].real).astype(complex)
+        if len(k) == 2:
+            value.imag = 2.0 * k[1].real
+        return value, e, 2.0 * m
+
     def result(k, e, m, evals):
         """The value and estimate the panels give, also the payload of
         an AccuracyError from _refine."""
@@ -726,12 +716,10 @@ def finite_oscillatory_integral(F, t: float, A: float,
                                              m.sum(), abs(t) * A)
         return complex(k.sum()) / two_pi, float(estimate) / two_pi
 
-    k, e, m = _half_range_panels(parts, t, edges[:-1] + half, half)
+    k, e, m = panels(edges[:-1] + half, half)
     lefts, rights, k, e, m, evals = _refine(
-        lambda lo, hi: _half_range_panels(parts, t, (lo + hi) / 2.0,
-                                          (hi - lo) / 2.0),
-        edges[:-1], edges[1:], k, e, m, tol * math.pi, cost * n, cost,
-        result)
+        panels, edges[:-1], edges[1:], k, e, m, tol * math.pi, cost * n,
+        cost, result)
     inner = rights <= edges[n // 2]
     return OscillatoryResult(*result(k, e, m, evals), A, evals,
                              complex(k[inner].sum()) / two_pi)

@@ -1,20 +1,25 @@
 """Fixtures shared by the test modules."""
 
+import inspect
+
 import pytest
 
 from symlap import quadrature
 
 
 @pytest.fixture
-def adaptive_calls(monkeypatch):
-    """Arguments of every call to quadrature._adaptive, the bisection
-    that takes over a y whose grid-pass certificate misses its budget."""
-    calls = []
-    adaptive = quadrature._adaptive
+def refined_ys(monkeypatch):
+    """The y of every forward grid-pass row whose certificate misses its
+    budget, in the order its own panels are handed to quadrature._refine
+    (numeric inversion's calls are not recorded)."""
+    ys = []
+    refine = quadrature._refine
 
-    def counted(*args):
-        calls.append(args)
-        return adaptive(*args)
+    def counted(panels, *args):
+        names = inspect.getclosurevars(panels).nonlocals
+        if "piece" in names:  # a forward row, its kernel exp(i*t*u) at -y
+            ys.append(-names["t"])
+        return refine(panels, *args)
 
-    monkeypatch.setattr(quadrature, "_adaptive", counted)
-    return calls
+    monkeypatch.setattr(quadrature, "_refine", counted)
+    return ys

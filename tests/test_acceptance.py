@@ -83,11 +83,11 @@ def test_report_is_stable_json():
 
 
 def test_suite_makes_one_grid_pass_per_damping_row(monkeypatch,
-                                                  adaptive_calls):
+                                                  refined_ys):
     # machine-independent; point-by-point grid criteria made 406 calls,
     # 402 of them at a single y.  The derivative-rule, heat and ODE
     # checks add 56 one-y passes, which replaced their 56 adaptive
-    # integrals, and no y of the suite falls back to the adaptive path
+    # integrals, and no y of the suite has its panels bisected
     sizes = []
     grid = forward.laplace_grid
 
@@ -99,7 +99,7 @@ def test_suite_makes_one_grid_pass_per_damping_row(monkeypatch,
     verify.run_all()
     assert len(sizes) == 182
     assert sizes.count(1) == 108
-    assert adaptive_calls == []
+    assert refined_ys == []
 
 
 @pytest.mark.parametrize("name,evaluations", [

@@ -273,8 +273,9 @@ def _blas_name() -> str:
     return config.get("Build Dependencies", {}).get("blas", {}).get("name", "")
 
 
-# Runs the 401-point sincos grid and a sign grid with y = 1e4 (whose
-# second pass has 38,071 panels) 10 times and prints the CPU clock ticks
+# Runs the 401-point sincos grid, a sign grid with y = 1e4 (whose second
+# pass has 38,071 panels) and a cos(40 t) grid whose every y is bisected
+# from its own panels 10 times and prints the CPU clock ticks
 # (utime + stime) that every thread but the main one spent meanwhile,
 # then the same for a complex product that OpenBLAS does split over
 # threads, to show that helper threads are there to be seen.  OpenBLAS's
@@ -284,6 +285,7 @@ _HELPER_TICKS = """
 import os
 import time
 import numpy as np
+from symlap import ExponentialOrderBound, PiecewiseSignal, sl_forward_grid
 from symlap.cli import forward_csv, grid_points
 
 def helper_ticks():
@@ -309,13 +311,20 @@ def settled_ticks():
         last = now
     return now
 
+# cos(40 t) without an osc_hint: every y is refined by bisection
+fast = PiecewiseSignal(
+    "fast", lambda t: np.cos(40.0 * t), lambda t: np.zeros_like(t),
+    ExponentialOrderBound(1.0, 0.0), ExponentialOrderBound(1.0, 0.0))
+fast_ys = [-1.0, -0.5, 0.0, 0.5, 1.0]
 ys = grid_points(-59.0, 59.0, 400)
 forward_csv("sincos", 0.5, 1.0, ys, 1e-8)
 forward_csv("sign", 1.0, 1.0, [0.5, 1e4], 1e-8)
+sl_forward_grid(fast, 1.0, 2.0, fast_ys, 1e-8)
 before = settled_ticks()
 for _ in range(10):
     forward_csv("sincos", 0.5, 1.0, ys, 1e-8)
     forward_csv("sign", 1.0, 1.0, [0.5, 1e4], 1e-8)
+    sl_forward_grid(fast, 1.0, 2.0, fast_ys, 1e-8)
 grid = helper_ticks() - before
 a = np.ones((400, 400)) * (1.0 + 1.0j)
 before = helper_ticks()

@@ -185,7 +185,7 @@ def _sweep_grid(rng):
 
 @pytest.mark.parametrize("tol", [1e-4, 1e-6, 1e-8, 1e-10, 1e-12])
 @pytest.mark.parametrize("name", CATALOG_NAMES)
-def test_grid_sweep_meets_certificate(name, tol, adaptive_calls):
+def test_grid_sweep_meets_certificate(name, tol, refined_ys):
     rng = np.random.default_rng([20261018, CATALOG_NAMES.index(name),
                                  int(-math.log10(tol))])
     for _ in range(2):
@@ -204,15 +204,15 @@ def test_grid_sweep_meets_certificate(name, tol, adaptive_calls):
             # at 1e-12 the rounding allowance alone may exceed tol
             assert np.all(est <= tol)
         # the error-model panels resolve every y on the first pass
-        assert adaptive_calls == []
+        assert refined_ys == []
 
 
-def test_tight_tolerance_grid_needs_no_fallback(adaptive_calls):
-    # panels half an oscillation wide sent 17 of these 201 points to the
-    # adaptive path
+def test_tight_tolerance_grid_needs_no_fallback(refined_ys):
+    # panels half an oscillation wide sent 17 of these 201 points to
+    # refinement
     ys = list(np.linspace(-59.0, 59.0, 201))
     samples = sl_forward_grid(catalog_signal("one"), 1.0, 1.0, ys, 1e-12)
-    assert adaptive_calls == []
+    assert refined_ys == []
     gap = np.abs(np.array([p.value for p in samples])
                  - closed_form("one", 1.0, 1.0, ys))
     assert np.all(gap <= [p.abs_error_estimate for p in samples])
@@ -231,14 +231,14 @@ def _counted(f):
     return dataclasses.replace(f, pos=wrap(f.pos), neg=wrap(f.neg)), count
 
 
-def test_y_beyond_the_panel_cap_takes_a_second_uniform_pass(adaptive_calls):
+def test_y_beyond_the_panel_cap_takes_a_second_uniform_pass(refined_ys):
     # y = 1e4 needs more than 4096 model-width panels, so a second pass
     # sized for it serves it, with no bisection; the restart from
     # quarter-period panels it replaced took 1,870,740 evaluations
     f, count = _counted(catalog_signal("sign"))
     r = sl_forward(f, SLPoint(1.0, 1.0, 1e4), 1e-8)
     assert count[0] == 1142130
-    assert adaptive_calls == []
+    assert refined_ys == []
     closed = closed_form("sign", 1.0, 1.0, 1e4)
     assert abs(r.value - closed) <= r.abs_error_estimate <= 1e-8
 
@@ -324,21 +324,46 @@ def test_grid_agrees_with_single_points():
                                             + one.abs_error_estimate)
 
 
-def test_missed_oscillation_falls_back_to_refinement(adaptive_calls):
-    # cos(40 t) without an osc_hint: panels sized for |y| <= 1 span
-    # several periods, so every y misses its budget and is refined from
-    # its own model-width panels (quarter-period panels took 15,750)
+@pytest.mark.parametrize("ys,tol,evaluations", [
+    ([-1.0, -0.5, 0.0, 0.5, 1.0], 1e-8, 15210),
+    (list(np.linspace(-5.0, 5.0, 101)), 1e-10, 478470)],
+    ids=["5 y", "101 y"])
+def test_missed_oscillation_falls_back_to_refinement(ys, tol, evaluations,
+                                                      refined_ys):
+    # cos(40 t) without an osc_hint: panels sized for |y| <= 5 span
+    # several periods, so every y misses its budget and its own panels
+    # of the grid pass are bisected (restarting each y from model-width
+    # panels took 16,710 and 567,975 evaluations, from quarter-period
+    # panels 15,750 and 453,780)
     fast, count = _counted(PiecewiseSignal(
         "fast", lambda t: np.cos(40.0 * t), lambda t: np.zeros_like(t),
         ExponentialOrderBound(1.0, 0.0), ExponentialOrderBound(1.0, 0.0)))
-    ys = [-1.0, -0.5, 0.0, 0.5, 1.0]
-    samples = sl_forward_grid(fast, 1.0, 2.0, ys, 1e-8)
-    assert len(adaptive_calls) == len(ys)
-    assert count[0] == 16710
+    samples = sl_forward_grid(fast, 1.0, 2.0, ys, tol)
+    assert refined_ys == ys
+    assert count[0] == evaluations
     for y, p in zip(ys, samples):
         s1 = 1.0 + 1j * y
         assert abs(p.value - s1 / (s1 ** 2 + 1600.0)) <= p.abs_error_estimate
-        assert p.abs_error_estimate <= 1e-8
+        assert p.abs_error_estimate <= tol
+
+
+def test_refinement_keeps_the_pass_panels_it_does_not_split(refined_ys):
+    # e^-t + cos(40 t)*e^(-20 t): only the first of the 21 panels see the
+    # oscillation, so each y splits 5 and keeps the other 16 with the
+    # Kronrod values and phases of the grid pass: 315 evaluations for
+    # the pass, 150 per y for the split panels and 300 for the zero side
+    mixed, count = _counted(PiecewiseSignal(
+        "mixed", lambda t: np.exp(-t) + np.cos(40.0 * t) * np.exp(-20.0 * t),
+        lambda t: np.zeros_like(t), ExponentialOrderBound(2.0, 0.0),
+        ExponentialOrderBound(1.0, 0.0)))
+    ys = list(np.linspace(-3.0, 3.0, 7))
+    samples = sl_forward_grid(mixed, 1.0, 2.0, ys, 1e-8)
+    assert refined_ys == ys
+    assert count[0] == 1665
+    for y, p in zip(ys, samples):
+        s1 = 1.0 + 1j * y
+        closed = 1.0 / (s1 + 1.0) + (s1 + 20.0) / ((s1 + 20.0) ** 2 + 1600.0)
+        assert abs(p.value - closed) <= p.abs_error_estimate <= 1e-8
 
 
 def test_estimate_allows_for_rounding():
@@ -379,7 +404,7 @@ def test_grid_divergence_names_the_side():
 @pytest.mark.parametrize("tol,evaluations", [(1e-10, 267630),
                                              (1e-12, 354780)])
 def test_y_beyond_the_panel_cap_need_no_adaptive_path(tol, evaluations,
-                                                      adaptive_calls):
+                                                      refined_ys):
     # the ramp at x = 0.25: 4096 model-width panels reach |y| of about
     # 102 at tol 1e-10 and 63 at 1e-12, and the larger |y| share a
     # second pass; restarting them took 5,505,420 and 21,520,500
@@ -387,7 +412,7 @@ def test_y_beyond_the_panel_cap_need_no_adaptive_path(tol, evaluations,
     f, count = _counted(catalog_signal("ramp"))
     ys = list(np.linspace(-120.0, 120.0, 241))
     samples = sl_forward_grid(f, 0.25, 0.25, ys, tol)
-    assert adaptive_calls == []
+    assert refined_ys == []
     assert count[0] == evaluations
     gap = np.abs(np.array([p.value for p in samples])
                  - closed_form("ramp", 0.25, 0.25, ys))

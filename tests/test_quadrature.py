@@ -181,12 +181,27 @@ def test_doubling_a_change_matches_added_mass_for_slow_decay():
     assert abs(r2.value - r1.value) == pytest.approx(added, abs=1e-8)
 
 
-def test_refinement_budget_exhaustion_raises_with_best_estimate():
+def test_refinement_budget_exhaustion_raises_with_best_estimate(monkeypatch):
+    # the payload is what a result would carry: the tail, the |K - G|
+    # sum the message quotes and the rounding allowance
+    sums = []
+    refine = quadrature._refine
+
+    def noting(panels, lefts, rights, k, e, m, tol, evals, cost, result):
+        def payload(k, e, m, evals):
+            sums.append(float(e.sum()))
+            return result(k, e, m, evals)
+        return refine(panels, lefts, rights, k, e, m, tol, evals, cost,
+                      payload)
+
+    monkeypatch.setattr(quadrature, "_refine", noting)
     chirp = lambda t: np.sin(200.0 * t * t) * np.exp(-t)
-    with pytest.raises(AccuracyError) as exc:
+    with pytest.raises(AccuracyError, match="budget exhausted") as exc:
         half_line_integral(chirp, B10, 1.0, 1e-15)
+    assert len(sums) == 1
+    assert f"best estimate error {sums[0]:.3e}" in str(exc.value)
     assert exc.value.value is not None
-    assert exc.value.abs_error_estimate is not None
+    assert exc.value.abs_error_estimate > sums[0]
 
 
 def test_oscillation_budget_guard_raises_upfront():
