@@ -39,6 +39,7 @@ from .expr import (
     RationalFunction,
     SplitTransform,
     _cluster,
+    _factors_at,
     evaluate_rational,
     polynomial_roots,
 )
@@ -260,11 +261,12 @@ def sl_inverse_split(st: SplitTransform, t):
 def _on_line(F, x1: float, x2: float):
     """F(x1, x2, y) as the integrand of finite_oscillatory_integral.
 
-    A SplitTransform evaluates g1(x1 + i*y) + g2(x2 - i*y).  When all
-    its coefficients are real it is the transform of a real signal, its
-    values at -y the conjugates of those at y, and it goes in as a
-    Hermitian, evaluated at y >= 0 only.  Any other SplitTransform or
-    callable goes in as it is and is evaluated at +-y.
+    A SplitTransform evaluates g1(x1 + i*y) + g2(x2 - i*y) and carries
+    its poles in y (_poles).  When all its coefficients are real it is
+    the transform of a real signal, its values at -y the conjugates of
+    those at y, and it goes in as a Hermitian, evaluated at y >= 0 only;
+    any other SplitTransform goes in as a function of y, evaluated at
+    +-y, with its poles as an attribute.  A callable goes in as it is.
     """
     if not isinstance(F, SplitTransform):
         return lambda y: F(x1, x2, y)
@@ -273,7 +275,49 @@ def _on_line(F, x1: float, x2: float):
         return (evaluate_rational(F.g1, x1 + 1j * y)
                 + evaluate_rational(F.g2, x2 - 1j * y))
 
-    return Hermitian(on_line) if F.is_real else on_line
+    if F.is_real:
+        return Hermitian(on_line, _poles(F, x1, x2))
+    on_line.poles = _poles(F, x1, x2)
+    return on_line
+
+
+@np.errstate(all="ignore")  # a huge power makes a strength inf or 0
+def _poles(F: SplitTransform, x1: float, x2: float):
+    """The poles of F(x1, x2, y) in y, as (y_p, order, strength) triples.
+
+    A root p of g1 is a pole at y_p = Im p + i*(x1 - Re p) and a root q
+    of g2 one at -Im q - i*(x2 - Re q), the roots from polynomial_roots.
+    Since x1 + i*y - p = i*(y - y_p) and x2 - i*y - q = -i*(y - y_q), the
+    strength, the modulus of the leading Laurent coefficient, is the
+    side's: its scale times the numerator over the root's own factor's
+    leading Taylor coefficient, the product of its differences from that
+    factor's other roots, and over the other factors, all at the root.
+    Poles on the line, or of no finite nonzero strength, are left out,
+    and so are the roots of a factor polynomial_roots cannot resolve.
+    """
+    poles = []
+    for g, x, sign in ((F.g1, x1, 1.0), (F.g2, x2, -1.0)):
+        for key, (f, mult) in g.denf.items():
+            try:
+                roots = polynomial_roots(f)
+            except RootFindingError:
+                continue
+            rest = ({k: v for k, v in g.denf.items() if k != key}
+                    if len(g.denf) > 1 else {})
+            for z, r in roots:
+                if z.real == x:
+                    continue
+                num, den = _factors_at(g.numf, z), _factors_at(rest, z)
+                lead = math.prod(np.abs(z - w) ** (q * mult)
+                                 for w, q in roots if w != z)
+                strength = (abs(g.scale) * (1.0 if num is None else abs(num))
+                            / lead)
+                if den is not None:
+                    strength /= abs(den)
+                if 0.0 < strength < math.inf:
+                    poles.append((sign * complex(z.imag, x - z.real),
+                                  r * mult, float(strength)))
+    return tuple(poles)
 
 
 def sl_inverse_numeric_pair(F, x1: float, x2: float, t: float, A: float,

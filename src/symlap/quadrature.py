@@ -77,22 +77,32 @@ finite_oscillatory_integral, the Fourier integral behind numeric
 inversion, is factored the same way in t and runs on [0, A] only: for a
 conjugate-symmetric H (H(-y) = conj H(y), the transform of a real
 signal) the integral over [-A, A] is 2*Re of the integral over [0, A],
-and any other F is split into two such parts (_symmetric_parts).  One
-uniform pass at one oscillation per panel, where the model predicts
-phi(pi) ~ 8e-9 of the panel's integral of |F|, is followed by bisection
-in place of the panels over budget, by the same refinement loop and the
-same phase-factored panels (_phased_panels) as a forward y.
+and any other F is split into two such parts (_symmetric_parts).  The
+first pass is uniform at one oscillation per panel, where the model
+predicts phi(pi) ~ 8e-9 of the panel's integral of |F|.  An integrand
+whose poles are known (a SplitTransform's, carried as the poles
+attribute of a Hermitian or of a callable) has that pass graded toward
+them (_graded): a uniform panel on which a second model, the GK15 error
+of an order-m pole at its distance in half-widths (_pole_model) plus
+the kernel's turn, predicts more than the fair share is bisected, and
+so are its halves, until every piece fits.  The pieces go to F in the
+same call as the uniform panels, which keep their shared node phases.
+Bisection in place of the panels still over budget follows, by the same
+refinement loop and the same phase-factored panels (_phased_panels) as
+a forward y.
 
 Integrands must accept a 1-d numpy float array and return an array of
-values (complex or real).  Panels are kept in ascending position order
-and summed in that order, so results are reproducible bit for bit no
-matter how the work would be scheduled.
+values (complex or real).  Panels are kept in a fixed order (ascending
+position, a graded first pass's pieces after its uniform panels) and
+summed in that order, so results are reproducible bit for bit no matter
+how the work would be scheduled.
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -162,8 +172,12 @@ _MAX_PANELS = 4096  # laplace_grid's first pass; farther y take a second
 _THETA = tuple((math.pi * np.arange(1, 257) / 256).tolist())
 _PHI = tuple(np.maximum.accumulate(0.5 * np.abs(
     np.exp(1j * np.outer(_THETA, _XGK)) @ (_WGK - _WG))).tolist())
-# share of the panel budget the model may predict for the uniform pass
+# share of the panel budget a model may predict: for laplace_grid's
+# uniform pass, and for the poles' own terms of a graded inversion pass
 _MODEL_SHARE = 0.25
+# Pole distances, in panel half-widths, of the GK15 error model for an
+# order-m pole (_pole_model): 1/16 to 16 in steps of 2^(1/4)
+_DELTA = tuple((2.0 ** (np.arange(-16, 17) / 4.0)).tolist())
 # Sizes under which OpenBLAS runs a product on the calling thread:
 # multiply-adds of a real matrix product (it splits them from about
 # 2^20 on) and entries of a complex matrix-vector product (from 2^12 on),
@@ -251,11 +265,10 @@ def _refine(panels, lefts, rights, k, e, m, tol, evals, cost, result):
     evals).  A round that would take evals past MAX_EVALUATIONS is not
     started: AccuracyError carries result(k, e, m, evals), the caller's
     value and estimate for the panels refined so far, instead.
-    Refinement never tests against rounding.  Panels stay
-    sorted by position and a split panel is replaced in place by its two
-    halves, so existing panel edges survive; each round bisects every
-    panel above its fair share of the budget, so the process is
-    deterministic.
+    Refinement never tests against rounding.  Panels keep their given
+    order and a split panel is replaced in place by its two halves, so
+    existing panel edges survive; each round bisects every panel above
+    its fair share of the budget, so the process is deterministic.
     """
     while e.sum() > tol:
         mask = e > tol / len(e)
@@ -520,8 +533,8 @@ def _grid_pass(piece, x, ys, ay, omega, T, tail, tol, theta, scale):
 
             def panels(mids, halves):
                 k, e, m = _phased_panels(
-                    lambda u: _finite(piece(u)) * np.exp(-x * u), t, mids,
-                    halves)
+                    lambda u: _finite(piece(u)) * np.exp(-x * u), t,
+                    (mids, halves))
                 return k[0], e, m
 
             def result(k, e, m, evals):
@@ -605,12 +618,18 @@ def laplace_grid(piece, bound: ExponentialOrderBound, x: float, ys,
 class Hermitian:
     """A function H of y with H(-y) = conj(H(y)), the Fourier transform
     of a real signal: finite_oscillatory_integral evaluates H at y >= 0
-    only.  H accepts a 1-d numpy float array."""
+    only.  H accepts a 1-d numpy float array.
 
-    __slots__ = ("H",)
+    poles, when known, are (y_p, order, strength) triples: a pole at the
+    complex y_p of that order whose leading Laurent coefficient has
+    modulus strength.  finite_oscillatory_integral grades its first pass
+    toward them (_graded)."""
 
-    def __init__(self, H):
+    __slots__ = ("H", "poles")
+
+    def __init__(self, H, poles=()):
         self.H = H
+        self.poles = poles
 
 
 def _symmetric_parts(F):
@@ -634,24 +653,37 @@ def _symmetric_parts(F):
     return parts, 2
 
 
-def _phased_panels(parts, t, mids, half):
-    """GK15 panels centred at mids, of half-width half (one float, or one
-    per panel), for the integrals of H_k(u)*exp(i*t*u), with parts(u)
+def _phased_panels(parts, t, *groups):
+    """GK15 panels for the integrals of H_k(u)*exp(i*t*u), with parts(u)
     giving the H_k at the nodes, one row per part (a flat array for one).
+    Each group (mids, half) holds panels centred at mids, of half-width
+    half (one float, or one per panel); the nodes of all groups go to
+    parts in one call.
 
     Returns each part's Kronrod values (one row per part), the panels'
     |K - G| and their Kronrod sums of |H_k|, the scale of the rounding,
-    both summed over the parts.  The phase factors as exp(i*t*u) =
-    exp(i*t*c) * exp(i*t*h*x_j) at the nodes of a panel with midpoint c
-    and half-width h, and the panel phase drops out of |K - G|.
+    both summed over the parts, panels in group order.  The phase
+    factors as exp(i*t*u) = exp(i*t*c) * exp(i*t*h*x_j) at the nodes of a
+    panel with midpoint c and half-width h, and the panel phase drops out
+    of |K - G|; a group of one half-width shares its 15 node phases.
     """
-    offsets = np.multiply.outer(half, _XGK)
-    vals = parts((mids[:, None] + offsets).ravel()).reshape(-1, mids.size,
-                                                            15)
-    # rows of node values times phases, read as reals, meet the Kronrod
-    # and Kronrod-minus-Gauss weights in real products of inner
+    offsets = [np.multiply.outer(half, _XGK) for _, half in groups]
+    spans = list(itertools.accumulate([g.size for g, _ in groups],
+                                      initial=0))
+    mids, half = np.empty(spans[-1]), np.empty(spans[-1])
+    nodes = np.empty((spans[-1], 15))
+    for (g, h), off, a, b in zip(groups, offsets, spans, spans[1:]):
+        mids[a:b], half[a:b] = g, h
+        np.add(g[:, None], off, out=nodes[a:b])
+    vals = parts(nodes.ravel()).reshape(-1, mids.size, 15)
+    del nodes  # freed before the products
+    # node values times phases, as rows read as reals that meet the
+    # Kronrod and Kronrod-minus-Gauss weights in real products of inner
     # dimension 30, each below OpenBLAS's helper-thread size
-    rows = (vals * np.exp(1j * t * offsets)).reshape(-1, 15).view(float)
+    rows = np.empty(vals.shape, dtype=complex)
+    for off, a, b in zip(offsets, spans, spans[1:]):
+        np.multiply(vals[:, a:b], np.exp(1j * t * off), out=rows[:, a:b])
+    rows = rows.reshape(-1, 15).view(float)
     step = _SOLO_DGEMM // _KG_REAL.size
     sums = np.concatenate([rows[i:i + step] @ _KG_REAL
                            for i in range(0, len(rows), step)])
@@ -660,6 +692,118 @@ def _phased_panels(parts, t, mids, half):
     e = half * np.abs(sums[..., 1]).sum(axis=0)
     m = half * np.einsum("qpj,j->p", np.abs(vals), _WGK)
     return k, e, m
+
+
+@functools.lru_cache(maxsize=64)  # one pair of rows per pole order
+def _pole_model(order):
+    """-log of the GK15 |K - G| on [-1, 1] of (u - z)^-order for a pole z
+    delta (in _DELTA) from an end, straight across from it, z = -1 +
+    i*delta, and delta over the middle, z = i*delta; each row made
+    nondecreasing by its running maximum from the far end, so that every
+    larger delta predicts no more.
+
+    These are the worst places: among poles delta or more from the
+    nearest end and beyond it the error peaks straight across from the
+    end, and the ellipse with foci -1 and 1 through i*delta lies within
+    delta of the panel, so every pole at height delta or more is on or
+    outside it, where the Gauss-Kronrod error is smaller.
+    """
+    rows = []
+    for end in (-1.0, 0.0):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            err = np.abs((_XGK - end - 1j * np.array(_DELTA)[:, None])
+                         ** -order @ (_WGK - _WG))
+            err[~np.isfinite(err)] = np.inf
+            rows.append(tuple((-np.log(np.maximum.accumulate(
+                err[::-1])[::-1])).tolist()))
+    return tuple(rows)
+
+
+def _graded(poles, n, half, t, budget, most):
+    """Pieces of the n uniform panels of half-width half, graded toward
+    known poles of F for the integral of F(y)*exp(i*t*y).
+
+    A pole y_p of order m and strength c is at |Re y_p| on [0, A] and at
+    d = |Im y_p| from the line.  On a piece of half-width h the model
+    predicts two |K - G| terms.  The pole's own is c*exp(-t*Im y_p)*
+    h^(1-m) (the kernel scales the coefficient by |exp(i*t*y_p)|) times
+    the model error (_pole_model) at r/h beyond the nearest end, r the
+    distance from it, or at d/h over the piece that holds |Re y_p|
+    inside it.  The kernel's turn gives phi(|t|*h) (_PHI) times the
+    piece's integral of |F|, at most 2*h*c/r^m.  A piece is bisected,
+    and its halves checked again, when the pole's own term is above the
+    pole's share of the budget, _MODEL_SHARE over the number of poles,
+    or the kernel's is above the fair share of a uniform panel, budget
+    over n, which every panel far from the poles takes, so the widths
+    double away from the pole.  Once the pole's term asks for more than
+    the table's 16 half-widths, 16 serve.  Returns the indices of the
+    uniform panels split and the pieces that replace them, as rows of
+    lefts, rights, midpoints and half-widths; none when there are no
+    poles or the pieces would number more than most.
+    """
+    if not poles:
+        return [], None
+    levels = []  # level j: the pieces of width 2*half/2^j split
+    count = n  # pieces so far
+    fair, own = budget / n, _MODEL_SHARE * budget / len(poles)
+    top = len(_DELTA) - 1
+    for y_p, order, strength in poles:
+        loc, d = abs(y_p.real), abs(y_p.imag)
+        beyond, over = _pole_model(order)
+        # -log of the pole's share over its kernel-scaled coefficient;
+        # the kernel term's factor; the kernel's turn per unit
+        # half-width in steps of the _PHI table
+        weight = math.log(strength / own) - t * y_p.imag
+        kernel = 2.0 * strength / fair
+        turn = abs(t) / _THETA[0]
+        lo, hi, w, j = 0, n - 1, 2.0 * half, 0
+        while w > _EPS * (loc + half):
+            h = 0.5 * w
+            level = (weight - (order - 1) * math.log(h) if order > 1
+                     else weight)
+            reach = h * _DELTA[bisect.bisect_left(beyond, level, 0, top)]
+            if turn:  # until the kernel's term, falling faster, is below
+                r = _PHI[min(math.ceil(turn * h), len(_PHI)) - 1] * kernel * h
+                if order > 1:
+                    r **= 1.0 / order
+                if r > reach:
+                    reach = r
+                else:
+                    turn = 0.0
+            if reach > d:
+                # the pieces closer than reach: |Re y - loc| < s on them
+                s = math.sqrt(reach * reach - d * d)
+                lo = max(lo, math.floor((loc - s) / w))
+                hi = min(hi, math.ceil((loc + s) / w) - 1)
+            else:
+                # only a piece holding loc inside it may still need it
+                k = math.floor(loc / w)
+                if (k * w == loc or d >= h * _DELTA[
+                        bisect.bisect_left(over, level, 0, top)]):
+                    break
+                lo, hi = max(lo, k), min(hi, k)
+            if lo > hi:
+                break
+            if j == len(levels):
+                levels.append(set())
+            before = len(levels[j])
+            levels[j].update(range(lo, hi + 1))
+            count += len(levels[j]) - before  # each split adds one piece
+            if count > most:
+                return [], None
+            lo, hi, w, j = 2 * lo, 2 * hi + 1, h, j + 1
+    if not levels:
+        return [], None
+    pieces = []
+    w = 2.0 * half
+    for j, split in enumerate(levels, 1):
+        w *= 0.5  # (i*2^j)*w is the uniform edge 2*half*i, to the bit
+        children = {c for k in split for c in (2 * k, 2 * k + 1)}
+        if j < len(levels):
+            children -= levels[j]
+        pieces += [(c * w, (c + 1) * w, (c + 0.5) * w, 0.5 * w)
+                   for c in sorted(children)]
+    return sorted(levels[0]), np.array(pieces).T
 
 
 def finite_oscillatory_integral(F, t: float, A: float,
@@ -673,14 +817,21 @@ def finite_oscillatory_integral(F, t: float, A: float,
     serves both: the value is 2*Re(I1) + 2i*Re(I2), I_k the integral of
     H_k(y)*exp(i*y*t) over [0, A].
 
-    The pass is uniform GK15 over [0, A] with panels one oscillation of
+    The pass is GK15 over [0, A] with uniform panels one oscillation of
     the kernel wide, min(4, 2pi/(|t|+1)), their number even so that A/2
-    is a panel edge.  Panels over their share of the budget, typically
-    near poles of F close to the real axis, are bisected in place, which
-    keeps A/2 as an edge: half_value is the sum over the panels below
-    it, and their |K - G| sum is part of abs_error_estimate.  The
-    estimate is 2 * sum |K - G| over [0, A] plus the rounding
-    allowance, over 2pi, so refinement runs to a sum of tol*pi.
+    is a panel edge.  When F carries its poles, a poles attribute of
+    (y_p, order, strength) triples as Hermitian has, the uniform panels
+    on which the model predicts more than their share are split into
+    pieces graded toward the poles (_graded), every uniform edge staying
+    an edge; the pieces and the uniform panels go to F in one call.  A
+    grading that would take more than MAX_EVALUATIONS evaluations is
+    dropped.  Panels
+    still over their share of the budget are bisected in place by
+    _refine, which keeps A/2 as an edge: half_value is the sum over
+    the panels below it, and their |K - G| sum is part of
+    abs_error_estimate.  The estimate is 2 * sum |K - G| over [0, A]
+    plus the rounding allowance, over 2pi, so refinement runs to a sum
+    of tol*pi.
 
     The error estimate covers discretization and rounding only;
     truncation in A is the caller's concern.  Raises ValueError for a
@@ -694,16 +845,20 @@ def finite_oscillatory_integral(F, t: float, A: float,
     width = min(4.0, 2.0 * math.pi / (abs(t) + 1.0))
     n = 2 * math.ceil(A / (2.0 * width))
     cost = 15 * per_node  # evaluations of F per panel
-    _affordable(n, cost)
     half = A / (2 * n)
+    _affordable(n, cost)
+    # a grading beyond the budget leaves the uniform pass to _refine
+    split, pieces = _graded(getattr(F, "poles", ()), n, half, t,
+                            tol * math.pi, MAX_EVALUATIONS // cost)
     edges = 2.0 * half * np.arange(n + 1)
     two_pi = 2.0 * math.pi
 
-    def panels(mids, halves):
-        """The panels and their mirror images, which add 2*Re(K_1) +
-        2i*Re(K_2): those sums, their |K - G| summed over the parts (half
-        the mirrored pair's) and twice the Kronrod sums of |H_k|."""
-        k, e, m = _phased_panels(parts, t, mids, halves)
+    def panels(*groups):
+        """The panels of the groups (_phased_panels) and their mirror
+        images, which add 2*Re(K_1) + 2i*Re(K_2): those sums, their
+        |K - G| summed over the parts (half the mirrored pair's) and
+        twice the Kronrod sums of |H_k|."""
+        k, e, m = _phased_panels(parts, t, *groups)
         value = (2.0 * k[0].real).astype(complex)
         if len(k) == 2:
             value.imag = 2.0 * k[1].real
@@ -716,10 +871,21 @@ def finite_oscillatory_integral(F, t: float, A: float,
                                              m.sum(), abs(t) * A)
         return complex(k.sum()) / two_pi, float(estimate) / two_pi
 
-    k, e, m = panels(edges[:-1] + half, half)
+    lefts, rights = edges[:-1], edges[1:]
+    if split:
+        # the uniform panels the grading keeps, with their shared node
+        # phases, then the graded pieces, all in one call of F
+        keep = np.ones(n, dtype=bool)
+        keep[split] = False
+        lefts, rights = lefts[keep], rights[keep]
+        k, e, m = panels((lefts + half, half), (pieces[2], pieces[3]))
+        lefts = np.concatenate([lefts, pieces[0]])
+        rights = np.concatenate([rights, pieces[1]])
+    else:
+        k, e, m = panels((lefts + half, half))
     lefts, rights, k, e, m, evals = _refine(
-        panels, edges[:-1], edges[1:], k, e, m, tol * math.pi, cost * n,
-        cost, result)
+        lambda mids, halves: panels((mids, halves)), lefts, rights, k, e, m,
+        tol * math.pi, cost * len(k), cost, result)
     inner = rights <= edges[n // 2]
     return OscillatoryResult(*result(k, e, m, evals), A, evals,
                              complex(k[inner].sum()) / two_pi)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from _oracles import simpson
+from symlap import quadrature
 from symlap.core import (
     CATALOG_NAMES,
     ExponentialOrderBound,
@@ -364,6 +365,28 @@ def test_refinement_keeps_the_pass_panels_it_does_not_split(refined_ys):
         s1 = 1.0 + 1j * y
         closed = 1.0 / (s1 + 1.0) + (s1 + 20.0) / ((s1 + 20.0) ** 2 + 1600.0)
         assert abs(p.value - closed) <= p.abs_error_estimate <= 1e-8
+
+
+def test_refinement_gets_the_pass_panels_kronrod_moduli(monkeypatch):
+    # the Kronrod sums of |v| a refined y's pass hands to _refine add up
+    # to the integral of |v| = |f(u)|*exp(-u) over [0, T], by Simpson's
+    # rule: each panel's is h times its weighted node sum
+    f = PiecewiseSignal(
+        "mixed", lambda t: np.exp(-t) + np.cos(40.0 * t) * np.exp(-20.0 * t),
+        lambda t: np.zeros_like(t), ExponentialOrderBound(2.0, 0.0),
+        ExponentialOrderBound(1.0, 0.0))
+    handed = []
+    refine = quadrature._refine
+
+    def recorded(panels, lefts, rights, k, e, m, *args):
+        handed.append((rights[-1], float(m.sum())))
+        return refine(panels, lefts, rights, k, e, m, *args)
+
+    monkeypatch.setattr(quadrature, "_refine", recorded)
+    sl_forward_grid(f, 1.0, 2.0, [1.0], 1e-8)
+    (T, mass), = handed
+    exact = simpson(lambda u: np.abs(f.pos(u)) * np.exp(-u), 0.0, T)
+    assert abs(mass - exact.real) <= 0.01 * exact.real
 
 
 def test_estimate_allows_for_rounding():

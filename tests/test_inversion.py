@@ -24,7 +24,7 @@ from symlap.inversion import (
     sl_inverse_numeric_pair,
     sl_inverse_split,
 )
-from symlap.quadrature import MAX_EVALUATIONS
+from symlap.quadrature import MAX_EVALUATIONS, Hermitian
 
 
 def by_pole(terms):
@@ -451,6 +451,106 @@ class TestNumericInversionPair:
         F = closed_form_transform("sign")
         with pytest.raises(AccuracyError, match=f"t={t}"):
             sl_inverse_numeric(F, x1, x2, t, 100.0, 1e-6)
+
+
+@pytest.fixture
+def split_sizes(monkeypatch):
+    """The sizes of the y arrays every real SplitTransform integrand of
+    numeric inversion is called on, in order, counted by wrapping the
+    Hermitian _on_line builds."""
+    sizes = []
+    on_line = inversion._on_line
+
+    def counted(F, x1, x2):
+        H = on_line(F, x1, x2)
+        assert isinstance(H, Hermitian)
+        return Hermitian(lambda y: sizes.append(y.size) or H.H(y), H.poles)
+
+    monkeypatch.setattr(inversion, "_on_line", counted)
+    return sizes
+
+
+def test_split_transform_carries_its_poles():
+    # y_p = Im p + i*(x1 - Re p) for a root p of g1, -Im q - i*(x2 - Re q)
+    # for a root q of g2; order; modulus of the leading Laurent
+    # coefficient, the numerator and the other factors at the root
+    # ((-1+2)/(-1+3), (-3+2)/(-3+1), 2) or the derivative of a quadratic
+    # factor (1/|2*0.7i|) and the scale (|1+i|)
+    def poles(text, x1, x2):
+        return sorted(((y.real, y.imag, m, c) for y, m, c
+                       in inversion._poles(parse_transform(text), x1, x2)))
+
+    assert poles("(s+2)/((s+1)*(s+3)) + 2/(cs+1)^3", 0.5, 0.25) == [
+        (0.0, -1.25, 3, 2.0), (0.0, 1.5, 1, 0.5), (0.0, 3.5, 1, 0.5)]
+    got = poles("1/((s+0.4)^2+0.49) + 1/(cs+1)", 0.3, 0.5)
+    want = [(-0.7, 0.7, 1, 1 / 1.4), (0.0, -1.5, 1, 1.0),
+            (0.7, 0.7, 1, 1 / 1.4)]
+    assert [g[2] for g in got] == [w[2] for w in want]
+    assert np.allclose([g[:2] + g[3:] for g in got],
+                       [w[:2] + w[3:] for w in want], rtol=1e-14,
+                       atol=1e-15)
+    # the same factor squared: order 2, strength 1/|2*0.7i|^2
+    got = poles("1/((s+0.4)^2+0.49)^2 + 1/(cs+1)", 0.3, 0.5)
+    assert [g[2] for g in got] == [2, 1, 2]
+    assert np.allclose([g[3] for g in got], [1 / 1.96, 1.0, 1 / 1.96],
+                       rtol=1e-14)
+    assert poles("(1+i)/(s+0.3-0.7*i) + i/cs", 0.1, 0.5) == pytest.approx(
+        [(0.0, -0.5, 1, 1.0), (0.7, 0.4, 1, math.sqrt(2.0))], rel=1e-14)
+
+
+# The three transforms of the numeric-invert benchmark family (the sign
+# signal, two simple real poles, a double pole beside a simple one)
+# over x1 = x2 in (0.05, 0.45, 1), t in (0, 1.5, -3.75) and A in (250,
+# 1000), A varying fastest, and the F calls sl_inverse_numeric_pair took
+# per case before the poles graded its first pass
+_CALL_FAMILIES = ("1/s - 1/cs", "1.5/(s+1) - 0.8/(cs+0.6)",
+                  "0.8/(s+1.3)^2 - 1.2/(cs+0.7)")
+_UNGRADED_CALLS = {
+    1e-6: ((7, 7, 6, 6, 5, 5, 3, 4, 3, 3, 2, 2, 2, 2, 2, 2, 2, 2),
+           (3, 3, 2, 2, 1, 1, 2, 2, 2, 2, 1, 1, 2, 2, 1, 2, 1, 1),
+           (3, 3, 2, 2, 1, 1, 2, 2, 2, 2, 1, 1, 1, 2, 1, 2, 1, 1)),
+    1e-8: ((7, 7, 7, 7, 6, 6, 4, 4, 4, 4, 3, 3, 3, 3, 3, 3, 2, 2),
+           (4, 4, 3, 3, 2, 2, 3, 3, 3, 3, 2, 2, 2, 2, 2, 2, 2, 2),
+           (3, 3, 3, 3, 2, 2, 3, 3, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2)),
+    1e-10: ((8, 8, 7, 7, 6, 6, 5, 5, 4, 4, 4, 4, 3, 3, 3, 3, 3, 3),
+            (4, 4, 4, 4, 2, 2, 3, 3, 3, 3, 2, 2, 3, 3, 3, 3, 2, 2),
+            (4, 4, 4, 4, 2, 2, 3, 3, 3, 3, 2, 2, 3, 3, 3, 3, 2, 2)),
+}
+# evaluations over the 18 cases of each family, graded; before the
+# grading they were 80,670, 79,500 and 79,470 at 1e-6, 109,290, 112,080
+# and 96,540 at 1e-8, and 173,400, 172,200 and 168,660 at 1e-10
+_GRADED_EVALUATIONS = {1e-6: (79965, 79545, 79530),
+                       1e-8: (87585, 90810, 88590),
+                       1e-10: (124830, 124575, 124110)}
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
+@pytest.mark.parametrize("family", range(3))
+def test_graded_inversion_calls_F_once(split_sizes, family, tol):
+    st = parse_transform(_CALL_FAMILIES[family])
+    taken = []
+    for x in (0.05, 0.45, 1.0):
+        for t in (0.0, 1.5, -3.75):
+            for A in (250.0, 1000.0):
+                before = len(split_sizes)
+                sl_inverse_numeric_pair(st, x, x, t, A, tol)
+                taken.append(len(split_sizes) - before)
+    assert taken == [1] * 18
+    assert all(k <= was for k, was in zip(taken,
+                                          _UNGRADED_CALLS[tol][family]))
+    assert sum(split_sizes) == _GRADED_EVALUATIONS[tol][family]
+
+
+@pytest.mark.parametrize("t", [25.0, 30.0])
+def test_split_grading_stays_inside_the_evaluation_budget(split_sizes, t):
+    # at t = 25 and 30 the poles ask for more pieces than the budget
+    # allows (about 109,000 at t = 25), so the uniform pass goes first
+    # and the refinement raises with its payload, as for a callable
+    with pytest.raises(AccuracyError, match="budget exhausted") as exc:
+        sl_inverse_numeric(parse_transform("1/s - 1/cs"), 1.0, 1.0, t,
+                           1000.0, 1e-6)
+    assert sum(split_sizes) <= MAX_EVALUATIONS
+    assert exc.value.value is not None and exc.value.abs_error_estimate > 0
 
 
 class TestNumericInversionNearRepeatedPoles:

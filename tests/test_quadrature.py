@@ -301,21 +301,27 @@ def test_inversion_evaluation_counts_are_pinned(t, evaluations):
     assert r.evaluations == evaluations
 
 
-@pytest.mark.parametrize("t,evaluations", [(0.0, 3780), (2.0, 7200),
-                                           (3.75, 11340)])
+@pytest.mark.parametrize("t,evaluations", [(0.0, 3780), (2.0, 7185),
+                                           (3.75, 11355)])
 def test_real_split_evaluation_counts_are_pinned(t, evaluations):
     # the sign signal's SplitTransform has real coefficients, so it is a
-    # Hermitian evaluated at y >= 0 only: half the callable's count
+    # Hermitian evaluated at y >= 0 only, and its poles at y = +-i grade
+    # the first pass, all in one call of F.  Its uniform pass is half the
+    # callable's count; without the poles a round of refinement followed
+    # it at t = 0 and 2, for 3780, 7200 and 11340 evaluations in all
     H = _on_line(parse_transform("1/s - 1/cs"), 1.0, 1.0)
     assert isinstance(H, Hermitian)
+    assert H.poles == ((1j, 1, 1.0), (-1j, 1, 1.0))
     sizes = []
 
     def counted(y):
         sizes.append(y.size)
         return H.H(y)
 
-    r = finite_oscillatory_integral(Hermitian(counted), t, 1000.0, 1e-6)
+    r = finite_oscillatory_integral(Hermitian(counted, H.poles), t, 1000.0,
+                                    1e-6)
     assert r.evaluations == sum(sizes) == evaluations
+    assert len(sizes) == 1
 
 
 def test_refinement_evaluates_each_round_in_one_call():
@@ -389,6 +395,90 @@ def test_certificate_holds_at_one_oscillation_per_panel(case):
         half = complex(mpmath.fsum(parts[n0 // 4:3 * n0 // 4]) / two_pi)
     assert abs(r.value - full) <= r.abs_error_estimate
     assert abs(r.half_value - half) <= r.abs_error_estimate
+
+
+# (text, x1, x2, t, A, tol) whose poles grade the first pass: complex
+# poles at |Re y_p| = 0.7 and 3, away from y = 0, and at 1, 1 from the
+# line over the middle of a uniform panel; poles at A/2 + 0.05 and
+# A/2 - 0.05, 0.05 from the line, whose grading straddles the A/2 edge;
+# a real pole 0.05 from the line; orders 1 to 4 0.1 from it; and complex
+# coefficients, evaluated at +-y
+_GRADED = (
+    ("1/((s+0.4)^2+0.49) + 1/(cs+1)", 0.3, 0.5, 1.5, 12.0, 1e-8),
+    ("1/((s+0.7)^2+1) + 1/(cs+1)", 0.3, 0.5, 0.5, 40.0, 1e-6),
+    ("1/((s+0.2)^2+9) - 1/(cs+0.5)", 0.1, 0.4, -2.0, 12.0, 1e-8),
+    ("1/((s-0.25)^2+36.6025) + 1/(cs+1)", 0.3, 0.5, 0.7, 12.0, 1e-8),
+    ("1/((s-0.25)^2+35.4025) + 1/(cs+1)", 0.3, 0.5, -0.7, 12.0, 1e-8),
+    ("1/s - 1/cs", 0.05, 0.05, 1.0, 12.0, 1e-8),
+    ("1/(s+0.5) + 1/(cs+1)", -0.4, 0.5, 2.0, 12.0, 1e-8),
+    ("1/(s+0.5)^2 + 1/(cs+1)", -0.4, 0.5, 2.0, 12.0, 1e-8),
+    ("1/(s+0.5)^3 + 1/(cs+1)", -0.4, 0.5, -1.0, 12.0, 1e-8),
+    ("1/(s+0.5)^4 + 1/(cs+1)", -0.4, 0.5, 0.5, 12.0, 1e-8),
+    ("(1+i)/(s+0.3-0.7*i) + 1/(cs+1)", 0.1, 0.5, -1.2, 12.0, 1e-8),
+)
+
+
+@pytest.mark.parametrize("text,x1,x2,t,A,tol", _GRADED)
+def test_graded_first_pass_meets_its_certificate(monkeypatch, text, x1, x2,
+                                                 t, A, tol):
+    # one call of F, against mpmath at 20 digits (30 took over 2 s) over
+    # the same integral, cut at the poles' projections, at 0.05-wide steps
+    # around them and every 4 in y; half_value against a standalone call
+    # at A/2, each within its tolerance (the kernel's prefactor is 1),
+    # and the pair's half value within 2*tol*exp(x*t) of a standalone
+    # sl_inverse_numeric at A/2
+    import mpmath
+
+    from symlap.inversion import sl_inverse_numeric, sl_inverse_numeric_pair
+
+    splits = []
+    graded = quadrature._graded
+
+    def recorded(*args):
+        out = graded(*args)
+        splits.append(len(out[0]))
+        return out
+
+    monkeypatch.setattr(quadrature, "_graded", recorded)
+    st = parse_transform(text)
+    integrand = _on_line(st, x1, x2)
+    assert isinstance(integrand, Hermitian) == st.is_real
+    calls = []
+    if st.is_real:
+        counted = Hermitian(lambda y: calls.append(y.size) or integrand.H(y),
+                            integrand.poles)
+    else:
+        def counted(y):
+            calls.append(y.size)
+            return integrand(y)
+        counted.poles = integrand.poles
+    r = finite_oscillatory_integral(counted, t, A, tol)
+    assert splits[0] > 0 and len(calls) == 1
+    F = _mp_split(text)
+    cuts = {0.0, A}
+    for y_p, _, _ in integrand.poles:
+        loc = abs(y_p.real)
+        cuts.update(min(max(loc + k * 0.05, 0.0), A) for k in range(-4, 5))
+    cuts.update(np.arange(0.0, A, 4.0).tolist())
+    cuts = sorted(cuts)
+    with mpmath.workdps(20):
+        X1, X2, T = mpmath.mpf(x1), mpmath.mpf(x2), mpmath.mpf(t)
+
+        def integral(sign):
+            return mpmath.quad(lambda y: F(X1, X2, sign * y)
+                               * mpmath.expj(T * sign * y), cuts,
+                               method="gauss-legendre")
+
+        right = integral(1)
+        full = (2 * mpmath.re(right) if st.is_real
+                else right + integral(-1)) / (2 * mpmath.pi)
+    assert abs(r.value - complex(full)) <= r.abs_error_estimate <= tol
+    alone = finite_oscillatory_integral(integrand, t, A / 2.0, tol)
+    assert abs(r.half_value - alone.value) <= 2.0 * tol
+    prefactor = math.exp(x1 * t if t >= 0 else -x2 * t)
+    half = sl_inverse_numeric_pair(st, x1, x2, t, A, tol)[1]
+    assert abs(half - sl_inverse_numeric(st, x1, x2, t, A / 2.0, tol)) <= (
+        2.0 * tol * prefactor)
 
 
 @pytest.mark.parametrize("P,block", [(3, 8), (5, 8), (37, 8), (40, 8),
