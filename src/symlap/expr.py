@@ -66,11 +66,8 @@ class Polynomial:
     __slots__ = ("coef",)
 
     def __init__(self, coef):
-        c = np.atleast_1d(np.asarray(coef, dtype=complex))
-        n = len(c)
-        while n > 1 and c[n - 1] == 0:
-            n -= 1
-        self.coef = c[:n].copy() if n else np.zeros(1, complex)
+        c = np.array(coef, dtype=complex, ndmin=1)  # a copy of its own
+        self.coef = c[:_length(c)] if len(c) else np.zeros(1, complex)
 
     @property
     def degree(self) -> int:
@@ -85,20 +82,10 @@ class Polynomial:
         return _horner(self.coef, z)
 
     def __add__(self, other):
-        a, b = sorted((self.coef, other.coef), key=len, reverse=True)
-        out = a.copy()
-        out[:len(b)] += b
-        return Polynomial(out)
+        return Polynomial(_add(self.coef.tolist(), other.coef.tolist()))
 
     def __sub__(self, other):
-        a, b = self.coef, other.coef
-        if len(a) > len(b):
-            out = a.copy()
-            out[:len(b)] -= b
-        else:
-            out = -b
-            out[:len(a)] += a
-        return Polynomial(out)
+        return Polynomial(_sub(self.coef.tolist(), other.coef.tolist()))
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
@@ -126,17 +113,41 @@ class Polynomial:
         return f"Polynomial({list(self.coef)})"
 
 
-def _factored(p: Polynomial):
-    """(lead, factors) with p = lead * the one monic factor; a constant
-    p has no factor, the zero polynomial has lead 0.  Every zero of the
-    factor's coefficients is made positive, so that the sign of a zero
-    does not tell two factors apart: the coefficient bytes are the
-    factor's dictionary key."""
-    if p.degree < 1:
-        return complex(p.coef[0]), {}
-    lead = p.coef[-1]
-    f = Polynomial((p.coef if lead == 1 else p.coef / lead) + 0.0)
-    return complex(lead), {f.coef.tobytes(): (f, 1)}
+def _length(c):
+    """The length of the coefficients c without their trailing exact
+    zeros, at least 1."""
+    n = len(c)
+    while n > 1 and c[n - 1] == 0:
+        n -= 1
+    return n
+
+
+# sums on lists of Python complex, the IEEE additions of numpy's padded
+# array sums without its calls (a longer tail copied, negated if subtracted)
+def _add(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    return [x + y for x, y in zip(a, b)] + a[len(b):]
+
+
+def _sub(a, b):
+    return ([x - y for x, y in zip(a, b)] + a[len(b):]
+            + [-y for y in b[len(a):]])
+
+
+def _factored(c: list):
+    """(lead, factors): the polynomial of the coefficient list c is lead
+    times the one monic factor; a constant has no factor, the zero
+    polynomial has lead 0.  Every zero of the factor's coefficients is
+    made positive, so that the sign of a zero does not tell two factors
+    apart: the coefficient bytes are the factor's dictionary key."""
+    c = c[:_length(c)]
+    lead = c[-1]
+    if len(c) < 2:
+        return lead, {}
+    f = Polynomial([x + 0j for x in c] if lead == 1
+                   else np.array(c) / lead + 0.0)
+    return lead, {f.coef.tobytes(): (f, 1)}
 
 
 def _merged(a: dict, b: dict) -> dict:
@@ -180,8 +191,8 @@ class RationalFunction:
         """From expanded polynomials, each of which becomes one factor."""
         if den.is_zero:
             raise ExprError("division by an identically zero polynomial")
-        nlead, numf = _factored(num)
-        dlead, denf = _factored(den)
+        nlead, numf = _factored(num.coef.tolist())
+        dlead, denf = _factored(den.coef.tolist())
         self._set(nlead / dlead, numf, denf)
 
     @classmethod
@@ -194,7 +205,7 @@ class RationalFunction:
         scale = complex(scale)
         if scale == 0:
             numf, denf = {}, {}
-        shared = [key for key in numf if key in denf]
+        shared = [key for key in numf if key in denf] if denf else ()
         if shared:
             numf, denf = dict(numf), dict(denf)
             for key in shared:
@@ -206,6 +217,8 @@ class RationalFunction:
                     else:
                         d[key] = (f, m - k)
         self.scale, self.numf, self.denf = scale, numf, denf
+        self.is_zero = scale == 0
+        self.is_constant = not numf and not denf
 
     @cached_property
     def num(self) -> Polynomial:
@@ -226,14 +239,6 @@ class RationalFunction:
         return cls(Polynomial([0, 1]), Polynomial([1]))
 
     @property
-    def is_zero(self) -> bool:
-        return self.scale == 0
-
-    @property
-    def is_constant(self) -> bool:
-        return not self.numf and not self.denf
-
-    @property
     def is_proper(self) -> bool:
         return self.num_degree < self.den_degree
 
@@ -248,13 +253,13 @@ class RationalFunction:
     def den_degree(self) -> int:
         return sum(f.degree * m for f, m in self.denf.values())
 
-    @cached_property
+    @property
     def is_real(self) -> bool:
         """Whether every coefficient is real, so that r(conj z) is
         conj r(z)."""
         return self.scale.imag == 0 and not any(
-            f.coef.imag.any()
-            for f, _ in (*self.numf.values(), *self.denf.values()))
+            c.imag for f, _ in (*self.numf.values(), *self.denf.values())
+            for c in f.coef.tolist())
 
     def constant_value(self) -> complex:
         return self.scale
@@ -266,33 +271,32 @@ class RationalFunction:
             return self
         if self.is_zero:
             return other
-        return self._sum(other, operator.add)
+        return self._sum(other, _add)
 
     def __sub__(self, other):
         if other.is_zero:
             return self
         if self.is_zero:
             return -other
-        return self._sum(other, operator.sub)
+        return self._sum(other, _sub)
 
     def _sum(self, other, op):
         lcm = dict(self.denf)
         for key, (f, m) in other.denf.items():
             if key not in lcm or lcm[key][1] < m:
                 lcm[key] = (f, m)
-        a, b = (r._over(lcm) for r in (self, other))
-        lead, numf = _factored(op(a, b))
+        lead, numf = _factored(op(self._over(lcm), other._over(lcm)))
         return RationalFunction._of(lead, numf, lcm)
 
-    def _over(self, lcm: dict) -> Polynomial:
-        """The numerator of self written over the denominator lcm: num
-        times the factors of lcm that den lacks, num itself when it
-        lacks none."""
-        lacking = [(f, m - self.denf.get(key, (f, 0))[1])
-                   for key, (f, m) in lcm.items()]
-        if not any(k for _, k in lacking):
-            return self.num
-        return self.num * _expanded(lacking)
+    def _over(self, lcm: dict) -> list:
+        """The numerator coefficients of self written over the
+        denominator lcm: num times the factors of lcm that den lacks,
+        num itself when it lacks none ([scale] for a constant)."""
+        lacking = [(f, k) for key, (f, m) in lcm.items()
+                   if (k := m - self.denf.get(key, (f, 0))[1])]
+        if lacking:
+            return (self.num * _expanded(lacking)).coef.tolist()
+        return self.num.coef.tolist() if self.numf else [self.scale]
 
     def __neg__(self):
         return RationalFunction._of(-self.scale, self.numf, self.denf)
@@ -444,84 +448,76 @@ class _Parser:
         self.k = 0
         self.alg = algebra
 
-    def peek(self):
-        return self.toks[self.k]
-
-    def advance(self):
+    def expect(self, kind: str):
         tok = self.toks[self.k]
         self.k += 1
-        return tok
-
-    def expect(self, kind: str):
-        tok = self.advance()
         if tok[0] != kind:
             raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
-        return tok
 
     def parse(self):
         value = self.expr()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
+        kind, txt, pos = self.toks[self.k]
+        if kind != "end":
+            raise ParseError(f"unexpected trailing input {txt!r}", pos)
         return value
 
     def expr(self):
         value = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
+        while (op := self.toks[self.k][0]) in ("+", "-"):
+            self.k += 1
             rhs = self.term()
             value = (self.alg.add if op == "+" else self.alg.sub)(value, rhs)
         return value
 
     def term(self):
         value = self.factor()
-        while self.peek()[0] in ("*", "/"):
-            op, _, pos = self.advance()
+        while (op := self.toks[self.k])[0] in ("*", "/"):
+            self.k += 1
             rhs = self.factor()
-            value = (self.alg.mul if op == "*" else self.alg.div)(
-                value, rhs, pos)
+            value = (self.alg.mul if op[0] == "*" else self.alg.div)(
+                value, rhs, op[2])
         return value
 
     def factor(self):
-        tok = self.peek()
-        if tok[0] in ("+", "-"):
-            self.advance()
+        """A signed factor, or a power: atom ('^' INTEGER)?."""
+        sign = self.toks[self.k][0]
+        if sign in ("+", "-"):
+            self.k += 1
             inner = self.factor()
-            return self.alg.neg(inner) if tok[0] == "-" else inner
-        return self.power()
-
-    def power(self):
+            return self.alg.neg(inner) if sign == "-" else inner
         base = self.atom()
-        if self.peek()[0] != "^":
+        op = self.toks[self.k]
+        if op[0] != "^":
             return base
-        op = self.advance()
-        tok = self.advance()
-        if tok[0] != "num" or not tok[1].isdigit():
-            raise ParseError("exponent must be a nonnegative integer", tok[2])
-        n = int(tok[1])
+        kind, txt, pos = self.toks[self.k + 1]
+        self.k += 2
+        if kind != "num" or not txt.isdigit():
+            raise ParseError("exponent must be a nonnegative integer", pos)
+        n = int(txt)
         if n > 64:
             raise ExprError(f"exponent {n} too large (max 64)", op[2])
         return self.alg.pow(base, n, op[2])
 
     def atom(self):
-        kind, txt, pos = self.advance()
+        kind, txt, pos = self.toks[self.k]
+        self.k += 1
         if kind == "num":
             return self.alg.const(float(txt))
-        if kind == "i":
-            return self.alg.const(1j)
         if kind == "s":
             return self.alg.s
         if kind == "cs":
-            return self.alg.cs
-        if kind == "conj":
-            self.expect("(")
-            self.expect("s")
-            self.expect(")")
             return self.alg.cs
         if kind == "(":
             value = self.expr()
             self.expect(")")
             return value
+        if kind == "i":
+            return self.alg.const(1j)
+        if kind == "conj":
+            self.expect("(")
+            self.expect("s")
+            self.expect(")")
+            return self.alg.cs
         raise ParseError(f"expected a value, found {txt!r}"
                          if txt else "unexpected end of input", pos)
 
@@ -539,20 +535,14 @@ def _on_side(k, r):
 
 def _pair_const(v):
     """The value of a pair whose two sides are constant, else None."""
-    if v[0].is_constant and v[1].is_constant:
-        return v[0].constant_value() + v[1].constant_value()
-    return None
+    return (v[0].scale + v[1].scale
+            if v[0].is_constant and v[1].is_constant else None)
 
 
 def _side(v, k):
     """The whole pair as a rational on side k, or None if it truly needs
     the other side.  A constant-valued other side folds into side k."""
-    other = v[1 - k]
-    if other.is_zero:
-        return v[k]
-    if other.is_constant:
-        return v[k] + RationalFunction.const(other.constant_value())
-    return None
+    return v[k] + v[1 - k] if v[1 - k].is_constant else None
 
 
 def _split_mul(u, v, pos):
@@ -663,36 +653,55 @@ def evaluate_rational(r: RationalFunction, z):
     scalar = np.ndim(z) == 0
     z = np.reshape(z, 1) if scalar else z
     den = _factors_at(r.denf, z)
-    if den is not None and np.min(np.abs(den)) < _POLE_GUARD:
+    if den is not None and np.abs(den).min() < _POLE_GUARD:
         raise PoleError(f"evaluation at a pole of {r}")
     num = _factors_at(r.numf, z)
     out = r.scale if num is None else r.scale * num
-    if den is not None:
-        out = out / den
+    if den is not None:  # den is an array of its own: the quotient
+        out = np.divide(out, den, out=den)  # goes over it
     elif num is None:  # a constant, in the shape of z
         out = out + 0.0 * np.asarray(z)
     return complex(out[0]) if scalar else out
 
 
-# iterates of a high-degree polynomial may overflow; the residual tests
-# turn a non-finite result into RootFindingError
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def polynomial_roots(p: Polynomial):
     """All complex roots of p with multiplicities, as (root, count) pairs.
 
-    A linear p has the one root -c0/c1, returned directly.  Otherwise
-    uses the Aberth-Ehrlich simultaneous iteration (no companion
-    matrix), clusters iterates closer than _CLUSTER_TOL into a single
-    root with summed multiplicity, and polishes each cluster with the
-    multiplicity-aware Newton step.  Multiplicities always sum to the
-    degree.  Results are sorted by (real, imag).
+    A linear p has the one root -c0/c1, returned directly (a non-finite
+    one raises RootFindingError).  Otherwise uses the Aberth-Ehrlich
+    simultaneous iteration (no companion matrix), clusters iterates
+    closer than _CLUSTER_TOL into a single root with summed
+    multiplicity, and polishes each cluster with the multiplicity-aware
+    Newton step.  Multiplicities always sum to the degree.  Results are
+    sorted by (real, imag).
     """
     deg = p.degree
     if deg < 1:
         raise ValueError("need a polynomial of degree >= 1")
-    monic = p.coef / p.coef[-1]
     if deg == 1:
-        return [(complex(0.0 - monic[0]), 1)]
+        root = 0.0 - _quotient(*p.coef.view(float).tolist())
+        if not (math.isfinite(root.real) and math.isfinite(root.imag)):
+            raise RootFindingError(f"linear polynomial has the root {root}")
+        return [(root, 1)]
+    # overflowing iterates meet the residual tests as RootFindingError
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return _aberth_roots(p.coef / p.coef[-1], deg)
+
+
+def _quotient(ar, ai, br, bi) -> complex:
+    """(ar + i*ai) / (br + i*bi) in Python floats, which warn of no
+    overflow, with the bits of numpy's quotient (Smith's, by a reciprocal)."""
+    if abs(br) >= abs(bi):
+        rat = bi / br
+        scl = 1.0 / (br + bi * rat)
+        return complex((ar + ai * rat) * scl, (ai - ar * rat) * scl)
+    rat = br / bi
+    scl = 1.0 / (bi + br * rat)
+    return complex((ar * rat + ai) * scl, (ai * rat - ar) * scl)
+
+
+def _aberth_roots(monic, deg):
+    """polynomial_roots of the monic coefficients of degree deg >= 2."""
     dcoef = _derivative(monic)
     scale = max(1.0, float(np.max(np.abs(monic))))
 

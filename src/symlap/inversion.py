@@ -272,8 +272,10 @@ def _on_line(F, x1: float, x2: float):
         return lambda y: F(x1, x2, y)
 
     def on_line(y):
-        return (evaluate_rational(F.g1, x1 + 1j * y)
-                + evaluate_rational(F.g2, x2 - 1j * y))
+        iy = 1j * y
+        g = evaluate_rational(F.g1, x1 + iy)  # arrays of their own, reused
+        g += evaluate_rational(F.g2, np.subtract(x2, iy, out=iy))
+        return g
 
     if F.is_real:
         return Hermitian(on_line, _poles(F, x1, x2))

@@ -50,10 +50,11 @@ product of a pass of at most 4096 panels has an inner dimension of at
 most 64 and is cut, in rows or blocks, below the size at which
 OpenBLAS hands it to helper threads (_SOLO_DGEMM, _SOLO_ZGEMV): a
 helper thread spins between calls, which doubles the CPU time of a
-forward grid for no gain in wall time.  A larger pass, whose one-y node product alone is above that size, takes
-its node products through einsum, which never calls BLAS.  On one
-thread the sums do not depend on OPENBLAS_NUM_THREADS, so `symlap
-forward` writes the same bytes under any setting.
+forward grid for no gain in wall time.  A larger pass, whose one-y node
+product alone is above that size, takes its node products through
+einsum, which never calls BLAS.  On one thread the sums do not depend
+on OPENBLAS_NUM_THREADS, so `symlap forward` writes the same bytes
+under any setting.
 
 The panel width comes from the GK15 error model: on a panel where the
 integrand turns by theta radians per half-width, sum_p |K_p - G_p| is
@@ -77,19 +78,11 @@ finite_oscillatory_integral, the Fourier integral behind numeric
 inversion, is factored the same way in t and runs on [0, A] only: for a
 conjugate-symmetric H (H(-y) = conj H(y), the transform of a real
 signal) the integral over [-A, A] is 2*Re of the integral over [0, A],
-and any other F is split into two such parts (_symmetric_parts).  The
-first pass is uniform at one oscillation per panel, where the model
-predicts phi(pi) ~ 8e-9 of the panel's integral of |F|.  An integrand
-whose poles are known (a SplitTransform's, carried as the poles
-attribute of a Hermitian or of a callable) has that pass graded toward
-them (_graded): a uniform panel on which a second model, the GK15 error
-of an order-m pole at its distance in half-widths (_pole_model) plus
-the kernel's turn, predicts more than the fair share is bisected, and
-so are its halves, until every piece fits.  The pieces go to F in the
-same call as the uniform panels, which keep their shared node phases.
-Bisection in place of the panels still over budget follows, by the same
-refinement loop and the same phase-factored panels (_phased_panels) as
-a forward y.
+and any other F is split into two such parts (_symmetric_parts).  Its
+first pass, one oscillation per panel, is graded toward the integrand's
+known poles (_graded) in one call of F; the panels still over budget
+are bisected by the refinement loop and phase-factored panels
+(_phased_panels) of a forward y.
 
 Integrands must accept a 1-d numpy float array and return an array of
 values (complex or real).  Panels are kept in a fixed order (ascending
@@ -102,7 +95,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -178,6 +170,7 @@ _MODEL_SHARE = 0.25
 # Pole distances, in panel half-widths, of the GK15 error model for an
 # order-m pole (_pole_model): 1/16 to 16 in steps of 2^(1/4)
 _DELTA = tuple((2.0 ** (np.arange(-16, 17) / 4.0)).tolist())
+_NO_PIECES = np.empty((4, 0))  # _graded's rows of no pieces
 # Sizes under which OpenBLAS runs a product on the calling thread:
 # multiply-adds of a real matrix product (it splits them from about
 # 2^20 on) and entries of a complex matrix-vector product (from 2^12 on),
@@ -241,7 +234,8 @@ def require_finite(**values):
 
 def _finite(vals):
     vals = np.asarray(vals)
-    if np.count_nonzero(np.isfinite(vals)) < vals.size:
+    flat = vals.ravel().view(vals.real.dtype)  # pairs of reals test faster
+    if np.count_nonzero(np.isfinite(flat)) < flat.size:
         raise AccuracyError("integrand returned a non-finite value")
     return vals
 
@@ -533,8 +527,8 @@ def _grid_pass(piece, x, ys, ay, omega, T, tail, tol, theta, scale):
 
             def panels(mids, halves):
                 k, e, m = _phased_panels(
-                    lambda u: _finite(piece(u)) * np.exp(-x * u), t,
-                    (mids, halves))
+                    lambda u: _finite(piece(u)) * np.exp(-x * u), t, mids,
+                    halves, 0)
                 return k[0], e, m
 
             def result(k, e, m, evals):
@@ -653,36 +647,35 @@ def _symmetric_parts(F):
     return parts, 2
 
 
-def _phased_panels(parts, t, *groups):
+def _phased_panels(parts, t, mids, half, shared):
     """GK15 panels for the integrals of H_k(u)*exp(i*t*u), with parts(u)
     giving the H_k at the nodes, one row per part (a flat array for one).
-    Each group (mids, half) holds panels centred at mids, of half-width
-    half (one float, or one per panel); the nodes of all groups go to
-    parts in one call.
+    The panels are centred at mids, of half-widths half (one per panel);
+    the nodes of all of them go to parts in one call.
 
     Returns each part's Kronrod values (one row per part), the panels'
     |K - G| and their Kronrod sums of |H_k|, the scale of the rounding,
-    both summed over the parts, panels in group order.  The phase
+    both summed over the parts, panels in the given order.  The phase
     factors as exp(i*t*u) = exp(i*t*c) * exp(i*t*h*x_j) at the nodes of a
     panel with midpoint c and half-width h, and the panel phase drops out
-    of |K - G|; a group of one half-width shares its 15 node phases.
+    of |K - G|; the first shared panels have one half-width and share its
+    15 node phases, every other panel has its own.
     """
-    offsets = [np.multiply.outer(half, _XGK) for _, half in groups]
-    spans = list(itertools.accumulate([g.size for g, _ in groups],
-                                      initial=0))
-    mids, half = np.empty(spans[-1]), np.empty(spans[-1])
-    nodes = np.empty((spans[-1], 15))
-    for (g, h), off, a, b in zip(groups, offsets, spans, spans[1:]):
-        mids[a:b], half[a:b] = g, h
-        np.add(g[:, None], off, out=nodes[a:b])
+    # row 0 of off: the shared node offsets; from row own on: the others'
+    own = min(shared, 1)
+    off = np.multiply.outer(half[shared - own:], _XGK)
+    nodes = np.empty((mids.size, 15))
+    np.add(mids[:shared, None], off[0], out=nodes[:shared])
+    np.add(mids[shared:, None], off[own:], out=nodes[shared:])
     vals = parts(nodes.ravel()).reshape(-1, mids.size, 15)
     del nodes  # freed before the products
     # node values times phases, as rows read as reals that meet the
     # Kronrod and Kronrod-minus-Gauss weights in real products of inner
     # dimension 30, each below OpenBLAS's helper-thread size
+    phase = np.exp(1j * t * off)
     rows = np.empty(vals.shape, dtype=complex)
-    for off, a, b in zip(offsets, spans, spans[1:]):
-        np.multiply(vals[:, a:b], np.exp(1j * t * off), out=rows[:, a:b])
+    np.multiply(vals[:, :shared], phase[0], out=rows[:, :shared])
+    np.multiply(vals[:, shared:], phase[own:], out=rows[:, shared:])
     rows = rows.reshape(-1, 15).view(float)
     step = _SOLO_DGEMM // _KG_REAL.size
     sums = np.concatenate([rows[i:i + step] @ _KG_REAL
@@ -742,7 +735,7 @@ def _graded(poles, n, half, t, budget, most):
     poles or the pieces would number more than most.
     """
     if not poles:
-        return [], None
+        return [], _NO_PIECES
     levels = []  # level j: the pieces of width 2*half/2^j split
     count = n  # pieces so far
     fair, own = budget / n, _MODEL_SHARE * budget / len(poles)
@@ -790,20 +783,20 @@ def _graded(poles, n, half, t, budget, most):
             levels[j].update(range(lo, hi + 1))
             count += len(levels[j]) - before  # each split adds one piece
             if count > most:
-                return [], None
+                return [], _NO_PIECES
             lo, hi, w, j = 2 * lo, 2 * hi + 1, h, j + 1
     if not levels:
-        return [], None
+        return [], _NO_PIECES
     pieces = []
     w = 2.0 * half
     for j, split in enumerate(levels, 1):
         w *= 0.5  # (i*2^j)*w is the uniform edge 2*half*i, to the bit
-        children = {c for k in split for c in (2 * k, 2 * k + 1)}
-        if j < len(levels):
-            children -= levels[j]
-        pieces += [(c * w, (c + 1) * w, (c + 0.5) * w, 0.5 * w)
-                   for c in sorted(children)]
-    return sorted(levels[0]), np.array(pieces).T
+        finer = levels[j] if j < len(levels) else ()
+        for k in sorted(split):  # its halves c not split again
+            for c in (2 * k, 2 * k + 1):
+                if c not in finer:
+                    pieces += (c * w, (c + 1) * w, (c + 0.5) * w, 0.5 * w)
+    return sorted(levels[0]), np.array(pieces).reshape(-1, 4).T
 
 
 def finite_oscillatory_integral(F, t: float, A: float,
@@ -825,10 +818,9 @@ def finite_oscillatory_integral(F, t: float, A: float,
     pieces graded toward the poles (_graded), every uniform edge staying
     an edge; the pieces and the uniform panels go to F in one call.  A
     grading that would take more than MAX_EVALUATIONS evaluations is
-    dropped.  Panels
-    still over their share of the budget are bisected in place by
-    _refine, which keeps A/2 as an edge: half_value is the sum over
-    the panels below it, and their |K - G| sum is part of
+    dropped.  Panels still over their share of the budget are bisected
+    in place by _refine, which keeps A/2 as an edge: half_value is the
+    sum over the panels below it, and their |K - G| sum is part of
     abs_error_estimate.  The estimate is 2 * sum |K - G| over [0, A]
     plus the rounding allowance, over 2pi, so refinement runs to a sum
     of tol*pi.
@@ -853,39 +845,36 @@ def finite_oscillatory_integral(F, t: float, A: float,
     edges = 2.0 * half * np.arange(n + 1)
     two_pi = 2.0 * math.pi
 
-    def panels(*groups):
-        """The panels of the groups (_phased_panels) and their mirror
-        images, which add 2*Re(K_1) + 2i*Re(K_2): those sums, their
-        |K - G| summed over the parts (half the mirrored pair's) and
-        twice the Kronrod sums of |H_k|."""
-        k, e, m = _phased_panels(parts, t, *groups)
-        value = (2.0 * k[0].real).astype(complex)
+    def panels(mids, halves, shared):
+        """The panels (_phased_panels) and their mirror images, which
+        add 2*Re(K_1) + 2i*Re(K_2): half those sums, their |K - G|
+        summed over the parts and half the pair's Kronrod sums of
+        |H_k|; result doubles the sums, which doubles every term."""
+        k, e, m = _phased_panels(parts, t, mids, halves, shared)
+        value = k[0].real.astype(complex)
         if len(k) == 2:
-            value.imag = 2.0 * k[1].real
-        return value, e, 2.0 * m
+            value.imag = k[1].real
+        return value, e, m
 
     def result(k, e, m, evals):
         """The value and estimate the panels give, also the payload of
         an AccuracyError from _refine."""
         estimate = 2.0 * e.sum() + _rounding(math.ceil(math.log2(evals)),
-                                             m.sum(), abs(t) * A)
-        return complex(k.sum()) / two_pi, float(estimate) / two_pi
+                                             2.0 * m.sum(), abs(t) * A)
+        value = k.sum()
+        return complex(value + value) / two_pi, float(estimate) / two_pi
 
-    lefts, rights = edges[:-1], edges[1:]
-    if split:
-        # the uniform panels the grading keeps, with their shared node
-        # phases, then the graded pieces, all in one call of F
-        keep = np.ones(n, dtype=bool)
-        keep[split] = False
-        lefts, rights = lefts[keep], rights[keep]
-        k, e, m = panels((lefts + half, half), (pieces[2], pieces[3]))
-        lefts = np.concatenate([lefts, pieces[0]])
-        rights = np.concatenate([rights, pieces[1]])
-    else:
-        k, e, m = panels((lefts + half, half))
+    # the uniform panels the grading keeps (runs between split ones),
+    # sharing their node phases, then the graded pieces, in one call of F
+    uniform = np.array([edges[:-1], edges[1:], edges[:-1] + half,
+                        np.full(n, half)])
+    lefts, rights, mids, halves = np.concatenate(
+        [uniform[:, a:b] for a, b in zip([0] + [i + 1 for i in split],
+                                         split + [n])] + [pieces], axis=1)
+    k, e, m = panels(mids, halves, n - len(split))
     lefts, rights, k, e, m, evals = _refine(
-        lambda mids, halves: panels((mids, halves)), lefts, rights, k, e, m,
+        lambda mids, halves: panels(mids, halves, 0), lefts, rights, k, e, m,
         tol * math.pi, cost * len(k), cost, result)
-    inner = rights <= edges[n // 2]
+    inner = k[rights <= edges[n // 2]].sum()
     return OscillatoryResult(*result(k, e, m, evals), A, evals,
-                             complex(k[inner].sum()) / two_pi)
+                             complex(inner + inner) / two_pi)

@@ -205,6 +205,39 @@ def test_polynomial_products_per_parse_are_pinned(monkeypatch, text,
     assert count[0] == products
 
 
+@pytest.mark.parametrize("text, rationals, polynomials", [
+    ("0.57/(s+1.85) + 1.81/(cs+1.0)", 8, 2),
+    ("0.78/(s+1.75)^2 + -1.13/(cs+0.65)", 11, 2),
+    (verify.ODE_TRANSFORM_TEXT, 40, 22)], ids=["simple", "squared", "ode"])
+def test_algebra_objects_per_parse_are_pinned(monkeypatch, text, rationals,
+                                              polynomials):
+    # machine-independent: the RationalFunction values (each set up by
+    # one _set call) and the Polynomials one parse_transform builds,
+    # after a warm-up parse.  A constant folds into the other side as it
+    # is, a sum works on coefficient lists and a constant's numerator
+    # needs no Polynomial; when a fold rebuilt the constant and a sum
+    # built its operands and result as Polynomials these took 10, 13 and
+    # 42 RationalFunction values and 6, 6 and 33 Polynomials
+    from symlap import expr
+
+    count = {"rationals": 0, "polynomials": 0}
+    set_up, init = expr.RationalFunction._set, expr.Polynomial.__init__
+
+    def counted_set(self, *args):
+        count["rationals"] += 1
+        return set_up(self, *args)
+
+    def counted_init(self, *args):
+        count["polynomials"] += 1
+        return init(self, *args)
+
+    expr.parse_transform(text)
+    monkeypatch.setattr(expr.RationalFunction, "_set", counted_set)
+    monkeypatch.setattr(expr.Polynomial, "__init__", counted_init)
+    expr.parse_transform(text)
+    assert count == {"rationals": rationals, "polynomials": polynomials}
+
+
 def test_numeric_inversion_builds_no_expanded_polynomial():
     # evaluation goes by the factors; num and den, cached on first use,
     # serve only printing and the tests

@@ -198,6 +198,24 @@ class TestRoots:
         assert mult == 1
         assert root == 0.0 - coef[0] / coef[1]
 
+    def test_linear_root_has_the_bits_of_numpys_quotient(self):
+        rng = np.random.default_rng(29)
+        scales = 10.0 ** rng.uniform(-150, 150, size=(2000, 4))
+        parts = rng.standard_normal((2000, 4)) * scales
+        parts[::3, 1::2] = 0.0  # real coefficients too
+        for c0r, c0i, c1r, c1i in parts:
+            coef = np.array([complex(c0r, c0i), complex(c1r, c1i)])
+            [(root, _)] = polynomial_roots(Polynomial(coef))
+            assert _same_bits(root, 0.0 - (coef / coef[1])[0])
+
+    @pytest.mark.parametrize("coef", [[1e300, 1e-300], [-1e200, 1e-200j],
+                                      [1.0, 1e-320]])
+    def test_overflowing_linear_root_raises_typed_error(self, coef):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RootFindingError):
+                polynomial_roots(Polynomial(coef))
+
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
             polynomial_roots(Polynomial([3.0]))
@@ -432,3 +450,35 @@ def test_eval_expression_is_not_a_top_level_export():
     assert "eval_expression" not in symlap.__all__
     assert not hasattr(symlap, "eval_expression")
 
+
+@pytest.mark.parametrize("text, error, position, message", [
+    ("1.2.3", ParseError, 0, "malformed number '1.2.3'"),
+    (".5.", ParseError, 0, "malformed number '.5.'"),
+    ("s + x", ParseError, 4, "unknown identifier 'x'"),
+    ("2e", ParseError, 1, "unknown identifier 'e'"),
+    ("s @ 1", ParseError, 2, "unexpected character '@'"),
+    ("s^1.5", ParseError, 2, "exponent must be a nonnegative integer"),
+    ("s^-1", ParseError, 2, "exponent must be a nonnegative integer"),
+    ("s^65", ExprError, 1, "exponent 65 too large (max 64)"),
+    ("(s+1", ParseError, 4, "expected ')', found ''"),
+    ("conj(x)", ParseError, 5, "unknown identifier 'x'"),
+    ("conj(s", ParseError, 6, "expected ')', found ''"),
+    ("s)", ParseError, 1, "unexpected trailing input ')'"),
+    ("", ParseError, 0, "unexpected end of input"),
+    ("1/(s*cs)", SplitError, 4,
+     "product couples s with cs and cannot be separated"),
+    ("(s+cs)/s", SplitError, 6,
+     "quotient couples s with cs and cannot be separated"),
+    ("1/(s+cs)", SplitError, 1, "denominator mixes s and cs"),
+    ("1/(s-s)", ExprError, 1, "division by an identically zero expression"),
+    ("s/(0*s)", ExprError, 1, "division by an identically zero expression"),
+    ("1/s + * 2", ParseError, 6, "expected a value, found '*'"),
+])
+def test_parse_errors_are_pinned(text, error, position, message):
+    # type, position and message of each error: a leaner lexer, parser
+    # or split algebra must keep all three
+    with pytest.raises(ExprError) as exc:
+        parse_transform(text)
+    assert type(exc.value) is error
+    assert exc.value.position == position
+    assert str(exc.value) == f"{message} (at position {position})"
