@@ -27,6 +27,7 @@ oracle for the split classification.
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 from dataclasses import dataclass
@@ -56,12 +57,10 @@ def _derivative(c):
 
 
 class Polynomial:
-    """Complex-coefficient polynomial, coefficients in ascending degree.
-
-    The coefficient array is trimmed of trailing exact zeros; the zero
-    polynomial is represented as [0].  No inexact trimming is performed,
-    arithmetic is plain double-precision complex.
-    """
+    """The expanded polynomial that RationalFunction.num and .den return
+    and RationalFunction(num, den) accepts: complex coefficients in
+    ascending degree, trimmed of trailing exact zeros, the zero
+    polynomial being [0]."""
 
     __slots__ = ("coef",)
 
@@ -80,34 +79,6 @@ class Polynomial:
 
     def __call__(self, z):
         return _horner(self.coef, z)
-
-    def __add__(self, other):
-        return Polynomial(_add(self.coef.tolist(), other.coef.tolist()))
-
-    def __sub__(self, other):
-        return Polynomial(_sub(self.coef.tolist(), other.coef.tolist()))
-
-    def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            return Polynomial(np.convolve(self.coef, other.coef))
-        return Polynomial(self.coef * complex(other))
-
-    __rmul__ = __mul__
-
-    def deriv(self):
-        return Polynomial(_derivative(self.coef))
-
-    def shifted(self, p: complex):
-        """Coefficients of self(p + u) in powers of u (Taylor shift),
-        by repeated synthetic division by (z - p)."""
-        b = self.coef[::-1].astype(complex).copy()  # descending order
-        n = len(b)
-        out = np.empty(n, dtype=complex)
-        for k in range(n):
-            for i in range(1, n - k):
-                b[i] += p * b[i - 1]
-            out[k] = b[n - 1 - k]
-        return out
 
     def __repr__(self):
         return f"Polynomial({list(self.coef)})"
@@ -135,53 +106,69 @@ def _sub(a, b):
             + [-y for y in b[len(a):]])
 
 
+def _times(a, b):
+    """The coefficients of a times b, b a number or coefficients."""
+    return a * b if isinstance(b, complex) else np.convolve(a, b)
+
+
+def _expanded(factors: dict) -> np.ndarray:
+    """The coefficients of the product of the factors, each taken to its
+    multiplicity; the empty product is [1]."""
+    out = None
+    for f, m in factors.items():
+        for _ in range(m):
+            out = np.array(f) if out is None else _times(out, f)
+    return np.ones(1, complex) if out is None else out
+
+
 def _factored(c: list):
     """(lead, factors): the polynomial of the coefficient list c is lead
-    times the one monic factor; a constant has no factor, the zero
-    polynomial has lead 0.  Every zero of the factor's coefficients is
-    made positive, so that the sign of a zero does not tell two factors
-    apart: the coefficient bytes are the factor's dictionary key."""
-    c = c[:_length(c)]
+    times the one monic factor, in {factor: 1}; a constant has no factor,
+    the zero polynomial has lead 0.  The factor is its own coefficient
+    tuple, c over lead with the bits of numpy's quotient (_quotient), and
+    every zero in it is made positive, so that the sign of a zero does
+    not tell two factors apart.  Raises ExprError for a coefficient that
+    is not finite, in c or from the quotient."""
+    c = _finite(c[:_length(c)])
     lead = c[-1]
     if len(c) < 2:
         return lead, {}
-    f = Polynomial([x + 0j for x in c] if lead == 1
-                   else np.array(c) / lead + 0.0)
-    return lead, {f.coef.tobytes(): (f, 1)}
+    f = tuple(x + 0j for x in c) if lead == 1 else _finite(tuple(
+        _quotient(x.real, x.imag, lead.real, lead.imag) + 0j for x in c))
+    return lead, {f: 1}
+
+
+def _finite(c):
+    """The coefficients c, after ExprError if one is not finite."""
+    if not all(map(cmath.isfinite, c)):
+        raise ExprError(f"non-finite coefficient in {list(c)}")
+    return c
 
 
 def _merged(a: dict, b: dict) -> dict:
     """The factors of a product: multiplicities of shared factors add."""
     out = dict(a)
-    for key, (f, m) in b.items():
-        out[key] = (f, out[key][1] + m) if key in out else (f, m)
+    for f, m in b.items():
+        out[f] = out.get(f, 0) + m
     return out
-
-
-def _expanded(pairs) -> Polynomial:
-    """The product of the factors f of the (f, m) pairs, each m times;
-    the empty product is 1."""
-    out = None
-    for f, m in pairs:
-        for _ in range(m):
-            out = f if out is None else out * f
-    return Polynomial([1]) if out is None else out
 
 
 class RationalFunction:
     """scale * prod f^m over the numerator factors, divided by
     prod g^n over the denominator factors.
 
-    A factor is a monic polynomial of degree >= 1, carried once with its
-    multiplicity in a dict {key: (factor, multiplicity)} keyed by its
-    coefficient bytes.  Products and powers add multiplicities, and a
-    quotient moves the divisor's numerator factors into the denominator.
-    A sum goes over the least common multiple of the two denominators
-    (the larger multiplicity of each shared factor), and its numerator
-    becomes one new factor.  Factors that are exactly equal in numerator
-    and denominator cancel.
+    A factor is a monic polynomial of degree >= 1, its own tuple of
+    Python complex coefficients in ascending degree, carried once in a
+    dict {factor: multiplicity} whose order is the order of evaluation.
+    Products and powers add multiplicities, and a quotient moves the
+    divisor's numerator factors into the denominator.  A sum goes over
+    the least common multiple of the two denominators (the larger
+    multiplicity of each shared factor), and its numerator becomes one
+    new factor.  Factors that are exactly equal in numerator and
+    denominator cancel.  A constant or factor coefficient that is not
+    finite raises ExprError.
 
-    num and den are the expanded polynomials, den monic, derived on
+    num and den are the expanded Polynomials, den monic, derived on
     first use and kept: sums expand the numerators of their terms, and
     to_text prints both.  Evaluation never needs them; evaluate_rational
     goes by the factors.
@@ -203,40 +190,32 @@ class RationalFunction:
 
     def _set(self, scale, numf, denf):
         scale = complex(scale)
+        if not cmath.isfinite(scale):
+            raise ExprError(f"non-finite coefficient {scale}")
         if scale == 0:
             numf, denf = {}, {}
-        shared = [key for key in numf if key in denf] if denf else ()
-        if shared:
-            numf, denf = dict(numf), dict(denf)
-            for key in shared:
-                k = min(numf[key][1], denf[key][1])
-                for d in (numf, denf):
-                    f, m = d[key]
-                    if m == k:
-                        del d[key]
-                    else:
-                        d[key] = (f, m - k)
+        if denf and any(f in denf for f in numf):  # shared factors cancel
+            n, d = numf, denf
+            numf = {f: k for f, m in n.items() if (k := m - d.get(f, 0)) > 0}
+            denf = {f: k for f, m in d.items() if (k := m - n.get(f, 0)) > 0}
         self.scale, self.numf, self.denf = scale, numf, denf
         self.is_zero = scale == 0
         self.is_constant = not numf and not denf
 
     @cached_property
+    @np.errstate(over="ignore", invalid="ignore")  # overflows to inf, unwarned
     def num(self) -> Polynomial:
         if not self.numf:
             return Polynomial([self.scale])
-        return _expanded(self.numf.values()) * self.scale
+        return Polynomial(_times(_expanded(self.numf), self.scale))
 
     @cached_property
     def den(self) -> Polynomial:
-        return _expanded(self.denf.values())
+        return Polynomial(_expanded(self.denf))
 
     @classmethod
     def const(cls, c) -> "RationalFunction":
         return cls._of(c, {}, {})
-
-    @classmethod
-    def variable(cls) -> "RationalFunction":
-        return cls(Polynomial([0, 1]), Polynomial([1]))
 
     @property
     def is_proper(self) -> bool:
@@ -247,19 +226,18 @@ class RationalFunction:
         """Degree of the numerator, -1 for the zero function."""
         if self.is_zero:
             return -1
-        return sum(f.degree * m for f, m in self.numf.values())
+        return sum((len(f) - 1) * m for f, m in self.numf.items())
 
     @cached_property
     def den_degree(self) -> int:
-        return sum(f.degree * m for f, m in self.denf.values())
+        return sum((len(f) - 1) * m for f, m in self.denf.items())
 
     @property
     def is_real(self) -> bool:
         """Whether every coefficient is real, so that r(conj z) is
         conj r(z)."""
         return self.scale.imag == 0 and not any(
-            c.imag for f, _ in (*self.numf.values(), *self.denf.values())
-            for c in f.coef.tolist())
+            c.imag for f in (*self.numf, *self.denf) for c in f)
 
     def constant_value(self) -> complex:
         return self.scale
@@ -282,9 +260,9 @@ class RationalFunction:
 
     def _sum(self, other, op):
         lcm = dict(self.denf)
-        for key, (f, m) in other.denf.items():
-            if key not in lcm or lcm[key][1] < m:
-                lcm[key] = (f, m)
+        for f, m in other.denf.items():
+            if lcm.get(f, 0) < m:
+                lcm[f] = m
         lead, numf = _factored(op(self._over(lcm), other._over(lcm)))
         return RationalFunction._of(lead, numf, lcm)
 
@@ -292,10 +270,10 @@ class RationalFunction:
         """The numerator coefficients of self written over the
         denominator lcm: num times the factors of lcm that den lacks,
         num itself when it lacks none ([scale] for a constant)."""
-        lacking = [(f, k) for key, (f, m) in lcm.items()
-                   if (k := m - self.denf.get(key, (f, 0))[1])]
+        lacking = {f: k for f, m in lcm.items()
+                   if (k := m - self.denf.get(f, 0))}
         if lacking:
-            return (self.num * _expanded(lacking)).coef.tolist()
+            return _times(self.num.coef, _expanded(lacking)).tolist()
         return self.num.coef.tolist() if self.numf else [self.scale]
 
     def __neg__(self):
@@ -526,7 +504,7 @@ class _Parser:
 # the split algebra: pairs v = (g1 in s, g2 in cs), side k of v being v[k]
 
 _RZERO = RationalFunction.const(0)
-_VAR = RationalFunction.variable()
+_VAR = RationalFunction._of(1.0, {(0j, 1 + 0j): 1}, {})  # s, or cs
 
 
 def _on_side(k, r):
@@ -595,8 +573,8 @@ def parse_transform(text: str) -> SplitTransform:
     """Parse text into a SplitTransform.
 
     Raises ParseError (bad syntax, with position), SplitError (a term
-    mixes s and cs) or ExprError (division by a zero polynomial, or an
-    exponent above 64).
+    mixes s and cs) or ExprError (division by a zero polynomial, an
+    exponent above 64, or a coefficient that is infinite or overflows).
     """
     return SplitTransform(*_Parser(text, _SPLIT).parse())
 
@@ -627,9 +605,8 @@ def _factors_at(factors: dict, z):
     monic linear factor costs one addition, z + c0; any other factor is
     evaluated by Horner's rule."""
     out = None
-    for f, m in factors.values():
-        c = f.coef
-        v = z + c[0] if len(c) == 2 and c[1] == 1 else _horner(c, z)
+    for f, m in factors.items():
+        v = z + f[0] if len(f) == 2 and f[1] == 1 else _horner(f, z)
         if m > 1:
             v = v ** m
         out = v if out is None else out * v
@@ -664,28 +641,31 @@ def evaluate_rational(r: RationalFunction, z):
     return complex(out[0]) if scalar else out
 
 
-def polynomial_roots(p: Polynomial):
-    """All complex roots of p with multiplicities, as (root, count) pairs.
+def polynomial_roots(coef):
+    """All complex roots, with multiplicities as (root, count) pairs, of
+    the polynomial of the coefficients coef: a sequence in ascending
+    degree, whose trailing exact zeros are ignored.
 
-    A linear p has the one root -c0/c1, returned directly (a non-finite
-    one raises RootFindingError).  Otherwise uses the Aberth-Ehrlich
+    A linear polynomial has the one root -c0/c1, returned directly (a
+    non-finite one raises RootFindingError).  Otherwise uses the Aberth-Ehrlich
     simultaneous iteration (no companion matrix), clusters iterates
     closer than _CLUSTER_TOL into a single root with summed
     multiplicity, and polishes each cluster with the multiplicity-aware
     Newton step.  Multiplicities always sum to the degree.  Results are
     sorted by (real, imag).
     """
-    deg = p.degree
+    c = [complex(x) for x in coef]
+    deg = _length(c) - 1
     if deg < 1:
         raise ValueError("need a polynomial of degree >= 1")
     if deg == 1:
-        root = 0.0 - _quotient(*p.coef.view(float).tolist())
-        if not (math.isfinite(root.real) and math.isfinite(root.imag)):
+        root = 0.0 - _quotient(c[0].real, c[0].imag, c[1].real, c[1].imag)
+        if not cmath.isfinite(root):
             raise RootFindingError(f"linear polynomial has the root {root}")
         return [(root, 1)]
     # overflowing iterates meet the residual tests as RootFindingError
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _aberth_roots(p.coef / p.coef[-1], deg)
+        return _aberth_roots(np.array(c[:deg + 1]) / c[deg], deg)
 
 
 def _quotient(ar, ai, br, bi) -> complex:

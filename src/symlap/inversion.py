@@ -72,6 +72,7 @@ class PartialFractionTerm:
             raise ValueError("order must be >= 1")
 
 
+@np.errstate(all="ignore")  # an overflow fails the validation, unwarned
 def partial_fractions(r: RationalFunction):
     """Decompose a strictly proper rational function into simple terms.
 
@@ -95,19 +96,18 @@ def partial_fractions(r: RationalFunction):
             "no inverse in the rational table")
     if r.is_zero:
         return []
-    roots = [(z, k, key) for key, (f, _) in r.denf.items()
-             for z, k in polynomial_roots(f)]
+    roots = [(z, k, f) for f in r.denf for z, k in polynomial_roots(f)]
     roots.sort(key=lambda root: (root[0].real, root[0].imag))
     terms = []
     for group in _cluster([z for z, _, _ in roots], _CLUSTER_TOL):
         # roots of each factor at this pole, counted within the factor
         at_pole = {}
         for i in group:
-            z, k, key = roots[i]
-            at_pole[key] = at_pole.get(key, 0) + k
-        m = sum(k * r.denf[key][1] for key, k in at_pole.items())
+            z, k, f = roots[i]
+            at_pole[f] = at_pole.get(f, 0) + k
+        m = sum(k * r.denf[f] for f, k in at_pole.items())
         pole = (roots[group[0]][0] if len(group) == 1 else
-                sum(roots[i][0] * roots[i][1] * r.denf[roots[i][2]][1]
+                sum(roots[i][0] * roots[i][1] * r.denf[roots[i][2]]
                     for i in group) / m)
         # den(p+u) = u^m * q(u) and num(p+u) = n(u), to order u^(m-1)
         q = _taylor(r.denf, pole, m, at_pole)
@@ -135,14 +135,28 @@ def partial_fractions(r: RationalFunction):
 
 def _taylor(factors, p, m, at_pole):
     """The first m Taylor coefficients at p of the product of the
-    factors, each factor's expansion stripped first of its at_pole[key]
+    factors, each factor's expansion stripped first of its at_pole[f]
     leading coefficients: the roots at p, whose values there are
     root-finding residue."""
     out = _padded(np.ones(1, dtype=complex), m)
-    for key, (f, mult) in factors.items():
-        c = _padded(f.shifted(p)[at_pole.get(key, 0):][:m], m)
+    for f, mult in factors.items():
+        c = _padded(_shifted(f, p)[at_pole.get(f, 0):][:m], m)
         for _ in range(mult):
             out = np.convolve(out, c)[:m]
+    return out
+
+
+def _shifted(f, p):
+    """The coefficients of f(p + u) in powers of u (Taylor shift), f the
+    coefficients in ascending degree, by repeated synthetic division by
+    (z - p)."""
+    b = np.array(f[::-1], dtype=complex)  # descending order
+    n = len(b)
+    out = np.empty(n, dtype=complex)
+    for k in range(n):
+        for i in range(1, n - k):
+            b[i] += p * b[i - 1]
+        out[k] = b[n - 1 - k]
     return out
 
 
@@ -299,17 +313,20 @@ def _poles(F: SplitTransform, x1: float, x2: float):
     """
     poles = []
     for g, x, sign in ((F.g1, x1, 1.0), (F.g2, x2, -1.0)):
-        for key, (f, mult) in g.denf.items():
+        for f, mult in g.denf.items():
             try:
                 roots = polynomial_roots(f)
             except RootFindingError:
                 continue
-            rest = ({k: v for k, v in g.denf.items() if k != key}
+            rest = ({h: n for h, n in g.denf.items() if h is not f}
                     if len(g.denf) > 1 else {})
             for z, r in roots:
                 if z.real == x:
                     continue
-                num, den = _factors_at(g.numf, z), _factors_at(rest, z)
+                # at a numpy scalar, which overflows to inf where a
+                # Python complex power raises
+                at = np.complex128(z) if g.numf or rest else z
+                num, den = _factors_at(g.numf, at), _factors_at(rest, at)
                 lead = math.prod(np.abs(z - w) ** (q * mult)
                                  for w, q in roots if w != z)
                 strength = (abs(g.scale) * (1.0 if num is None else abs(num))

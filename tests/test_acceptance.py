@@ -183,41 +183,43 @@ def test_root_finding_horner_calls_are_pinned(monkeypatch):
     (verify.ODE_TRANSFORM_TEXT, 14)], ids=["simple", "squared", "ode"])
 def test_polynomial_products_per_parse_are_pinned(monkeypatch, text,
                                                   products):
-    # machine-independent: the Polynomial products, by a polynomial or a
-    # number, of one parse_transform after a warm-up parse.  A sum
-    # multiplies a numerator only by the factors of the common
-    # denominator that its own denominator lacks, so (s + a) takes none;
-    # when every sum convolved with the polynomial 1 these took 4, 4 and
-    # 34
+    # machine-independent: the polynomial products, by a polynomial or a
+    # number, of one parse_transform after a warm-up parse, each one call
+    # of the product helper expr._times.  A sum multiplies a numerator
+    # only by the factors of the common denominator that its own
+    # denominator lacks, so (s + a) takes none; when every sum convolved
+    # with the polynomial 1 these took 4, 4 and 34
     from symlap import expr
 
     count = [0]
-    mul = expr.Polynomial.__mul__
+    times = expr._times
 
-    def counted(self, other):
+    def counted(a, b):
         count[0] += 1
-        return mul(self, other)
+        return times(a, b)
 
     expr.parse_transform(text)
-    monkeypatch.setattr(expr.Polynomial, "__mul__", counted)
-    monkeypatch.setattr(expr.Polynomial, "__rmul__", counted)
+    monkeypatch.setattr(expr, "_times", counted)
     expr.parse_transform(text)
     assert count[0] == products
 
 
 @pytest.mark.parametrize("text, rationals, polynomials", [
-    ("0.57/(s+1.85) + 1.81/(cs+1.0)", 8, 2),
-    ("0.78/(s+1.75)^2 + -1.13/(cs+0.65)", 11, 2),
-    (verify.ODE_TRANSFORM_TEXT, 40, 22)], ids=["simple", "squared", "ode"])
+    ("0.57/(s+1.85) + 1.81/(cs+1.0)", 8, 0),
+    ("0.78/(s+1.75)^2 + -1.13/(cs+0.65)", 11, 0),
+    (verify.ODE_TRANSFORM_TEXT, 40, 9)], ids=["simple", "squared", "ode"])
 def test_algebra_objects_per_parse_are_pinned(monkeypatch, text, rationals,
                                               polynomials):
     # machine-independent: the RationalFunction values (each set up by
     # one _set call) and the Polynomials one parse_transform builds,
     # after a warm-up parse.  A constant folds into the other side as it
     # is, a sum works on coefficient lists and a constant's numerator
-    # needs no Polynomial; when a fold rebuilt the constant and a sum
-    # built its operands and result as Polynomials these took 10, 13 and
-    # 42 RationalFunction values and 6, 6 and 33 Polynomials
+    # needs no Polynomial.  A factor is its own coefficient tuple, so
+    # the only Polynomials are the expanded numerators a sum writes over
+    # a common denominator; when factors were Polynomials these took 2, 2
+    # and 22, and when a fold rebuilt the constant and a sum built its
+    # operands and result as Polynomials 10, 13 and 42 RationalFunction
+    # values and 6, 6 and 33 Polynomials
     from symlap import expr
 
     count = {"rationals": 0, "polynomials": 0}

@@ -149,6 +149,33 @@ def test_invert_improper_exits_5():
     assert "proper" in cp.stderr
 
 
+@pytest.mark.parametrize("command,expr,code", [
+    ("invert", "1/(s+1e400-1e400)", 3),
+    ("invert", "(1e308*s+1e308*s)/(s+1)^2", 3),
+    ("invert", "(1e-300*s+1e300)/(s+1)^2", 3),
+    ("invert", "1/(s+1e400)", 3),
+    ("invert", "1/(s+1e308*10)", 3),
+    ("invert", "1e300*(s+1e10)/(s+1)^2", 5),
+    ("invert", "(s+1e200)*(s+1e200)/(s+1)^3", 5),
+    ("invert-numeric", "1/(s+1e400-1e400)", 3),
+    ("invert-numeric", "(1e308*s+1e308*s)/(s+1)^2", 3),
+    ("invert-numeric", "1/(s+1e400)", 3),
+    ("invert-numeric", "1/(s+1e308*10)", 3)])
+def test_non_finite_coefficients_exit_typed_without_a_warning(command, expr,
+                                                              code):
+    # a coefficient that is infinite or overflows in the parse is an
+    # expression problem; an overflow in the decomposition a numeric one
+    args = ["--expr", expr, "--t", "1"]
+    if command == "invert-numeric":
+        args += ["--x1", "0.5", "--x2", "0.5", "--A", "20"]
+    cp = run_cli(command, *args,
+                 env={"PYTHONWARNINGS": "error::RuntimeWarning"})
+    assert cp.returncode == code
+    assert cp.stdout == ""
+    assert cp.stderr.startswith("symlap: ")
+    assert len(cp.stderr.strip().splitlines()) == 1
+
+
 def test_invert_numeric_single_line():
     cp = run_cli("invert-numeric", "--expr", "1/s - 1/cs", "--x1", "1",
                  "--x2", "1", "--t", "1", "--A", "1000", "--tol", "1e-6")

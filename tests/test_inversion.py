@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -496,6 +497,17 @@ def test_split_transform_carries_its_poles():
                        rtol=1e-14)
     assert poles("(1+i)/(s+0.3-0.7*i) + i/cs", 0.1, 0.5) == pytest.approx(
         [(0.0, -0.5, 1, 1.0), (0.7, 0.4, 1, math.sqrt(2.0))], rel=1e-14)
+
+
+@pytest.mark.parametrize("text", ["(s+1e200)^2/(s+1)^3 + 1/(cs+1)",
+                                  "(s+2)/((s+1)*(s^2+3*s+2)) + 1/(cs+1)"])
+def test_a_pole_of_no_finite_strength_is_left_out(text):
+    # the numerator overflows at -1, or another factor vanishes there:
+    # only the pole of g2 is kept, with no warning and no OverflowError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = inversion._poles(parse_transform(text), 0.5, 0.5)
+    assert got == ((-1.5j, 1, 1.0),)
 
 
 # The three transforms of the numeric-invert benchmark family (the sign
