@@ -9,10 +9,12 @@ Subcommands:
                   columns t,re,im,a_sensitivity
   verify          run the acceptance suite, JSON report on stdout
 
-Data goes to stdout (or --out), diagnostics to stderr.  Exit codes:
-0 ok, 2 usage or catalog problem, 3 expression problem, 4 divergence,
-5 numeric failure.  Floats print in shortest round-trip form, and equal
-invocations produce byte-identical output.
+forward and invert take one point (--y, --t) or a grid (--ymin/--ymax,
+--tmin/--tmax, with --steps intervals), never both.  Data goes to
+stdout (or --out), diagnostics to stderr.  Exit codes: 0 ok, 1 a failed
+verify criterion, 2 usage or catalog problem, 3 expression problem,
+4 divergence, 5 numeric failure.  Floats print in shortest round-trip
+form, and equal invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -36,11 +38,20 @@ from .expr import parse_transform
 from .forward import sl_forward_values
 from .inversion import sl_inverse_numeric_pair, sl_inverse_split
 
-EXIT_OK = 0
-EXIT_USAGE = 2
-EXIT_PARSE = 3
-EXIT_DIVERGENCE = 4
-EXIT_NUMERIC = 5
+# The exit code of each error type main catches.  The first row the
+# error is an instance of wins, so an ExprError or a PropernessError is
+# not taken for the ValueError it also is; other errors propagate.
+_EXIT_CODES = {
+    CatalogError: 2,
+    ExprError: 3,
+    DivergenceError: 4,
+    AccuracyError: 5,
+    PropernessError: 5,
+    PoleError: 5,
+    RootFindingError: 5,
+    OverflowError: 5,
+    ValueError: 2,  # a bad tolerance, truncation, time or point
+}
 
 
 def grid_points(lo: float, hi: float, steps: int):
@@ -50,31 +61,61 @@ def grid_points(lo: float, hi: float, steps: int):
     return [lo + k * (hi - lo) / steps for k in range(steps + 1)]
 
 
+def _csv(header: str, *columns) -> str:
+    """The header line, then one row per entry of the columns, each
+    value in shortest round-trip form."""
+    row = ",".join(["%r"] * len(columns)) + "\n"
+    return header + "\n" + "".join([row % r for r in zip(*columns)])
+
+
 def forward_csv(signal: str, x1: float, x2: float, ys, tol: float,
                 freq: float = 1.0) -> str:
     f = catalog_signal(signal, freq=freq)
     ys = np.asarray(ys, dtype=float)
     value, estimate = sl_forward_values(f, x1, x2, ys, tol)
-    rows = zip(ys.tolist(), value.real.tolist(), value.imag.tolist(),
-               estimate.tolist())
-    return "y,re,im,err\n" + "".join(["%r,%r,%r,%r\n" % row for row in rows])
+    return _csv("y,re,im,err", ys.tolist(), value.real.tolist(),
+                value.imag.tolist(), estimate.tolist())
 
 
 def invert_csv(expr_text: str, ts) -> str:
     st = parse_transform(expr_text)
     ts = np.asarray(ts, dtype=float)
     value = sl_inverse_split(st, ts)
-    rows = zip(ts.tolist(), value.real.tolist(), value.imag.tolist())
-    return "t,re,im\n" + "".join(["%r,%r,%r\n" % row for row in rows])
+    return _csv("t,re,im", ts.tolist(), value.real.tolist(),
+                value.imag.tolist())
 
 
 def invert_numeric_csv(expr_text: str, x1: float, x2: float, t: float,
                        A: float, tol: float) -> str:
     full, half = sl_inverse_numeric_pair(parse_transform(expr_text), x1, x2,
                                          t, A, tol)
-    sens = abs(full - half)
-    return ("t,re,im,a_sensitivity\n"
-            f"{float(t)!r},{full.real!r},{full.imag!r},{sens!r}\n")
+    return _csv("t,re,im,a_sensitivity", [float(t)], [full.real],
+                [full.imag], [abs(full - half)])
+
+
+def _add_points(p, name: str, what: str):
+    """Declare --<name> and the --<name>min/--<name>max/--steps grid."""
+    p.add_argument(f"--{name}", type=float, help=f"single {what} value")
+    p.add_argument(f"--{name}min", type=float,
+                   help=f"grid start (with --{name}max)")
+    p.add_argument(f"--{name}max", type=float,
+                   help=f"grid end (with --{name}min)")
+    p.add_argument("--steps", type=int, default=100,
+                   help="grid intervals, rows = steps+1 (default 100)")
+
+
+def _points(parser, args, name: str):
+    """The --<name> point, or the grid of --<name>min/--<name>max."""
+    point, lo, hi = (getattr(args, name + k) for k in ("", "min", "max"))
+    if point is not None:
+        if lo is not None or hi is not None:
+            parser.error(f"--{name} conflicts with --{name}min/--{name}max")
+        return [point]
+    if lo is None or hi is None:
+        parser.error(f"need --{name} or both --{name}min and --{name}max")
+    if args.steps < 1:
+        parser.error("--steps must be >= 1")
+    return grid_points(lo, hi, args.steps)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -83,6 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Symmetric Laplace transform toolkit: forward "
                     "evaluation, two inversion paths, verification suite.")
     sub = parser.add_subparsers(dest="command", required=True)
+    csv_out = "write CSV here instead of stdout"
 
     p = sub.add_parser("forward", help="forward transform over a y grid")
     p.add_argument("--signal", required=True,
@@ -91,25 +133,18 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="damping on the positive half-line")
     p.add_argument("--x2", type=float, required=True,
                    help="damping on the negative half-line")
-    p.add_argument("--y", type=float, help="single oscillation value")
-    p.add_argument("--ymin", type=float, help="grid start (with --ymax)")
-    p.add_argument("--ymax", type=float, help="grid end (with --ymin)")
-    p.add_argument("--steps", type=int, default=100,
-                   help="grid intervals, rows = steps+1 (default 100)")
+    _add_points(p, "y", "oscillation")
     p.add_argument("--tol", type=float, default=1e-8,
                    help="absolute tolerance per point (default 1e-8)")
     p.add_argument("--freq", type=float, default=1.0,
                    help="frequency for sincos/cossin (default 1)")
-    p.add_argument("--out", help="write CSV here instead of stdout")
+    p.add_argument("--out", help=csv_out)
 
     p = sub.add_parser("invert", help="split inversion over a t grid")
     p.add_argument("--expr", required=True,
                    help="rational expression in s and cs")
-    p.add_argument("--t", type=float, help="single time value")
-    p.add_argument("--tmin", type=float, help="grid start (with --tmax)")
-    p.add_argument("--tmax", type=float, help="grid end (with --tmin)")
-    p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--out", help="write CSV here instead of stdout")
+    _add_points(p, "t", "time")
+    p.add_argument("--out", help=csv_out)
 
     p = sub.add_parser("invert-numeric",
                        help="Fourier-integral inversion at one time")
@@ -121,82 +156,42 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="frequency truncation (default 1000)")
     p.add_argument("--tol", type=float, default=1e-8,
                    help="discretization tolerance (default 1e-8)")
-    p.add_argument("--out", help="write CSV here instead of stdout")
+    p.add_argument("--out", help=csv_out)
 
     p = sub.add_parser("verify", help="run the acceptance suite")
     p.add_argument("--out", help="write the JSON report here too")
     return parser
 
 
-def _emit(text: str, out_path):
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    code = 0
     try:
         if args.command == "forward":
-            if args.y is not None:
-                if args.ymin is not None or args.ymax is not None:
-                    parser.error("--y conflicts with --ymin/--ymax")
-                ys = [args.y]
-            else:
-                if args.ymin is None or args.ymax is None:
-                    parser.error("need --y or both --ymin and --ymax")
-                if args.steps < 1:
-                    parser.error("--steps must be >= 1")
-                ys = grid_points(args.ymin, args.ymax, args.steps)
-            _emit(forward_csv(args.signal, args.x1, args.x2, ys, args.tol,
-                              freq=args.freq), args.out)
-            return EXIT_OK
-        if args.command == "invert":
-            if args.t is not None:
-                ts = [args.t]
-            else:
-                if args.tmin is None or args.tmax is None:
-                    parser.error("need --t or both --tmin and --tmax")
-                if args.steps < 1:
-                    parser.error("--steps must be >= 1")
-                ts = grid_points(args.tmin, args.tmax, args.steps)
-            _emit(invert_csv(args.expr, ts), args.out)
-            return EXIT_OK
-        if args.command == "invert-numeric":
-            _emit(invert_numeric_csv(args.expr, args.x1, args.x2, args.t,
-                                     args.A, args.tol), args.out)
-            return EXIT_OK
-        if args.command == "verify":
+            text = forward_csv(args.signal, args.x1, args.x2,
+                               _points(parser, args, "y"), args.tol,
+                               freq=args.freq)
+        elif args.command == "invert":
+            text = invert_csv(args.expr, _points(parser, args, "t"))
+        elif args.command == "invert-numeric":
+            text = invert_numeric_csv(args.expr, args.x1, args.x2, args.t,
+                                      args.A, args.tol)
+        else:
             from . import verify
 
             results = verify.run_all()
             text = verify.report_json(results)
+            code = 0 if all(r.passed for r in results) else 1
+        if args.command == "verify" or not args.out:  # verify --out copies
             sys.stdout.write(text)
-            if args.out:
-                with open(args.out, "w") as fh:
-                    fh.write(text)
-            return EXIT_OK if all(r.passed for r in results) else 1
-    except CatalogError as exc:
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+    except tuple(_EXIT_CODES) as exc:
         print(f"symlap: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ExprError as exc:
-        print(f"symlap: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except DivergenceError as exc:
-        print(f"symlap: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
-    except (AccuracyError, PropernessError, PoleError, RootFindingError,
-            OverflowError) as exc:
-        print(f"symlap: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except ValueError as exc:  # a bad tolerance, truncation, time or point
-        print(f"symlap: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    parser.error(f"unknown command {args.command!r}")
-    return EXIT_USAGE
+        return next(c for t, c in _EXIT_CODES.items() if isinstance(exc, t))
+    return code
 
 
 if __name__ == "__main__":

@@ -287,8 +287,10 @@ def _on_line(F, x1: float, x2: float):
 
     def on_line(y):
         iy = 1j * y
-        g = evaluate_rational(F.g1, x1 + iy)  # arrays of their own, reused
-        g += evaluate_rational(F.g2, np.subtract(x2, iy, out=iy))
+        # a value that overflows is inf, for quadrature._finite to reject
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = evaluate_rational(F.g1, x1 + iy)  # arrays of their own, reused
+            g += evaluate_rational(F.g2, np.subtract(x2, iy, out=iy))
         return g
 
     if F.is_real:

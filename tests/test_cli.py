@@ -8,7 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from symlap.cli import forward_csv, grid_points, invert_numeric_csv, main
+from symlap import errors
+from symlap.cli import (forward_csv, grid_points, invert_csv,
+                        invert_numeric_csv, main)
 from symlap.core import CATALOG_NAMES, catalog_signal
 from symlap.errors import DivergenceError
 from symlap.forward import sl_forward_grid
@@ -69,6 +71,20 @@ def test_forward_unknown_signal_exits_2():
 def test_forward_usage_error_exits_2():
     cp = run_cli("forward", "--signal", "sign", "--x1", "1", "--x2", "1")
     assert cp.returncode == 2
+
+
+@pytest.mark.parametrize("args,message", [
+    (("forward", "--signal", "sign", "--x1", "1", "--x2", "1", "--y", "1",
+      "--ymin", "0", "--ymax", "2"), "--y conflicts with --ymin/--ymax"),
+    (("invert", "--expr", "1/s + 1/cs", "--t", "1", "--tmin", "0",
+      "--tmax", "2"), "--t conflicts with --tmin/--tmax"),
+    (("invert", "--expr", "1/s + 1/cs", "--t", "1", "--tmax", "2"),
+     "--t conflicts with --tmin/--tmax")])
+def test_point_and_grid_together_exit_2(args, message):
+    cp = run_cli(*args)
+    assert cp.returncode == 2
+    assert cp.stdout == ""
+    assert cp.stderr.strip().splitlines()[-1] == f"symlap: error: {message}"
 
 
 @pytest.mark.parametrize("bad", [("--tol", "nan"), ("--tol", "0"),
@@ -160,11 +176,14 @@ def test_invert_improper_exits_5():
     ("invert-numeric", "1/(s+1e400-1e400)", 3),
     ("invert-numeric", "(1e308*s+1e308*s)/(s+1)^2", 3),
     ("invert-numeric", "1/(s+1e400)", 3),
-    ("invert-numeric", "1/(s+1e308*10)", 3)])
+    ("invert-numeric", "1/(s+1e308*10)", 3),
+    ("invert-numeric", "1e300*(s+1e10)/(s+1)^2", 5),
+    ("invert-numeric", "(s+1e200)*(s+1e200)/(s+1)^3", 5)])
 def test_non_finite_coefficients_exit_typed_without_a_warning(command, expr,
                                                               code):
     # a coefficient that is infinite or overflows in the parse is an
-    # expression problem; an overflow in the decomposition a numeric one
+    # expression problem; an overflow in the decomposition, or of the
+    # integrand on the line, a numeric one
     args = ["--expr", expr, "--t", "1"]
     if command == "invert-numeric":
         args += ["--x1", "0.5", "--x2", "0.5", "--A", "20"]
@@ -244,6 +263,67 @@ def test_out_flag_writes_file(tmp_path: Path):
                  "--y", "1", "--out", str(out))
     assert cp.returncode == 0
     assert out.read_text().startswith("y,re,im,err\n")
+
+
+@pytest.mark.parametrize("argv,text", [
+    (("forward", "--signal", "sincos", "--x1", "2", "--x2", "3", "--ymin",
+      "-1", "--ymax", "1", "--steps", "3", "--freq", "2"),
+     lambda: forward_csv("sincos", 2.0, 3.0, grid_points(-1.0, 1.0, 3),
+                         1e-8, freq=2.0)),
+    (("invert", "--expr", "1/s - 1/cs", "--tmin", "-1", "--tmax", "2",
+      "--steps", "3"),
+     lambda: invert_csv("1/s - 1/cs", grid_points(-1.0, 2.0, 3))),
+    (("invert-numeric", "--expr", "1/(s+1) - 1/cs", "--x1", "1", "--x2",
+      "1", "--t", "0.5", "--A", "100"),
+     lambda: invert_numeric_csv("1/(s+1) - 1/cs", 1.0, 1.0, 0.5, 100.0,
+                                1e-8))])
+def test_out_writes_the_csv_text_and_nothing_to_stdout(argv, text, tmp_path,
+                                                       capsys):
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert out.read_text() == text()
+
+
+def test_verify_out_writes_the_report_to_stdout_and_the_file(tmp_path,
+                                                              capsys):
+    out = tmp_path / "report.json"
+    assert main(["verify", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert out.read_text() == printed
+    assert json.loads(printed)["all_pass"] is True
+
+
+@pytest.mark.parametrize("error,code", [
+    (errors.CatalogError("no signal 'x'"), 2),
+    (errors.ParseError("unexpected '*'", 6), 3),
+    (errors.SplitError("mixed term"), 3),
+    (errors.ExprError("bad expression"), 3),
+    (errors.DivergenceError("half-line diverges"), 4),
+    (errors.AccuracyError("budget ran out"), 5),
+    (errors.PropernessError("not proper"), 5),
+    (errors.PoleError("on a pole"), 5),
+    (errors.RootFindingError("no convergence"), 5),
+    (errors.ExpOverflowError("exp overflows"), 5),
+    (OverflowError("overflow"), 5),
+    (ValueError("tol must be positive"), 2),
+    (errors.SymLapError("untyped"), None),
+    (ZeroDivisionError("division by zero"), None)])
+def test_exit_code_of_each_error_type(error, code, monkeypatch, capsys):
+    # the first row of the table that matches wins; no row, no catch
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr("symlap.cli.forward_csv", fail)
+    argv = ["forward", "--signal", "one", "--x1", "1", "--x2", "1", "--y",
+            "0"]
+    if code is None:
+        with pytest.raises(type(error)):
+            main(argv)
+        assert capsys.readouterr() == ("", "")
+        return
+    assert main(argv) == code
+    assert capsys.readouterr() == ("", f"symlap: {error}\n")
 
 
 def test_verify_json_schema_and_exit_code():
