@@ -16,6 +16,7 @@ equation exactly on both branches.
 
 from __future__ import annotations
 
+import functools
 import math
 from math import erf  # re-exported as symlap.erf
 
@@ -71,10 +72,17 @@ def heat_transform_pair(s: complex, t: float, tol: float):
         raise ValueError(f"t must be positive, got {t}")
     root = 2.0 * math.sqrt(t)
     # u is odd in x, so one formula serves both half-lines
-    u = np.vectorize(lambda v: erf(v / root), otypes=[float])
+    u = functools.partial(_erf_over, root=root)
     bound = ExponentialOrderBound(1.0, 0.0)
     tp = transform_pair_of(PiecewiseSignal("heat", u, u, bound, bound), tol)
     return tp.pos(s), tp.neg(s.conjugate())
+
+
+def _erf_over(v, root):
+    """erf(v / root) for a 1-d float array v: one math.erf per value on
+    Python floats, the bits np.vectorize gives without its per-call
+    work."""
+    return np.array([erf(a) for a in (v / root).tolist()])
 
 
 _HEAT_STEP = 3e-4

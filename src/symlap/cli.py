@@ -12,9 +12,11 @@ Subcommands:
 forward and invert take one point (--y, --t) or a grid (--ymin/--ymax,
 --tmin/--tmax, with --steps intervals), never both.  Data goes to
 stdout (or --out), diagnostics to stderr.  Exit codes: 0 ok, 1 a failed
-verify criterion, 2 usage or catalog problem, 3 expression problem,
-4 divergence, 5 numeric failure.  Floats print in shortest round-trip
-form, and equal invocations produce byte-identical output.
+verify criterion, 2 usage or catalog problem, or an --out that cannot be
+written (also after a failed verify criterion, its report on stdout),
+3 expression problem, 4 divergence, 5 numeric failure.  Floats print in
+shortest round-trip form, and equal invocations produce byte-identical
+output.
 """
 
 from __future__ import annotations
@@ -185,12 +187,16 @@ def main(argv=None) -> int:
             code = 0 if all(r.passed for r in results) else 1
         if args.command == "verify" or not args.out:  # verify --out copies
             sys.stdout.write(text)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
     except tuple(_EXIT_CODES) as exc:
         print(f"symlap: {exc}", file=sys.stderr)
         return next(c for t, c in _EXIT_CODES.items() if isinstance(exc, t))
+    if args.out:
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:  # the --out file alone; other OS errors pass
+            print(f"symlap: {exc}", file=sys.stderr)
+            return 2
     return code
 
 

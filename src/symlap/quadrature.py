@@ -59,9 +59,9 @@ under any setting.
 The panel width comes from the GK15 error model: on a panel where the
 integrand turns by theta radians per half-width, sum_p |K_p - G_p| is
 about phi(theta) * integral of |v|, with phi(theta) = |sum_j (w^K_j -
-w^G_j) * exp(i*theta*x_j)| / 2 tabulated once.  A pass takes the
-widest panels whose predicted sum is a quarter of its budget.  The y
-that 4096 such panels resolve share one pass; the others share a
+w^G_j) * exp(i*theta*x_j)| / 2 tabulated once.  A pass takes the widest
+panels whose predicted sum is a quarter of its budget (_model_theta).
+The y that 4096 such panels resolve share one pass; the others share a
 second, sized for the fastest of them and refused with AccuracyError,
 before any evaluation, when it needs more than 2^20 evaluations.  A y
 whose panel sum misses its budget has its own panels of the pass handed
@@ -79,9 +79,12 @@ inversion, is factored the same way in t and runs on [0, A] only: for a
 conjugate-symmetric H (H(-y) = conj H(y), the transform of a real
 signal) the integral over [-A, A] is 2*Re of the integral over [0, A],
 and any other F is split into two such parts (_symmetric_parts).  Its
-first pass, one oscillation per panel, is graded toward the integrand's
-known poles (_graded) in one call of F; the panels still over budget
-are bisected by the refinement loop and phase-factored panels
+first pass has uniform panels one oscillation of the kernel wide, or,
+when F carries its poles, as wide as the error model allows for the
+integral of |F| they estimate (_pole_mass) by the rule of the forward
+pass (_model_theta), and never narrower; the pass is graded toward those
+poles (_graded) in one call of F.  The panels still over budget are
+bisected by the refinement loop and phase-factored panels
 (_phased_panels) of a forward y.
 
 Integrands must accept a 1-d numpy float array and return an array of
@@ -390,6 +393,42 @@ def _affordable(panels, cost):
             f"panels need {cost * panels} evaluations (> {MAX_EVALUATIONS})")
 
 
+def _model_theta(budget, mass):
+    """The largest tabulated theta (_THETA) whose model sum, phi(theta)
+    times mass, the integral of |integrand|, is within _MODEL_SHARE of
+    budget; the smallest when none is."""
+    share = _MODEL_SHARE * budget / mass if mass > 0 else math.inf
+    return _THETA[max(bisect.bisect_right(_PHI, share) - 1, 0)]
+
+
+def _pole_mass(poles, A):
+    """An estimate of the integral of |F| over [0, A] from F's poles:
+    for a pole of strength c, d = |Im y_p| from the line and
+    a = min(|Re y_p|, A) along it, c*(asinh((A - a)/d) + asinh(a/d)) for
+    order 1 and the integral over the line, c*d^(1-m)*sqrt(pi)*
+    Gamma((m-1)/2)/Gamma(m/2), for order m; inf when that overflows.
+
+    It bounds that integral when F is strictly proper, its poles simple
+    and all listed.  Of a repeated pole it counts the leading Laurent
+    term only, and it counts nothing of a polynomial part or of a pole
+    left out.  An estimate too small widens the first pass, to at most
+    one oscillation of the kernel per panel; the |K - G| sums and
+    _refine still decide the result."""
+    mass = 0.0
+    for y_p, order, strength in poles:
+        a, d = min(abs(y_p.real), A), abs(y_p.imag)
+        if order == 1:
+            mass += strength * (math.asinh((A - a) / d) + math.asinh(a / d))
+            continue
+        try:
+            mass += strength * d ** (1 - order) * math.exp(
+                0.5 * math.log(math.pi) + math.lgamma(0.5 * (order - 1))
+                - math.lgamma(0.5 * order))
+        except OverflowError:
+            return math.inf
+    return mass
+
+
 def _panel_count(T, theta, scale, rate):
     """Number of model-width panels on [0, T], at least 4, for an
     integrand turning at rate: min(2*theta/rate, decay length) wide."""
@@ -562,10 +601,10 @@ def laplace_grid(piece, bound: ExponentialOrderBound, x: float, ys,
     times the integral of |v| over [0, T], at most the envelope's mass
     M*d!/(x - a)^(d+1) (M*T^(d+1)/(d+1) under a tail_cut with x <= a).
     theta is the largest value up to pi whose prediction is a quarter
-    of the tol/2 panel budget.  omega bounds the rate of the damped kernel,
-    |y| + |osc| + |x|, plus, for a piece with a tail_cut, the mean decay
-    rate that certifies, log(2/tol)/tail_cut(tol/2).  The width is
-    min(2*theta/max omega, decay length).
+    of the tol/2 panel budget (_model_theta).  omega bounds the rate of
+    the damped kernel, |y| + |osc| + |x|, plus, for a piece with a
+    tail_cut, the mean decay rate that certifies, log(2/tol)/
+    tail_cut(tol/2).  The width is min(2*theta/max omega, decay length).
 
     The y that _MAX_PANELS (4096) such panels reach share one pass.
     The others share a second one, sized the same way for the largest of
@@ -586,9 +625,7 @@ def laplace_grid(piece, bound: ExponentialOrderBound, x: float, ys,
     if T <= 0.0 or ys.size == 0:
         _finite(piece(np.zeros(1)))
         return np.zeros(ys.shape, dtype=complex), np.full(ys.shape, tail)
-    # the largest tabulated theta within the share, else the smallest
-    share = _MODEL_SHARE * tol / (2.0 * mass) if mass > 0 else math.inf
-    theta = _THETA[max(bisect.bisect_right(_PHI, share) - 1, 0)]
+    theta = _model_theta(tol / 2.0, mass)
     ay = np.abs(ys)
     omega = ay + (abs(osc) + abs(x))
     if tail_cut is not None:
@@ -616,8 +653,10 @@ class Hermitian:
 
     poles, when known, are (y_p, order, strength) triples: a pole at the
     complex y_p of that order whose leading Laurent coefficient has
-    modulus strength.  finite_oscillatory_integral grades its first pass
-    toward them (_graded)."""
+    modulus strength.  They should be all of H's poles:
+    finite_oscillatory_integral sizes its uniform panels by the integral
+    of |H| they estimate (_pole_mass) and grades its first pass toward
+    them (_graded)."""
 
     __slots__ = ("H", "poles")
 
@@ -810,13 +849,19 @@ def finite_oscillatory_integral(F, t: float, A: float,
     serves both: the value is 2*Re(I1) + 2i*Re(I2), I_k the integral of
     H_k(y)*exp(i*y*t) over [0, A].
 
-    The pass is GK15 over [0, A] with uniform panels one oscillation of
-    the kernel wide, min(4, 2pi/(|t|+1)), their number even so that A/2
-    is a panel edge.  When F carries its poles, a poles attribute of
-    (y_p, order, strength) triples as Hermitian has, the uniform panels
-    on which the model predicts more than their share are split into
-    pieces graded toward the poles (_graded), every uniform edge staying
-    an edge; the pieces and the uniform panels go to F in one call.  A
+    The pass is GK15 over [0, A] with uniform panels, their number even
+    so that A/2 is a panel edge, one oscillation of the kernel wide,
+    min(4, 2pi/(|t|+1)), unless F carries its poles, a poles attribute
+    of (y_p, order, strength) triples as Hermitian has, which should be
+    all of F's poles.  Then the poles estimate the integral of |F| over
+    [0, A] (_pole_mass), theta is the largest tabulated turn whose error
+    model phi(theta) times that estimate is within a quarter of tol*pi
+    (_model_theta, as laplace_grid sizes its panels), and the panels are
+    2*theta/|t| wide (A/2 at t = 0), but never narrower than one
+    oscillation.  The uniform panels on which the model predicts more
+    than their share are split into pieces graded toward the poles
+    (_graded), every uniform edge staying an edge; the pieces and the
+    uniform panels go to F in one call.  A
     grading that would take more than MAX_EVALUATIONS evaluations is
     dropped.  Panels still over their share of the budget are bisected
     in place by _refine, which keeps A/2 as an edge: half_value is the
@@ -834,14 +879,19 @@ def finite_oscillatory_integral(F, t: float, A: float,
     require_positive(A=A, tol=tol)
     require_finite(t=t)
     parts, per_node = _symmetric_parts(F)
+    poles = getattr(F, "poles", ())
+    budget = tol * math.pi  # of the |K - G| sum over [0, A]
     width = min(4.0, 2.0 * math.pi / (abs(t) + 1.0))
+    if poles:  # as wide as the model allows, never narrower
+        width = max(width, 2.0 * _model_theta(
+            budget, _pole_mass(poles, A)) / abs(t) if t else 0.5 * A)
     n = 2 * math.ceil(A / (2.0 * width))
     cost = 15 * per_node  # evaluations of F per panel
     half = A / (2 * n)
     _affordable(n, cost)
     # a grading beyond the budget leaves the uniform pass to _refine
-    split, pieces = _graded(getattr(F, "poles", ()), n, half, t,
-                            tol * math.pi, MAX_EVALUATIONS // cost)
+    split, pieces = _graded(poles, n, half, t, budget,
+                            MAX_EVALUATIONS // cost)
     edges = 2.0 * half * np.arange(n + 1)
     two_pi = 2.0 * math.pi
 
@@ -874,7 +924,7 @@ def finite_oscillatory_integral(F, t: float, A: float,
     k, e, m = panels(mids, halves, n - len(split))
     lefts, rights, k, e, m, evals = _refine(
         lambda mids, halves: panels(mids, halves, 0), lefts, rights, k, e, m,
-        tol * math.pi, cost * len(k), cost, result)
+        budget, cost * len(k), cost, result)
     inner = k[rights <= edges[n // 2]].sum()
     return OscillatoryResult(*result(k, e, m, evals), A, evals,
                              complex(inner + inner) / two_pi)

@@ -5,6 +5,7 @@ import pytest
 
 from _oracles import simpson
 from symlap.applications import (
+    _erf_over,
     erf,
     heat_residual,
     heat_solution,
@@ -124,6 +125,22 @@ class TestHeatTransform:
     def test_rejects_nan_oscillation(self):
         with pytest.raises(ValueError, match="osc"):
             heat_transform_pair(complex(1.0, math.nan), 1.0, 1e-6)
+
+    @pytest.mark.parametrize("t", [0.25, 0.5, 0.5 + 3e-4, 0.25 - 3e-4, 1e-4])
+    def test_piece_has_the_bits_of_a_vectorized_erf(self, t):
+        # the heat piece erf(v / 2sqrt(t)) against np.vectorize of
+        # math.erf, bit for bit: +-0, the verify suite's times, seeded
+        # values with |v| up to 1e3 and both signs
+        rng = np.random.default_rng([29, int(t * 1e6)])
+        v = np.concatenate([[0.0, -0.0, 1e3, -1e3, 5e-324, -5e-324],
+                            rng.uniform(-1e3, 1e3, 2000),
+                            rng.standard_normal(2000),
+                            rng.uniform(-8.0, 8.0, 2000)])
+        root = 2.0 * math.sqrt(t)
+        want = np.vectorize(lambda a: math.erf(a / root), otypes=[float])(v)
+        got = _erf_over(v, root)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestOdeSolution:

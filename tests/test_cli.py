@@ -294,6 +294,43 @@ def test_verify_out_writes_the_report_to_stdout_and_the_file(tmp_path,
     assert json.loads(printed)["all_pass"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ("forward", "--signal", "sign", "--x1", "1", "--x2", "1", "--y", "0"),
+    ("invert", "--expr", "1/s - 1/cs", "--t", "1"),
+    ("invert-numeric", "--expr", "1/s - 1/cs", "--x1", "1", "--x2", "1",
+     "--t", "1", "--A", "20"),
+    ("verify",)])
+def test_out_that_cannot_be_opened_exits_2_with_one_line(argv, tmp_path):
+    # a directory that does not exist: one symlap line on stderr and no
+    # traceback; verify has written its report to stdout before
+    out = tmp_path / "missing" / "x.csv"
+    cp = run_cli(*argv, "--out", str(out))
+    assert cp.returncode == 2
+    assert cp.stderr.startswith("symlap: ") and str(out) in cp.stderr
+    assert len(cp.stderr.splitlines()) == 1
+    if argv[0] == "verify":
+        assert json.loads(cp.stdout)["all_pass"] is True
+    else:
+        assert cp.stdout == ""
+    assert not out.exists()
+
+
+def test_unwritable_out_after_a_failed_criterion_exits_2(tmp_path,
+                                                         monkeypatch, capsys):
+    # the report with its failed criterion is on stdout; the file it was
+    # also asked for is not, which the exit code says
+    from symlap import verify
+
+    failed = verify.CriterionResult("C1", False, 2.0, 1.0, "part")
+    out = tmp_path / "missing" / "report.json"
+    monkeypatch.setattr(verify, "run_all", lambda: [failed])
+    assert main(["verify", "--out", str(out)]) == 2
+    printed, err = capsys.readouterr()
+    assert json.loads(printed)["all_pass"] is False
+    assert err.startswith("symlap: ") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("error,code", [
     (errors.CatalogError("no signal 'x'"), 2),
     (errors.ParseError("unexpected '*'", 6), 3),
@@ -308,6 +345,7 @@ def test_verify_out_writes_the_report_to_stdout_and_the_file(tmp_path,
     (OverflowError("overflow"), 5),
     (ValueError("tol must be positive"), 2),
     (errors.SymLapError("untyped"), None),
+    (BrokenPipeError(32, "Broken pipe"), None),  # not an --out problem
     (ZeroDivisionError("division by zero"), None)])
 def test_exit_code_of_each_error_type(error, code, monkeypatch, capsys):
     # the first row of the table that matches wins; no row, no catch

@@ -528,12 +528,16 @@ _UNGRADED_CALLS = {
             (4, 4, 4, 4, 2, 2, 3, 3, 3, 3, 2, 2, 3, 3, 3, 3, 2, 2),
             (4, 4, 4, 4, 2, 2, 3, 3, 3, 3, 2, 2, 3, 3, 3, 3, 2, 2)),
 }
-# evaluations over the 18 cases of each family, graded; before the
-# grading they were 80,670, 79,500 and 79,470 at 1e-6, 109,290, 112,080
-# and 96,540 at 1e-8, and 173,400, 172,200 and 168,660 at 1e-10
-_GRADED_EVALUATIONS = {1e-6: (79965, 79545, 79530),
-                       1e-8: (87585, 90810, 88590),
-                       1e-10: (124830, 124575, 124110)}
+# evaluations over the 18 cases of each family, graded, with uniform
+# panels as wide as the error model allows for the poles' integral of
+# |F|; at one oscillation per uniform panel they were 79,965, 79,545 and
+# 79,530 at 1e-6, 87,585, 90,810 and 88,590 at 1e-8, and 124,830,
+# 124,575 and 124,110 at 1e-10; before the grading 80,670, 79,500 and
+# 79,470 at 1e-6, 109,290, 112,080 and 96,540 at 1e-8, and 173,400,
+# 172,200 and 168,660 at 1e-10
+_GRADED_EVALUATIONS = {1e-6: (50865, 50610, 50175),
+                       1e-8: (69645, 72825, 69690),
+                       1e-10: (111945, 111705, 111240)}
 
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])

@@ -301,14 +301,13 @@ def test_inversion_evaluation_counts_are_pinned(t, evaluations):
     assert r.evaluations == evaluations
 
 
-@pytest.mark.parametrize("t,evaluations", [(0.0, 3780), (2.0, 7185),
-                                           (3.75, 11355)])
+@pytest.mark.parametrize("t,evaluations", [(0.0, 165), (2.0, 4830),
+                                           (3.75, 9000)])
 def test_real_split_evaluation_counts_are_pinned(t, evaluations):
     # the sign signal's SplitTransform has real coefficients, so it is a
-    # Hermitian evaluated at y >= 0 only, and its poles at y = +-i grade
-    # the first pass, all in one call of F.  Its uniform pass is half the
-    # callable's count; without the poles a round of refinement followed
-    # it at t = 0 and 2, for 3780, 7200 and 11340 evaluations in all
+    # Hermitian evaluated at y >= 0 only, and its poles at y = +-i size
+    # the uniform panels and grade the first pass, all in one call of F.
+    # One oscillation per uniform panel took 3780, 7185 and 11355
     H = _on_line(parse_transform("1/s - 1/cs"), 1.0, 1.0)
     assert isinstance(H, Hermitian)
     assert H.poles == ((1j, 1, 1.0), (-1j, 1, 1.0))
@@ -322,6 +321,25 @@ def test_real_split_evaluation_counts_are_pinned(t, evaluations):
                                     1e-6)
     assert r.evaluations == sum(sizes) == evaluations
     assert len(sizes) == 1
+
+
+@pytest.mark.parametrize("t,panels", [(0.0, 2), (0.5, 80), (2.0, 320),
+                                      (-2.0, 320)])
+def test_split_uniform_panels_take_the_models_width(monkeypatch, t, panels):
+    # the sign transform at x = 1, A = 1000, tol 1e-6: its poles at +-i
+    # bound the integral of |F| by 2*asinh(1000) = 15.2, for which the
+    # error model allows theta = pi, so the uniform panels are 2pi/|t|
+    # wide (A/2 at t = 0), where one oscillation of the kernel took 250,
+    # 250 and 478
+    counts = []
+    graded = quadrature._graded
+    monkeypatch.setattr(quadrature, "_graded",
+                        lambda *args: counts.append(args[1]) or graded(*args))
+    H = _on_line(parse_transform("1/s - 1/cs"), 1.0, 1.0)
+    assert quadrature._pole_mass(H.poles, 1000.0) == pytest.approx(
+        2.0 * math.asinh(1000.0), rel=1e-15)
+    finite_oscillatory_integral(H, t, 1000.0, 1e-6)
+    assert counts == [panels]
 
 
 def test_refinement_evaluates_each_round_in_one_call():
@@ -362,13 +380,36 @@ def _mp_split(text):
                               + rational(st.g2, x2 - 1j * y))
 
 
+def _mp_values(F, x1, x2, t, A, n0):
+    """(1/2pi) * the integral of F(x1, x2, y)*exp(i*t*y) over [-A, A] and
+    over [-A/2, A/2], by mpmath at 30 digits on n0 equal parts, n0 a
+    multiple of 4."""
+    import mpmath
+
+    edges = -A + (2.0 * A / n0) * np.arange(n0 + 1)
+    with mpmath.workdps(30):
+        X1, X2, T = mpmath.mpf(x1), mpmath.mpf(x2), mpmath.mpf(t)
+        parts = [mpmath.quad(lambda y: F(X1, X2, y) * mpmath.expj(T * y),
+                             [edges[k], edges[k + 1]],
+                             method="gauss-legendre") for k in range(n0)]
+        two_pi = 2 * mpmath.pi
+        return (complex(mpmath.fsum(parts) / two_pi),
+                complex(mpmath.fsum(parts[n0 // 4:3 * n0 // 4]) / two_pi))
+
+
+def _one_oscillation_parts(t, A):
+    """4 * ceil(A / (2 * min(4, 2pi / (|t| + 1)))): the parts of [-A, A]
+    one oscillation of the kernel wide, A/2 an edge."""
+    return 4 * math.ceil(A / (2.0 * min(4.0, 2.0 * math.pi / (abs(t) + 1.0))))
+
+
 @pytest.mark.parametrize("case", range(16))
 def test_certificate_holds_at_one_oscillation_per_panel(case):
-    # seeded sweep against mpmath at 30 digits, split at the initial
-    # panel edges; both the [-A, A] and the [-A/2, A/2] value.  Cases
-    # 0-9 are callables, 10-15 SplitTransforms as sl_inverse_numeric_pair
-    # passes them to the kernel
-    import mpmath
+    # seeded sweep against mpmath at 30 digits, split one oscillation of
+    # the kernel apart; both the [-A, A] and the [-A/2, A/2] value.
+    # Cases 0-9 are callables, whose uniform panels are one oscillation
+    # wide; 10-15 SplitTransforms as sl_inverse_numeric_pair passes them
+    # to the kernel, whose panels the error model widens
     rng = np.random.default_rng([31, case])
     x1, x2 = rng.uniform(0.05, 1.0, 2)
     t = float(rng.uniform(-4.0, 4.0))
@@ -383,19 +424,57 @@ def test_certificate_holds_at_one_oscillation_per_panel(case):
         integrand = _on_line(parse_transform(text), x1, x2)
         assert isinstance(integrand, Hermitian) == (case % 4 < 2)
     r = finite_oscillatory_integral(integrand, t, A, tol)
-    n0 = 4 * math.ceil(A / (2.0 * min(4.0, 2.0 * math.pi / (abs(t) + 1.0))))
-    edges = -A + (2.0 * A / n0) * np.arange(n0 + 1)
-    with mpmath.workdps(30):
-        X1, X2, T = mpmath.mpf(x1), mpmath.mpf(x2), mpmath.mpf(t)
-        parts = [mpmath.quad(lambda y: F(X1, X2, y) * mpmath.expj(T * y),
-                             [edges[k], edges[k + 1]],
-                             method="gauss-legendre") for k in range(n0)]
-        two_pi = 2 * mpmath.pi
-        full = complex(mpmath.fsum(parts) / two_pi)
-        half = complex(mpmath.fsum(parts[n0 // 4:3 * n0 // 4]) / two_pi)
+    full, half = _mp_values(F, x1, x2, t, A, _one_oscillation_parts(t, A))
     assert abs(r.value - full) <= r.abs_error_estimate
     assert abs(r.half_value - half) <= r.abs_error_estimate
 
+
+@pytest.mark.parametrize("case", range(8))
+def test_certificate_holds_on_the_widest_first_pass(monkeypatch, case):
+    # SplitTransforms at t = 0 (cases 0-3) and 0 < |t| <= 1, where the
+    # error model widens the uniform panels most: at t = 0 the first
+    # pass is 2 uniform panels, A/2 wide, and the pieces graded toward
+    # the poles.  Against mpmath at 30 digits, split one oscillation of
+    # the kernel apart, the [-A, A] and [-A/2, A/2] values lie within
+    # the estimate, and the estimate within tol
+    rng = np.random.default_rng([37, case])
+    x1, x2 = rng.uniform(0.05, 1.0, 2)
+    t = 0.0 if case < 4 else float(rng.uniform(-1.0, 1.0))
+    A = float(rng.uniform(10.0, 200.0))
+    tol = 10.0 ** -int(rng.integers(6, 11))
+    text = _SPLITS[case % 4]
+    counts = []
+    graded = quadrature._graded
+    monkeypatch.setattr(quadrature, "_graded",
+                        lambda *args: counts.append(args[1]) or graded(*args))
+    r = finite_oscillatory_integral(_on_line(parse_transform(text), x1, x2),
+                                    t, A, tol)
+    parts = _one_oscillation_parts(t, A)
+    assert counts[0] == 2 if t == 0.0 else counts[0] < parts // 2
+    full, half = _mp_values(_mp_split(text), x1, x2, t, A, parts)
+    assert abs(r.value - full) <= r.abs_error_estimate <= tol
+    assert abs(r.half_value - half) <= r.abs_error_estimate
+
+
+
+@pytest.mark.parametrize("t", [0.0, 0.5, -1.0])
+@pytest.mark.parametrize("text", ["(s+2)/(s+1)^2", "s/(s+1)^2 - 1/(cs+1)"])
+def test_certificate_holds_past_the_leading_laurent_term(text, t):
+    # double poles with a 1/(s+1) term besides the leading one, which the
+    # poles' estimate of the integral of |F| leaves out, so that it falls
+    # short (with + 1/(cs+1) the tails cancel and it does not) and the
+    # first pass is as wide as the model allows; against mpmath the
+    # values still lie within the estimate, and it within tol
+    x1, x2, A, tol = 0.3, 0.5, 150.0, 1e-8
+    H = _on_line(parse_transform(text), x1, x2)
+    y = np.linspace(0.0, A, 150_001)
+    assert quadrature._pole_mass(H.poles, A) < np.trapezoid(
+        np.abs(H.H(y)), y)
+    r = finite_oscillatory_integral(H, t, A, tol)
+    full, half = _mp_values(_mp_split(text), x1, x2, t, A,
+                            _one_oscillation_parts(t, A))
+    assert abs(r.value - full) <= r.abs_error_estimate <= tol
+    assert abs(r.half_value - half) <= r.abs_error_estimate
 
 # (text, x1, x2, t, A, tol) whose poles grade the first pass: complex
 # poles at |Re y_p| = 0.7 and 3, away from y = 0, and at 1, 1 from the
