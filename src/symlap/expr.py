@@ -415,15 +415,20 @@ def _lex(text: str):
     return tokens
 
 
+_MAX_NESTING = 100  # parentheses; deeper would recurse past Python's limit
+
+
 class _Parser:
     """Recursive descent over the token list.  The grammar, the ParseError
-    positions and the exponent cap live here; every value is built by the
-    algebra, whose mul, div and pow take the operator's position for the
-    errors they raise."""
+    positions, the exponent cap and the nesting cap live here; every value
+    is built by the algebra, whose mul, div and pow take the operator's
+    position for the errors they raise.  Only parentheses recurse, at
+    most _MAX_NESTING deep: a run of unary signs is read in a loop."""
 
     def __init__(self, text: str, algebra):
         self.toks = _lex(text)
         self.k = 0
+        self.depth = 0  # parentheses open around the current token
         self.alg = algebra
 
     def expect(self, kind: str):
@@ -457,24 +462,27 @@ class _Parser:
         return value
 
     def factor(self):
-        """A signed factor, or a power: atom ('^' INTEGER)?."""
-        sign = self.toks[self.k][0]
-        if sign in ("+", "-"):
+        """A signed factor: ('+' | '-')* atom ('^' INTEGER)?, the power
+        negated once for each '-'."""
+        minus = 0
+        while (sign := self.toks[self.k][0]) in ("+", "-"):
             self.k += 1
-            inner = self.factor()
-            return self.alg.neg(inner) if sign == "-" else inner
-        base = self.atom()
+            minus += sign == "-"
+        value = self.atom()
         op = self.toks[self.k]
-        if op[0] != "^":
-            return base
-        kind, txt, pos = self.toks[self.k + 1]
-        self.k += 2
-        if kind != "num" or not txt.isdigit():
-            raise ParseError("exponent must be a nonnegative integer", pos)
-        n = int(txt)
-        if n > 64:
-            raise ExprError(f"exponent {n} too large (max 64)", op[2])
-        return self.alg.pow(base, n, op[2])
+        if op[0] == "^":
+            kind, txt, pos = self.toks[self.k + 1]
+            self.k += 2
+            if kind != "num" or not txt.isdigit():
+                raise ParseError("exponent must be a nonnegative integer",
+                                 pos)
+            n = int(txt)
+            if n > 64:
+                raise ExprError(f"exponent {n} too large (max 64)", op[2])
+            value = self.alg.pow(value, n, op[2])
+        for _ in range(minus):
+            value = self.alg.neg(value)
+        return value
 
     def atom(self):
         kind, txt, pos = self.toks[self.k]
@@ -486,8 +494,13 @@ class _Parser:
         if kind == "cs":
             return self.alg.cs
         if kind == "(":
+            self.depth += 1
+            if self.depth > _MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than "
+                                 f"{_MAX_NESTING}", pos)
             value = self.expr()
             self.expect(")")
+            self.depth -= 1
             return value
         if kind == "i":
             return self.alg.const(1j)
@@ -630,7 +643,7 @@ def evaluate_rational(r: RationalFunction, z):
     scalar = np.ndim(z) == 0
     z = np.reshape(z, 1) if scalar else z
     den = _factors_at(r.denf, z)
-    if den is not None and np.abs(den).min() < _POLE_GUARD:
+    if den is not None and den.size and np.abs(den).min() < _POLE_GUARD:
         raise PoleError(f"evaluation at a pole of {r}")
     num = _factors_at(r.numf, z)
     out = r.scale if num is None else r.scale * num

@@ -62,8 +62,8 @@ def sl_forward_values(f: PiecewiseSignal, x1: float, x2: float, ys,
                       tol: float):
     """Values and error estimates of the transform of f at (x1, x2, y)
     for every y in ys, each to absolute tolerance tol: two complex and
-    real arrays over ys.  The positive half-line at y and the negative
-    one at -y take tol/2 each (one_sided_values).
+    real arrays in the shape of ys.  The positive half-line at y and the
+    negative one at -y take tol/2 each (one_sided_values).
 
     Raises ValueError for a non-finite or non-positive tol or a
     non-finite x1, x2 or y, and DivergenceError naming the offending

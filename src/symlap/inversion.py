@@ -15,10 +15,12 @@ a caller-supplied truncation; transforms of jump signals decay only like
 1/y, so no absolute certificate at fixed A is possible and callers judge
 truncation by comparing the values at A and A/2, which
 sl_inverse_numeric_pair reads off one set of quadrature panels on
-[0, A].  A SplitTransform with real coefficients, the transform of a
-real signal, has F(x1, x2, -y) = conj F(x1, x2, y): it is evaluated at
-y >= 0 only and reconstructs with an imaginary part of exactly 0.0.
-Any other input is evaluated at +-y.
+[0, A].  _on_line hands the quadrature F on the line as one callable
+of y, with two keywords that describe it.  A SplitTransform gives its
+poles in y, and one with real coefficients, the transform of a real
+signal, is hermitian: F(x1, x2, -y) = conj F(x1, x2, y), so it is
+evaluated at y >= 0 only and reconstructs with an imaginary part of
+exactly 0.0.  Any other input is evaluated at +-y.
 """
 
 from __future__ import annotations
@@ -44,13 +46,13 @@ from .expr import (
     polynomial_roots,
 )
 from .quadrature import (
-    Hermitian,
     finite_oscillatory_integral,
     require_finite,
     require_positive,
 )
 
 _EXP_GUARD = 700.0
+_FACTORIAL_MAX = 171  # the largest order whose (order-1)! is a float
 
 
 def _padded(a, m):
@@ -190,23 +192,26 @@ def _shaped(values, t):
     return values.reshape(np.shape(t))
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def inverse_laplace_rational(terms, t):
     """Sum of the classical table applied to each term at time t >= 0,
     for a float t or elementwise for an array of them.
 
-    Raises ValueError for a non-finite or negative t, and
-    ExpOverflowError (an OverflowError) when exp(pole*t) or
-    t^(order-1) * exp(pole*t) of some term overflows, naming the first
-    such t and the first term at fault there; a decaying term underflows
-    harmlessly towards 0."""
+    Where t^(order-1) * exp(pole*t) would pass exp(700), or (order-1)!
+    overflows a float (order above 171), the term is taken whole by
+    logarithms, the factorial's by lgamma, so that only a term whose
+    value overflows raises.  Raises ValueError for a non-finite or
+    negative t, and ExpOverflowError (an OverflowError) when
+    t^(order-1) * exp(pole*t) / (order-1)! of some term overflows,
+    naming the first such t and the first term at fault there; a
+    decaying term underflows harmlessly towards 0."""
     ts = _times(t)
     if np.count_nonzero(ts < 0):
         raise ValueError("the one-sided table needs t >= 0")
     total = np.zeros(len(ts), dtype=complex)
     fault = None  # (index of the first t at fault, message)
     for term in terms:
-        k = term.order
+        k, c, p = term.order, term.coefficient, term.pole
         power = ts ** (k - 1)
         # where t^(order-1) alone overflows, go by its logarithm, which
         # is positive there
@@ -215,28 +220,37 @@ def inverse_laplace_rational(terms, t):
         any_huge = np.count_nonzero(huge)
         if any_huge:
             log_power[huge] = (k - 1) * np.log(ts[huge])
-        over = log_power + term.pole.real * ts > _EXP_GUARD
-        if np.count_nonzero(over):
-            j = int(np.argmax(over))
-            if fault is None or j < fault[0]:
-                fault = (j, _overflow_message(term, float(ts[j]), huge[j]))
-            continue
-        value = (term.coefficient * power * np.exp(term.pole * ts)
-                 / math.factorial(k - 1))
+        # where t^(order-1) * exp(pole*t) or (order-1)! overflows, go by
+        # the logarithm of the whole term, the factorial's by lgamma
+        logged = log_power + p.real * ts > _EXP_GUARD
+        if k > _FACTORIAL_MAX:
+            logged[:] = True
+        any_logged = np.count_nonzero(logged)
+        if any_logged:
+            log_value = ((k - 1) * np.log(ts[logged]) - math.lgamma(k)
+                         + p * ts[logged])
+            over = log_value.real > _EXP_GUARD
+            if np.count_nonzero(over):
+                j = int(logged.nonzero()[0][np.argmax(over)])
+                if fault is None or j < fault[0]:
+                    fault = (j, _overflow_message(term, float(ts[j])))
+                continue
+        fact = math.factorial(k - 1) if k <= _FACTORIAL_MAX else math.inf
+        value = c * power * np.exp(p * ts) / fact
         if any_huge:
-            value[huge] = (term.coefficient
-                           * np.exp(log_power[huge] + term.pole * ts[huge])
-                           / math.factorial(k - 1))
+            value[huge] = c * np.exp(log_power[huge] + p * ts[huge]) / fact
+        if any_logged:
+            value[logged] = c * np.exp(log_value)
         total += value
     if fault is not None:
         raise ExpOverflowError(fault[1])
     return _shaped(total, t)
 
 
-def _overflow_message(term, t, huge):
+def _overflow_message(term, t):
     growth = f"exp({term.pole.real * t:.1f})"
-    if huge and term.pole.real * t <= _EXP_GUARD:
-        growth = f"t^{term.order - 1} * {growth}"
+    if term.order > 1:
+        growth = f"t^{term.order - 1} * {growth} / {term.order - 1}!"
     return f"{growth} overflows for pole {term.pole} at t={t}"
 
 
@@ -273,17 +287,19 @@ def sl_inverse_split(st: SplitTransform, t):
 
 
 def _on_line(F, x1: float, x2: float):
-    """F(x1, x2, y) as the integrand of finite_oscillatory_integral.
+    """F(x1, x2, y) as the integrand G(y) of finite_oscillatory_integral,
+    with the keywords that describe it: (G, {"hermitian": ..., "poles":
+    ...}).  This is the one place that describes an integrand.
 
-    A SplitTransform evaluates g1(x1 + i*y) + g2(x2 - i*y) and carries
-    its poles in y (_poles).  When all its coefficients are real it is
-    the transform of a real signal, its values at -y the conjugates of
-    those at y, and it goes in as a Hermitian, evaluated at y >= 0 only;
-    any other SplitTransform goes in as a function of y, evaluated at
-    +-y, with its poles as an attribute.  A callable goes in as it is.
+    A SplitTransform evaluates g1(x1 + i*y) + g2(x2 - i*y) and gives its
+    poles in y (_poles).  When all its coefficients are real it is the
+    transform of a real signal, its values at -y the conjugates of those
+    at y, so it is hermitian and evaluated at y >= 0 only; any other
+    SplitTransform is evaluated at +-y.  A callable is described by
+    nothing: it is evaluated at +-y on uniform panels.
     """
     if not isinstance(F, SplitTransform):
-        return lambda y: F(x1, x2, y)
+        return (lambda y: F(x1, x2, y)), {}
 
     def on_line(y):
         iy = 1j * y
@@ -293,10 +309,7 @@ def _on_line(F, x1: float, x2: float):
             g += evaluate_rational(F.g2, np.subtract(x2, iy, out=iy))
         return g
 
-    if F.is_real:
-        return Hermitian(on_line, _poles(F, x1, x2))
-    on_line.poles = _poles(F, x1, x2)
-    return on_line
+    return on_line, {"hermitian": F.is_real, "poles": _poles(F, x1, x2)}
 
 
 @np.errstate(all="ignore")  # a huge power makes a strength inf or 0
@@ -351,14 +364,16 @@ def sl_inverse_numeric_pair(F, x1: float, x2: float, t: float, A: float,
     values approximate the jump midpoint (f(t+) + f(t-))/2 and come from
     one set of quadrature panels on [0, A]; the discretization error of
     each is held below tol while truncation in A remains the caller's
-    concern (their difference gauges it).  A SplitTransform with real
-    coefficients is evaluated at y >= 0 only and its values are real,
-    their imaginary part exactly 0.0; any other F is evaluated at +-y
-    (_on_line, quadrature._symmetric_parts).
+    concern (their difference gauges it).  _on_line describes F to
+    finite_oscillatory_integral by its hermitian and poles keywords: a
+    SplitTransform with real coefficients is hermitian, evaluated at
+    y >= 0 only, and its values are real, their imaginary part exactly
+    0.0; any other F is evaluated at +-y (quadrature._symmetric_parts).
 
     Raises ValueError for a non-finite or non-positive tol or A, or a
     non-finite x1, x2 or t, and AccuracyError when the prefactor
-    exp(x*t) overflows or the refinement budget runs out; the latter
+    exp(x*t) overflows, tol over it underflows to 0 or the refinement
+    budget runs out; the latter
     carries the value at A and its estimate, both times exp(x*t).
     """
     require_positive(tol=tol, A=A)
@@ -369,9 +384,12 @@ def sl_inverse_numeric_pair(F, x1: float, x2: float, t: float, A: float,
             f"prefactor exp(x*t) overflows at x={x}, t={t}")
     prefactor = math.exp(x * t)
     inner_tol = tol / max(prefactor, 1.0)
+    if not inner_tol:
+        raise AccuracyError(
+            f"tol={tol} over the prefactor exp(x*t) underflows to 0")
     try:
-        res = finite_oscillatory_integral(_on_line(F, x1, x2), t, A,
-                                          inner_tol)
+        G, described = _on_line(F, x1, x2)
+        res = finite_oscillatory_integral(G, t, A, inner_tol, **described)
     except AccuracyError as exc:
         if exc.value is not None:
             exc.value *= prefactor

@@ -75,17 +75,19 @@ rounding allowance for the sums and phases; refinement never tests
 against it.
 
 finite_oscillatory_integral, the Fourier integral behind numeric
-inversion, is factored the same way in t and runs on [0, A] only: for a
-conjugate-symmetric H (H(-y) = conj H(y), the transform of a real
-signal) the integral over [-A, A] is 2*Re of the integral over [0, A],
-and any other F is split into two such parts (_symmetric_parts).  Its
-first pass has uniform panels one oscillation of the kernel wide, or,
-when F carries its poles, as wide as the error model allows for the
-integral of |F| they estimate (_pole_mass) by the rule of the forward
-pass (_model_theta), and never narrower; the pass is graded toward those
-poles (_graded) in one call of F.  The panels still over budget are
-bisected by the refinement loop and phase-factored panels
-(_phased_panels) of a forward y.
+inversion, is factored the same way in t and runs on [0, A] only.  Its
+integrand F is one callable of y, and two keywords carry what is known
+of it.  hermitian=True declares F(-y) = conj F(y), the transform of a
+real signal: the integral over [-A, A] is then 2*Re of the integral
+over [0, A], and F is evaluated at y >= 0 only.  Any other F is split
+into two such parts (_symmetric_parts).  poles, (y_p, order, strength)
+triples, give F's poles: the first pass then has uniform panels as wide
+as the error model allows for the integral of |F| they estimate
+(_pole_mass) by the rule of the forward pass (_model_theta), never
+narrower than the one oscillation of the kernel it has without them,
+and is graded toward those poles (_graded) in one call of F.  The
+panels still over budget are bisected by the refinement loop and
+phase-factored panels (_phased_panels) of a forward y.
 
 Integrands must accept a 1-d numpy float array and return an array of
 values (complex or real).  Panels are kept in a fixed order (ascending
@@ -313,7 +315,10 @@ def truncation_point(bound: ExponentialOrderBound, x: float,
     sum of z^k/k! for k <= d.  For d = 0, T = log(M / (tol*r)) / r.  For
     d > 0 the log of tail/tol is concave and decreasing in z, so Newton's
     method started at z = max(log(M*d!/(tol*r^(d+1))), d) steps past the
-    root at most once and then descends to it from above.
+    root at most once and then descends to it from above.  A quotient
+    M/(tol*r) or M/tol that leaves float range is taken as a difference
+    of logarithms (_log_ratio); a T beyond the largest float raises
+    AccuracyError.
     """
     require_positive(tol=tol)
     require_finite(x=x)
@@ -325,20 +330,37 @@ def truncation_point(bound: ExponentialOrderBound, x: float,
     rate = x - bound.a
     d = int(bound.degree)
     if d == 0:
-        return max(0.0, math.log(bound.M / (tol * rate)) / rate)
-    # log of the tail at T = 0 over tol
-    excess = (math.log(bound.M / tol) + math.lgamma(d + 1)
-              - (d + 1) * math.log(rate))
-    if excess <= 0.0:
-        return 0.0
-    z = max(excess, float(d))
-    for _ in range(100):
-        e_d = _exp_sum(z, d)
-        step = (math.log(e_d) - z + excess) * e_d * math.factorial(d) / z ** d
-        z += step
-        if abs(step) <= 4.0 * _EPS * z:
-            break
-    return z / rate
+        T = max(0.0, _log_ratio(bound.M, tol, rate) / rate)
+    else:
+        # log of the tail at T = 0 over tol
+        excess = (_log_ratio(bound.M, tol) + math.lgamma(d + 1)
+                  - (d + 1) * math.log(rate))
+        if excess <= 0.0:
+            return 0.0
+        z = max(excess, float(d))
+        for _ in range(100):
+            e_d = _exp_sum(z, d)
+            step = ((math.log(e_d) - z + excess) * e_d * math.factorial(d)
+                    / z ** d)
+            z += step
+            if abs(step) <= 4.0 * _EPS * z:
+                break
+        T = z / rate
+    if T == math.inf:
+        raise AccuracyError(
+            f"truncation point overflows: the tail falls below tol={tol} "
+            f"only beyond the largest float at decay rate x - a = {rate}")
+    return T
+
+
+def _log_ratio(M, *factors):
+    """log(M / the product of factors): directly while that quotient is
+    a finite positive float, else as a difference of logarithms."""
+    q = math.prod(factors)
+    ratio = M / q if q else 0.0
+    if 0.0 < ratio < math.inf:
+        return math.log(ratio)
+    return math.log(M) - math.fsum(math.log(f) for f in factors)
 
 
 def _exp_sum(z, d):
@@ -350,9 +372,16 @@ def _tail_bound(bound, x, T):
     """The envelope's tail beyond T (see truncation_point), rounded up."""
     rate = x - bound.a
     d = int(bound.degree)
-    return (bound.M * math.factorial(d) * math.exp(-rate * T)
-            * _exp_sum(rate * T, d) / rate ** (d + 1)
-            * (1.0 + 4.0 * (d + 3) * _EPS))
+    z, scale = rate * T, rate ** (d + 1)
+    if scale:
+        tail = (bound.M * math.factorial(d) * math.exp(-z) * _exp_sum(z, d)
+                / scale)
+    else:  # rate^(d+1) underflows: by logarithms, each term's rounding
+        # (a few ulps) added to their sum
+        logs = (math.log(bound.M), math.lgamma(d + 1), -z,
+                math.log(_exp_sum(z, d)), -(d + 1) * math.log(rate))
+        tail = math.exp(math.fsum(logs) + 4.0 * _EPS * sum(map(abs, logs)))
+    return tail * (1.0 + 4.0 * (d + 3) * _EPS)
 
 
 @functools.lru_cache(maxsize=64)  # passes repeat bounds, x and tol
@@ -376,7 +405,9 @@ def _truncate(bound, x, tol, tail_cut):
             T_cut = float(tail_cut(tol / 2.0))
             if T_cut < T:
                 T, tail = T_cut, tol / 2.0
-        return T, tail, 1.0 / rate, M * math.factorial(d) / rate ** (d + 1)
+        scale = rate ** (d + 1)  # 0 where it underflows: no finite mass
+        return T, tail, 1.0 / rate, (M * math.factorial(d) / scale if scale
+                                     else math.inf)
     if cut:
         T = float(tail_cut(tol / 2.0))
         return T, tol / 2.0, 1.0, M * T ** (d + 1) / (d + 1)
@@ -589,7 +620,8 @@ def laplace_grid(piece, bound: ExponentialOrderBound, x: float, ys,
                  tol: float, *, osc: float = 0.0, tail_cut=None):
     """Integral of piece(u) * exp(-(x + i*y)*u) over [0, inf) for every y.
 
-    Returns (values, estimates), arrays over ys, each value to absolute
+    Returns (values, estimates), arrays in the shape of ys (a grid of
+    any shape is served as its flat grid), each value to absolute
     tolerance tol.  bound, osc and tail_cut mean what they mean for
     half_line_integral, with osc the oscillation of piece itself; T, the
     tail and the mass of |v| come from _truncate.
@@ -621,6 +653,10 @@ def laplace_grid(piece, bound: ExponentialOrderBound, x: float, ys,
     Estimates are tail bound + panel |K - G| sum + rounding allowance.
     """
     ys = np.asarray(ys, dtype=float)
+    if ys.ndim != 1:  # a scalar or a grid of any shape, by its flat grid
+        values, estimates = laplace_grid(piece, bound, x, ys.ravel(), tol,
+                                         osc=osc, tail_cut=tail_cut)
+        return values.reshape(ys.shape), estimates.reshape(ys.shape)
     T, tail, scale, mass = _truncate(bound, float(x), float(tol), tail_cut)
     if T <= 0.0 or ys.size == 0:
         _finite(piece(np.zeros(1)))
@@ -646,37 +682,19 @@ def laplace_grid(piece, bound: ExponentialOrderBound, x: float, ys,
     return values, estimates
 
 
-class Hermitian:
-    """A function H of y with H(-y) = conj(H(y)), the Fourier transform
-    of a real signal: finite_oscillatory_integral evaluates H at y >= 0
-    only.  H accepts a 1-d numpy float array.
-
-    poles, when known, are (y_p, order, strength) triples: a pole at the
-    complex y_p of that order whose leading Laurent coefficient has
-    modulus strength.  They should be all of H's poles:
-    finite_oscillatory_integral sizes its uniform panels by the integral
-    of |H| they estimate (_pole_mass) and grades its first pass toward
-    them (_graded)."""
-
-    __slots__ = ("H", "poles")
-
-    def __init__(self, H, poles=()):
-        self.H = H
-        self.poles = poles
-
-
-def _symmetric_parts(F):
+def _symmetric_parts(F, hermitian):
     """F as conjugate-symmetric parts on y >= 0: a function of y
     returning one row per part, and the evaluations of F per node.
 
-    A Hermitian is its own part.  Any other F is split into
+    A hermitian F (F(-y) = conj F(y)) is its own part, evaluated at
+    y >= 0 only.  Any other F is split into
     H1 = (F(y) + conj F(-y))/2 and H2 = (F(y) - conj F(-y))/(2i), the
     transforms of the real and imaginary parts of the signal, so that
     F = H1 + i*H2; both come from one call of F on the nodes and their
     mirror images.
     """
-    if isinstance(F, Hermitian):
-        return (lambda y: _finite(F.H(y))[None]), 1
+    if hermitian:
+        return (lambda y: _finite(F(y))[None]), 1
 
     def parts(y):
         v = _finite(F(np.concatenate([y, -y])))
@@ -771,13 +789,15 @@ def _graded(poles, n, half, t, budget, most):
     the table's 16 half-widths, 16 serve.  Returns the indices of the
     uniform panels split and the pieces that replace them, as rows of
     lefts, rights, midpoints and half-widths; none when there are no
-    poles or the pieces would number more than most.
+    poles, the shares of the budget underflow to 0 or the pieces would
+    number more than most.
     """
-    if not poles:
+    fair = budget / n
+    own = _MODEL_SHARE * budget / len(poles) if poles else 0.0
+    if not (fair and own):  # no poles, or shares that underflow to 0
         return [], _NO_PIECES
     levels = []  # level j: the pieces of width 2*half/2^j split
     count = n  # pieces so far
-    fair, own = budget / n, _MODEL_SHARE * budget / len(poles)
     top = len(_DELTA) - 1
     for y_p, order, strength in poles:
         loc, d = abs(y_p.real), abs(y_p.imag)
@@ -803,8 +823,10 @@ def _graded(poles, n, half, t, budget, most):
                 else:
                     turn = 0.0
             if reach > d:
-                # the pieces closer than reach: |Re y - loc| < s on them
-                s = math.sqrt(reach * reach - d * d)
+                # the pieces closer than reach: |Re y - loc| < s on them;
+                # beyond loc + A every piece is, and reach^2 may overflow
+                s = min(loc + 2.0 * half * n,
+                        math.sqrt(reach * reach - d * d))
                 lo = max(lo, math.floor((loc - s) / w))
                 hi = min(hi, math.ceil((loc + s) / w) - 1)
             else:
@@ -838,30 +860,34 @@ def _graded(poles, n, half, t, budget, most):
     return sorted(levels[0]), np.array(pieces).reshape(-1, 4).T
 
 
-def finite_oscillatory_integral(F, t: float, A: float,
-                                tol: float) -> OscillatoryResult:
+def finite_oscillatory_integral(F, t: float, A: float, tol: float, *,
+                                hermitian: bool = False,
+                                poles=()) -> OscillatoryResult:
     """(1/2pi) * integral of F(y)*exp(i*y*t) over [-A, A], and over
     [-A/2, A/2] from the same panels.
 
-    F is a Hermitian, evaluated at y >= 0 only, or any callable on a 1-d
-    numpy float array, evaluated at +-y and split into the parts H1 and
-    H2 with F = H1 + i*H2 (_symmetric_parts).  One pass over [0, A]
-    serves both: the value is 2*Re(I1) + 2i*Re(I2), I_k the integral of
-    H_k(y)*exp(i*y*t) over [0, A].
+    F is a callable on a 1-d numpy float array.  hermitian declares
+    F(-y) = conj F(y), the transform of a real signal: F is then
+    evaluated at y >= 0 only.  Any other F is evaluated at +-y and split
+    into the parts H1 and H2 with F = H1 + i*H2 (_symmetric_parts).  One
+    pass over [0, A] serves both: the value is 2*Re(I1) + 2i*Re(I2), I_k
+    the integral of H_k(y)*exp(i*y*t) over [0, A].
+
+    poles, when known, are (y_p, order, strength) triples: a pole at the
+    complex y_p of that order whose leading Laurent coefficient has
+    modulus strength.  They should be all of F's poles.
 
     The pass is GK15 over [0, A] with uniform panels, their number even
     so that A/2 is a panel edge, one oscillation of the kernel wide,
-    min(4, 2pi/(|t|+1)), unless F carries its poles, a poles attribute
-    of (y_p, order, strength) triples as Hermitian has, which should be
-    all of F's poles.  Then the poles estimate the integral of |F| over
-    [0, A] (_pole_mass), theta is the largest tabulated turn whose error
-    model phi(theta) times that estimate is within a quarter of tol*pi
-    (_model_theta, as laplace_grid sizes its panels), and the panels are
-    2*theta/|t| wide (A/2 at t = 0), but never narrower than one
-    oscillation.  The uniform panels on which the model predicts more
-    than their share are split into pieces graded toward the poles
-    (_graded), every uniform edge staying an edge; the pieces and the
-    uniform panels go to F in one call.  A
+    min(4, 2pi/(|t|+1)), unless poles are given.  Then they estimate the
+    integral of |F| over [0, A] (_pole_mass), theta is the largest
+    tabulated turn whose error model phi(theta) times that estimate is
+    within a quarter of tol*pi (_model_theta, as laplace_grid sizes its
+    panels), and the panels are 2*theta/|t| wide (A/2 at t = 0), but
+    never narrower than one oscillation.  The uniform panels on which
+    the model predicts more than their share are split into pieces
+    graded toward the poles (_graded), every uniform edge staying an
+    edge; the pieces and the uniform panels go to F in one call.  A
     grading that would take more than MAX_EVALUATIONS evaluations is
     dropped.  Panels still over their share of the budget are bisected
     in place by _refine, which keeps A/2 as an edge: half_value is the
@@ -878,8 +904,7 @@ def finite_oscillatory_integral(F, t: float, A: float,
     """
     require_positive(A=A, tol=tol)
     require_finite(t=t)
-    parts, per_node = _symmetric_parts(F)
-    poles = getattr(F, "poles", ())
+    parts, per_node = _symmetric_parts(F, hermitian)
     budget = tol * math.pi  # of the |K - G| sum over [0, A]
     width = min(4.0, 2.0 * math.pi / (abs(t) + 1.0))
     if poles:  # as wide as the model allows, never narrower

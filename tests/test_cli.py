@@ -195,6 +195,53 @@ def test_non_finite_coefficients_exit_typed_without_a_warning(command, expr,
     assert len(cp.stderr.strip().splitlines()) == 1
 
 
+_DEEP = "(" * 300 + "s" + ")" * 300
+
+
+@pytest.mark.parametrize("args,code,value", [
+    (("invert", "--expr", _DEEP, "--t", "1"), 3,
+     "parentheses nested deeper than 100 (at position 100)"),
+    (("invert", "--expr=" + "-" * 2001 + "1/s", "--t", "1"), 0, -1.0),
+    (("forward", "--signal", "sign", "--x1", "1e-300", "--x2", "1e-300",
+      "--y", "1"), 5, "budget cannot resolve"),
+    (("forward", "--signal", "sign", "--x1", "5e-324", "--x2", "1",
+      "--y", "1"), 5, "truncation point overflows"),
+    (("forward", "--signal", "ramp", "--x1", "1e-200", "--x2", "1e-200",
+      "--y", "1", "--tol", "1e-200"), 5, "budget cannot resolve"),
+    (("invert-numeric", "--expr", "1/(s+1)+1/(cs+2)", "--x1", "1", "--x2",
+      "1", "--t", "0.5", "--tol", "1e-300"), 5,
+     "refinement budget exhausted"),
+    (("invert", "--expr", "1/(s^64*s^64*s^43)", "--t", "100"), 0,
+     1.3779009677917705867e33),
+    (("invert", "--expr", "1/(s^64*s^36)", "--t", "2000"), 0,
+     6.7915032994648558611e170),
+    (("invert", "--expr", "1/((s+1)^64)^4", "--t", "1"), 0, 0.0),
+    (("invert", "--expr", "1/((s+1)^64)^4", "--t", "300"), 0,
+     7.1190215334774511860e-4)],
+    ids=["deep-parentheses", "long-sign-run", "forward-x-1e-300",
+         "forward-x-5e-324", "forward-ramp-tol-1e-200",
+         "invert-numeric-tol-1e-300", "invert-s^171", "invert-s^100",
+         "invert-(s+1)^256-t1", "invert-(s+1)^256-t300"])
+def test_edge_inputs_exit_typed_or_print_their_value(args, code, value):
+    # nesting past Python's recursion limit, damping or tolerance past
+    # float range and table terms past the factorial's: a traceback, an
+    # error that named no cause or a false overflow before.  An error row
+    # gives the cause its message names, a value row its value by mpmath
+    cp = run_cli(*args, env={"PYTHONWARNINGS": "error::RuntimeWarning"})
+    assert cp.returncode == code, cp.stderr
+    assert "Traceback" not in cp.stderr
+    if code:
+        assert cp.stdout == ""
+        assert cp.stderr.startswith("symlap: ") and value in cp.stderr
+        assert len(cp.stderr.strip().splitlines()) == 1
+        return
+    assert cp.stderr == ""
+    header, row = cp.stdout.splitlines()
+    assert header == "t,re,im"
+    _, re, im = map(float, row.split(","))
+    assert re == pytest.approx(value, rel=1e-12, abs=0.0) and im == 0.0
+
+
 def test_invert_numeric_single_line():
     cp = run_cli("invert-numeric", "--expr", "1/s - 1/cs", "--x1", "1",
                  "--x2", "1", "--t", "1", "--A", "1000", "--tol", "1e-6")

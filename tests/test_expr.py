@@ -381,6 +381,13 @@ class TestEvaluation:
         out = evaluate_rational(r, np.zeros((2, 3)))
         assert out.shape == (2, 3) and (out == 2 - 1j).all()
 
+    def test_an_empty_array_gives_an_empty_array(self):
+        # the pole guard took the minimum of no denominator values
+        for text in ("1/(s+1)^2", "s + 2", "3"):
+            r = parse_transform(text).g1
+            assert evaluate_rational(r, np.array([])).shape == (0,)
+            assert evaluate_rational(r, np.zeros((2, 0))).shape == (2, 0)
+
     def test_pole_guard_applies_to_the_factored_denominator(self):
         # (1e-8)^40 = 1e-320 lies below the 1e-280 guard
         r = parse_transform("1/(s+1)^40").g1
@@ -514,3 +521,51 @@ def test_parse_errors_are_pinned(text, error, position, message):
     assert type(exc.value) is error
     assert exc.value.position == position
     assert str(exc.value) == f"{message} (at position {position})"
+
+
+def _same_split(a, b):
+    """Two SplitTransforms whose sides agree, to the bit, at a few z."""
+    z = np.array([0.7 + 0.3j, 2.0 - 1.0j, -1.5 + 2.0j])
+    return all(evaluate_rational(getattr(a, g), z).tobytes()
+               == evaluate_rational(getattr(b, g), z).tobytes()
+               for g in ("g1", "g2"))
+
+
+@pytest.mark.parametrize("parse", [
+    parse_transform, lambda text: eval_expression(text, 2.0, 3.0)],
+    ids=["parse_transform", "eval_expression"])
+def test_deep_nesting_is_a_parse_error_at_the_cap(parse):
+    # each parenthesis took four stack frames and each unary sign one, so
+    # 248 parentheses or 988 signs raised RecursionError.  A parenthesis
+    # past the cap is a ParseError at its position, in both algebras
+    cap = expr._MAX_NESTING
+    for depth in (cap + 1, 300, 2000):
+        with pytest.raises(ParseError) as exc:
+            parse("(" * depth + "s" + ")" * depth)
+        assert exc.value.position == cap
+        assert str(exc.value) == (f"parentheses nested deeper than {cap} "
+                                  f"(at position {cap})")
+    with pytest.raises(ParseError) as exc:
+        parse("1/(s+1) + " + "-(" * (cap + 1) + "s" + ")" * (cap + 1))
+    assert exc.value.position == len("1/(s+1) + ") + 2 * cap + 1
+
+
+def test_nesting_to_the_cap_and_long_sign_runs_parse_to_the_same_value():
+    # cap - 1 parentheses around 1/(s+2) nest it cap deep and parse; one
+    # more does not.  A run of signs negates once per '-'
+    cap = expr._MAX_NESTING
+    inner = "1/(s+2) - 3/cs^2"
+    assert _same_split(parse_transform("(" * (cap - 1) + inner
+                                       + ")" * (cap - 1)),
+                       parse_transform(inner))
+    with pytest.raises(ParseError):
+        parse_transform("(" * cap + inner + ")" * cap)
+    assert eval_expression("(" * (cap - 1) + inner + ")" * (cap - 1),
+                           2.0, 3.0) == eval_expression(inner, 2.0, 3.0)
+    for signs, negated in (("-" * 2000, False), ("-" * 2001, True),
+                           ("+-" * 1500, False), ("-+" * 1501, True)):
+        text = f"{signs}({inner})"
+        want = f"-({inner})" if negated else inner
+        assert eval_expression(text, 2.0, 3.0) == eval_expression(
+            want, 2.0, 3.0)
+        assert _same_split(parse_transform(text), parse_transform(want))

@@ -256,6 +256,37 @@ def test_y_beyond_the_budget_raises_before_any_evaluation(ys):
     assert count[0] == 0
 
 
+@pytest.mark.parametrize("name,x1,x2,tol,match", [
+    ("sign", 1e-300, 1e-300, 1e-8, "budget cannot resolve"),
+    ("sign", 5e-324, 1.0, 1e-8, "truncation point overflows"),
+    ("ramp", 1e-200, 1e-200, 1e-200, "budget cannot resolve")])
+def test_damping_past_float_range_raises_before_any_evaluation(name, x1, x2,
+                                                               tol, match):
+    # T was inf (OverflowError from the panel count) or tol*rate and
+    # rate^2 underflowed to 0 (ZeroDivisionError); now an AccuracyError,
+    # as at x1 = 1e-290, before any evaluation
+    f, count = _counted(catalog_signal(name))
+    with pytest.raises(AccuracyError, match=match):
+        sl_forward_values(f, x1, x2, [1.0], tol)
+    assert count[0] == 0
+
+
+def test_a_grid_of_any_shape_keeps_its_shape_and_its_bits():
+    # a 2-d grid raised a numpy broadcast error; it is its flat grid, the
+    # values and estimates in its shape, as sl_inverse_split does for t
+    sign = catalog_signal("sign")
+    ys = np.array([[1.0, 2.0, -0.5], [30.0, 0.0, 300.0]])
+    for shaped in (ys, ys[:1, :2], ys[1:, 1:].T):
+        want = sl_forward_values(sign, 1.0, 0.5, shaped.ravel(), 1e-8)
+        values, estimates = sl_forward_values(sign, 1.0, 0.5, shaped, 1e-8)
+        assert values.shape == estimates.shape == shaped.shape
+        assert values.ravel().tobytes() == want[0].tobytes()
+        assert estimates.ravel().tobytes() == want[1].tobytes()
+    values, estimates = sl_forward_values(sign, 1.0, 0.5, np.zeros((0, 3)),
+                                          1e-8)
+    assert values.shape == estimates.shape == (0, 3)
+
+
 def test_near_y_keep_their_bits_beside_a_far_y():
     # the far y of a grid gets a pass of its own, so the near ones keep
     # the bits of the grid without it

@@ -25,7 +25,7 @@ from symlap.inversion import (
     sl_inverse_numeric_pair,
     sl_inverse_split,
 )
-from symlap.quadrature import MAX_EVALUATIONS, Hermitian
+from symlap.quadrature import MAX_EVALUATIONS
 
 
 def by_pole(terms):
@@ -138,6 +138,46 @@ class TestRationalTable:
         with pytest.raises(ExpOverflowError, match="overflows"):
             inverse_laplace_rational([PartialFractionTerm(1e-300 + 0j, 3,
                                                           1 + 0j)], 1e200)
+
+    @pytest.mark.parametrize("text,t", [
+        ("1/(s^64*s^64*s^43)", 100.0), ("1/(s^64*s^36)", 2000.0),
+        ("1/((s+1)^64)^4", 0.0), ("1/((s+1)^64)^4", 1.0),
+        ("1/((s+1)^64)^4", 300.0), ("1/((s-0.5)^64)^3", 500.0)])
+    def test_the_factorial_counts_before_a_term_overflows(self, text, t):
+        # t^(k-1) * exp(pole*t) passed exp(700), or (k-1)! was no float
+        # (k > 171), where t^(k-1) * exp(pole*t) / (k-1)! is one:
+        # ExpOverflowError or "int too large to convert to float".
+        # Against mpmath at 40 digits; 1.1e-505 at t = 1 is 0.0
+        import mpmath
+
+        (term,) = parse_transform(text).g1_terms
+        k = term.order
+        with mpmath.workdps(40):
+            want = complex(mpmath.mpc(term.coefficient)
+                           * mpmath.mpf(t) ** (k - 1)
+                           * mpmath.exp(mpmath.mpc(term.pole) * t)
+                           / mpmath.factorial(k - 1))
+        got = inverse_laplace_rational([term], t)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert sl_inverse_split(parse_transform(text), t) == got
+
+    def test_the_table_keeps_its_bits_where_no_part_overflows(self):
+        # t^(k-1) * exp(pole*t) / (k-1)!, as it was computed, for orders
+        # up to 171, whose factorial is the largest that is a float
+        ts = np.array([0.0, 0.5, 3.0, 40.0, 55.0])
+        for k in (1, 2, 5, 20, 171):
+            term = PartialFractionTerm(-0.5 + 2j, k, 0.3 - 1.1j)
+            want = np.zeros(len(ts), dtype=complex) + (
+                term.coefficient * ts ** (k - 1) * np.exp(term.pole * ts)
+                / math.factorial(k - 1))
+            got = inverse_laplace_rational([term], ts)
+            assert got.tobytes() == want.tobytes()
+
+    def test_a_term_that_overflows_past_its_factorial_raises(self):
+        with pytest.raises(ExpOverflowError,
+                           match=r"t\^255 \* exp\(1000000.0\) / 255! "
+                                 r"overflows for pole \(1\+0j\)"):
+            sl_inverse_split(parse_transform("1/((s-1)^64)^4"), 1e6)
 
     @pytest.mark.parametrize("t", [math.nan, math.inf])
     def test_non_finite_time_rejected(self, t):
@@ -447,6 +487,14 @@ class TestNumericInversionPair:
         estimate = exc.value.abs_error_estimate
         assert abs(exc.value.value - want) <= estimate <= 1e-5 * abs(want)
 
+    def test_tol_over_the_prefactor_underflowing_is_an_accuracy_error(self):
+        # tol/exp(x*t) = 5e-324/e^2 is 0, which the quadrature refused as
+        # a tol that is not positive, naming 0.0 rather than the caller's
+        st = parse_transform("1/(s+1) + 1/(cs+2)")
+        with pytest.raises(AccuracyError, match="tol=5e-324 over the "
+                                                "prefactor"):
+            sl_inverse_numeric_pair(st, 1.0, 1.0, 2.0, 100.0, 5e-324)
+
     @pytest.mark.parametrize("x1,x2,t", [(1.0, 1.0, 1e3), (1.0, 2.0, -400.0)])
     def test_prefactor_overflow_is_an_accuracy_error(self, x1, x2, t):
         F = closed_form_transform("sign")
@@ -458,14 +506,14 @@ class TestNumericInversionPair:
 def split_sizes(monkeypatch):
     """The sizes of the y arrays every real SplitTransform integrand of
     numeric inversion is called on, in order, counted by wrapping the
-    Hermitian _on_line builds."""
+    hermitian integrand _on_line builds."""
     sizes = []
     on_line = inversion._on_line
 
     def counted(F, x1, x2):
-        H = on_line(F, x1, x2)
-        assert isinstance(H, Hermitian)
-        return Hermitian(lambda y: sizes.append(y.size) or H.H(y), H.poles)
+        G, described = on_line(F, x1, x2)
+        assert described["hermitian"]
+        return (lambda y: sizes.append(y.size) or G(y)), described
 
     monkeypatch.setattr(inversion, "_on_line", counted)
     return sizes

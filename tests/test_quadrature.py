@@ -15,7 +15,6 @@ from symlap.quadrature import (
     _WG,
     _WGK,
     _XGK,
-    Hermitian,
     _block_phased_sum,
     _tail_bound,
     finite_oscillatory_integral,
@@ -36,6 +35,62 @@ def test_truncation_point_formula():
 def test_truncation_point_clamps_at_zero():
     assert truncation_point(B10, 1.0, 1.0) == 0.0
     assert truncation_point(B10, 1.0, 5.0) == 0.0
+
+
+@pytest.mark.parametrize("M,a,degree,x,tol", [
+    (1.0, 0.0, 0, 1e-300, 2.5e-9), (1.0, 0.0, 0, 1e10, 1e-320),
+    (1.0, 0.0, 1, 1e-200, 2.5e-201), (1e300, 0.0, 3, 1e-300, 1e-300)])
+def test_truncation_point_goes_by_logarithms_out_of_float_range(M, a, degree,
+                                                                x, tol):
+    # M/(tol*rate) or M/tol overflowed, which gave T = inf (d = 0) or nan
+    # (d > 0), and rate^(d+1) underflowed in the tail, a ZeroDivisionError;
+    # by mpmath the tail beyond T is tol, and the rounded-up bound of it
+    import mpmath
+
+    bound = ExponentialOrderBound(M, a, degree)
+    T = truncation_point(bound, x, tol)
+    assert 0.0 < T < math.inf
+    rate = x - a
+    with mpmath.workdps(30):
+        tail = (mpmath.mpf(M) * mpmath.gammainc(degree + 1, rate * T)
+                / mpmath.mpf(rate) ** (degree + 1))
+    assert float(tail) == pytest.approx(tol, rel=1e-9)
+    assert _tail_bound(bound, x, T) == pytest.approx(tol, rel=1e-9)
+    assert _tail_bound(bound, x, T) >= float(tail)
+
+
+def test_truncation_point_keeps_its_bits_in_float_range():
+    # the direct formula wherever its quotient is a float
+    rng = np.random.default_rng(41)
+    for M, x, tol in 10.0 ** rng.uniform([-3, -3, -14], [3, 3, -1],
+                                         (50, 3)):
+        want = max(0.0, math.log(M / (tol * x)) / x)
+        got = truncation_point(ExponentialOrderBound(M, 0.0), x, tol)
+        assert got == want
+
+
+def test_truncation_point_beyond_the_largest_float_is_an_accuracy_error():
+    # x - a = 5e-324: tol*rate underflowed to 0, a ZeroDivisionError
+    with pytest.raises(AccuracyError, match="truncation point overflows"):
+        truncation_point(B10, 5e-324, 2.5e-9)
+
+
+@pytest.mark.parametrize("M,a,degree,x,tol", [
+    (1.0, 0.0, 0, 1e-300, 1e-8), (1.0, 0.0, 0, 5e-324, 1e-8),
+    (1.0, 0.0, 1, 1e-200, 1e-200), (1e300, 0.0, 3, 1e-300, 2e-300)])
+def test_a_pass_past_float_range_raises_before_any_evaluation(M, a, degree,
+                                                              x, tol):
+    count = [0]
+
+    def piece(u):
+        count[0] += u.size
+        return np.ones_like(u)
+
+    with pytest.raises(AccuracyError,
+                       match="budget cannot resolve|truncation point"):
+        laplace_grid(piece, ExponentialOrderBound(M, a, degree), x, [1.0],
+                     tol)
+    assert count[0] == 0
 
 
 def test_truncation_point_divergence():
@@ -304,21 +359,20 @@ def test_inversion_evaluation_counts_are_pinned(t, evaluations):
 @pytest.mark.parametrize("t,evaluations", [(0.0, 165), (2.0, 4830),
                                            (3.75, 9000)])
 def test_real_split_evaluation_counts_are_pinned(t, evaluations):
-    # the sign signal's SplitTransform has real coefficients, so it is a
-    # Hermitian evaluated at y >= 0 only, and its poles at y = +-i size
+    # the sign signal's SplitTransform has real coefficients, so it is
+    # hermitian, evaluated at y >= 0 only, and its poles at y = +-i size
     # the uniform panels and grade the first pass, all in one call of F.
     # One oscillation per uniform panel took 3780, 7185 and 11355
-    H = _on_line(parse_transform("1/s - 1/cs"), 1.0, 1.0)
-    assert isinstance(H, Hermitian)
-    assert H.poles == ((1j, 1, 1.0), (-1j, 1, 1.0))
+    G, described = _on_line(parse_transform("1/s - 1/cs"), 1.0, 1.0)
+    assert described["hermitian"]
+    assert described["poles"] == ((1j, 1, 1.0), (-1j, 1, 1.0))
     sizes = []
 
     def counted(y):
         sizes.append(y.size)
-        return H.H(y)
+        return G(y)
 
-    r = finite_oscillatory_integral(Hermitian(counted, H.poles), t, 1000.0,
-                                    1e-6)
+    r = finite_oscillatory_integral(counted, t, 1000.0, 1e-6, **described)
     assert r.evaluations == sum(sizes) == evaluations
     assert len(sizes) == 1
 
@@ -335,11 +389,25 @@ def test_split_uniform_panels_take_the_models_width(monkeypatch, t, panels):
     graded = quadrature._graded
     monkeypatch.setattr(quadrature, "_graded",
                         lambda *args: counts.append(args[1]) or graded(*args))
-    H = _on_line(parse_transform("1/s - 1/cs"), 1.0, 1.0)
-    assert quadrature._pole_mass(H.poles, 1000.0) == pytest.approx(
+    G, described = _on_line(parse_transform("1/s - 1/cs"), 1.0, 1.0)
+    assert quadrature._pole_mass(described["poles"], 1000.0) == pytest.approx(
         2.0 * math.asinh(1000.0), rel=1e-15)
-    finite_oscillatory_integral(H, t, 1000.0, 1e-6)
+    finite_oscillatory_integral(G, t, 1000.0, 1e-6, **described)
     assert counts == [panels]
+
+
+@pytest.mark.parametrize("tol", [1e-200, 1e-300, 5e-324])
+def test_grading_toward_a_budget_beyond_reach_is_dropped(tol):
+    # reach^2 overflowed to inf for tol <= 1e-200, an OverflowError from
+    # the panel index, and at 5e-324 the pole's share underflowed to 0, a
+    # ZeroDivisionError; every piece would split, so the grading is
+    # dropped and _refine exhausts the budget, a typed error
+    G, described = _on_line(parse_transform("1/(s+1) + 1/(cs+2)"), 1.0, 1.0)
+    n, A = 80, 250.0
+    split, pieces = quadrature._graded(
+        described["poles"], n, A / (2 * n), 0.5, tol * math.pi,
+        quadrature.MAX_EVALUATIONS // 15)
+    assert split == [] and pieces.shape == (4, 0)
 
 
 def test_refinement_evaluates_each_round_in_one_call():
@@ -358,7 +426,7 @@ def test_refinement_evaluates_each_round_in_one_call():
 
 
 # SplitTransforms of the certificate sweep: two with real coefficients,
-# which enter the kernel as a Hermitian, and two with complex ones,
+# which enter the kernel as hermitian, and two with complex ones,
 # which are split into the transforms of Re f and Im f
 _SPLITS = ("1/s - 1/cs", "1/(s+0.5)^2 + 1/(cs+1)",
            "(1+i)/(s+1) - 1/(cs+2)", "1/(s-i) + i/cs")
@@ -417,13 +485,13 @@ def test_certificate_holds_at_one_oscillation_per_panel(case):
     tol = 10.0 ** -int(rng.integers(6, 11))
     if case < 10:
         F = (_jump, _two_pole)[case % 2]
-        integrand = lambda y: F(x1, x2, y)
+        integrand, described = (lambda y: F(x1, x2, y)), {}
     else:
         text = _SPLITS[case % 4]
         F = _mp_split(text)
-        integrand = _on_line(parse_transform(text), x1, x2)
-        assert isinstance(integrand, Hermitian) == (case % 4 < 2)
-    r = finite_oscillatory_integral(integrand, t, A, tol)
+        integrand, described = _on_line(parse_transform(text), x1, x2)
+        assert described["hermitian"] == (case % 4 < 2)
+    r = finite_oscillatory_integral(integrand, t, A, tol, **described)
     full, half = _mp_values(F, x1, x2, t, A, _one_oscillation_parts(t, A))
     assert abs(r.value - full) <= r.abs_error_estimate
     assert abs(r.half_value - half) <= r.abs_error_estimate
@@ -447,8 +515,8 @@ def test_certificate_holds_on_the_widest_first_pass(monkeypatch, case):
     graded = quadrature._graded
     monkeypatch.setattr(quadrature, "_graded",
                         lambda *args: counts.append(args[1]) or graded(*args))
-    r = finite_oscillatory_integral(_on_line(parse_transform(text), x1, x2),
-                                    t, A, tol)
+    G, described = _on_line(parse_transform(text), x1, x2)
+    r = finite_oscillatory_integral(G, t, A, tol, **described)
     parts = _one_oscillation_parts(t, A)
     assert counts[0] == 2 if t == 0.0 else counts[0] < parts // 2
     full, half = _mp_values(_mp_split(text), x1, x2, t, A, parts)
@@ -466,11 +534,11 @@ def test_certificate_holds_past_the_leading_laurent_term(text, t):
     # first pass is as wide as the model allows; against mpmath the
     # values still lie within the estimate, and it within tol
     x1, x2, A, tol = 0.3, 0.5, 150.0, 1e-8
-    H = _on_line(parse_transform(text), x1, x2)
+    G, described = _on_line(parse_transform(text), x1, x2)
     y = np.linspace(0.0, A, 150_001)
-    assert quadrature._pole_mass(H.poles, A) < np.trapezoid(
-        np.abs(H.H(y)), y)
-    r = finite_oscillatory_integral(H, t, A, tol)
+    assert quadrature._pole_mass(described["poles"], A) < np.trapezoid(
+        np.abs(G(y)), y)
+    r = finite_oscillatory_integral(G, t, A, tol, **described)
     full, half = _mp_values(_mp_split(text), x1, x2, t, A,
                             _one_oscillation_parts(t, A))
     assert abs(r.value - full) <= r.abs_error_estimate <= tol
@@ -520,22 +588,16 @@ def test_graded_first_pass_meets_its_certificate(monkeypatch, text, x1, x2,
 
     monkeypatch.setattr(quadrature, "_graded", recorded)
     st = parse_transform(text)
-    integrand = _on_line(st, x1, x2)
-    assert isinstance(integrand, Hermitian) == st.is_real
+    integrand, described = _on_line(st, x1, x2)
+    assert described["hermitian"] == st.is_real
     calls = []
-    if st.is_real:
-        counted = Hermitian(lambda y: calls.append(y.size) or integrand.H(y),
-                            integrand.poles)
-    else:
-        def counted(y):
-            calls.append(y.size)
-            return integrand(y)
-        counted.poles = integrand.poles
-    r = finite_oscillatory_integral(counted, t, A, tol)
+    r = finite_oscillatory_integral(
+        lambda y: calls.append(y.size) or integrand(y), t, A, tol,
+        **described)
     assert splits[0] > 0 and len(calls) == 1
     F = _mp_split(text)
     cuts = {0.0, A}
-    for y_p, _, _ in integrand.poles:
+    for y_p, _, _ in described["poles"]:
         loc = abs(y_p.real)
         cuts.update(min(max(loc + k * 0.05, 0.0), A) for k in range(-4, 5))
     cuts.update(np.arange(0.0, A, 4.0).tolist())
@@ -552,7 +614,8 @@ def test_graded_first_pass_meets_its_certificate(monkeypatch, text, x1, x2,
         full = (2 * mpmath.re(right) if st.is_real
                 else right + integral(-1)) / (2 * mpmath.pi)
     assert abs(r.value - complex(full)) <= r.abs_error_estimate <= tol
-    alone = finite_oscillatory_integral(integrand, t, A / 2.0, tol)
+    alone = finite_oscillatory_integral(integrand, t, A / 2.0, tol,
+                                        **described)
     assert abs(r.half_value - alone.value) <= 2.0 * tol
     prefactor = math.exp(x1 * t if t >= 0 else -x2 * t)
     half = sl_inverse_numeric_pair(st, x1, x2, t, A, tol)[1]

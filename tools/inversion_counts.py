@@ -8,8 +8,8 @@ checkout's ``src/`` and the jobs come from its perfbench/workloads.py,
 which is only read.  Every numeric-invert job runs through the call the
 command line makes, with the integrand that numeric inversion hands to
 the quadrature wrapped to count its calls and the y values of each
-call.  Evaluations count y values as F sees them: a Hermitian is called
-on y >= 0 only, any other integrand on +-y.  The counts do not depend on
+call.  Evaluations count y values as F sees them: a hermitian integrand
+is called on y >= 0 only, any other on +-y.  The counts do not depend on
 the machine, so two trees whose counts differ do different work.
 """
 
@@ -38,24 +38,13 @@ def counts(seeds=(1, 2, 3), rounds=(0, 1, 2), tiny=False) -> dict:
     import symlap.cli
     import workloads as wl
     from symlap import inversion
-    from symlap.quadrature import Hermitian
 
     sizes = []
     on_line = inversion._on_line
 
     def counted(F, x1, x2):
-        G = on_line(F, x1, x2)
-        if isinstance(G, Hermitian):
-            return Hermitian(lambda y: sizes.append(y.size) or G.H(y),
-                             G.poles)
-
-        def H(y):
-            sizes.append(y.size)
-            return G(y)
-
-        if hasattr(G, "poles"):
-            H.poles = G.poles
-        return H
+        G, described = on_line(F, x1, x2)
+        return (lambda y: sizes.append(y.size) or G(y)), described
 
     run = wl.runner("numeric-invert", symlap.cli, None)
     out = {}
