@@ -233,6 +233,13 @@ class RationalFunction:
         return sum((len(f) - 1) * m for f, m in self.denf.items())
 
     @property
+    def degrees(self) -> str:
+        """Its degrees, which name it in an error message: its own text
+        may run to thousands of coefficients."""
+        return (f"numerator degree {self.num_degree}, denominator degree "
+                f"{self.den_degree}")
+
+    @property
     def is_real(self) -> bool:
         """Whether every coefficient is real, so that r(conj z) is
         conj r(z)."""
@@ -644,7 +651,8 @@ def evaluate_rational(r: RationalFunction, z):
     z = np.reshape(z, 1) if scalar else z
     den = _factors_at(r.denf, z)
     if den is not None and den.size and np.abs(den).min() < _POLE_GUARD:
-        raise PoleError(f"evaluation at a pole of {r}")
+        raise PoleError(
+            f"evaluation at a pole of a rational function of {r.degrees}")
     num = _factors_at(r.numf, z)
     out = r.scale if num is None else r.scale * num
     if den is not None:  # den is an array of its own: the quotient

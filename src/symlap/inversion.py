@@ -53,6 +53,7 @@ from .quadrature import (
 
 _EXP_GUARD = 700.0
 _FACTORIAL_MAX = 171  # the largest order whose (order-1)! is a float
+_TINY = float(np.finfo(float).tiny)  # the smallest normal float
 
 
 def _padded(a, m):
@@ -93,9 +94,8 @@ def partial_fractions(r: RationalFunction):
     """
     if not r.is_proper:
         raise PropernessError(
-            f"{r} is not strictly proper (numerator degree "
-            f"{r.num_degree} >= denominator degree {r.den_degree}); "
-            "no inverse in the rational table")
+            f"a rational function of {r.degrees} is not strictly "
+            "proper; no inverse in the rational table")
     if r.is_zero:
         return []
     roots = [(z, k, f) for f in r.denf for z, k in polynomial_roots(f)]
@@ -130,8 +130,8 @@ def partial_fractions(r: RationalFunction):
     gap = _reconstruction_gap(r, terms)
     if not gap <= 1e-10:
         raise RootFindingError(
-            f"partial fractions of {r} failed validation "
-            f"(reconstruction gap {gap:.3e})")
+            f"partial fractions of a rational function of {r.degrees} "
+            f"failed validation (reconstruction gap {gap:.3e})")
     return terms
 
 
@@ -197,61 +197,59 @@ def inverse_laplace_rational(terms, t):
     """Sum of the classical table applied to each term at time t >= 0,
     for a float t or elementwise for an array of them.
 
-    Where t^(order-1) * exp(pole*t) would pass exp(700), or (order-1)!
-    overflows a float (order above 171), the term is taken whole by
-    logarithms, the factorial's by lgamma, so that only a term whose
-    value overflows raises.  Raises ValueError for a non-finite or
-    negative t, and ExpOverflowError (an OverflowError) when
-    t^(order-1) * exp(pole*t) / (order-1)! of some term overflows,
-    naming the first such t and the first term at fault there; a
-    decaying term underflows harmlessly towards 0."""
+    A term is taken directly, c * t^(order-1) * exp(pole*t) / (order-1)!,
+    where every factor and partial product of that is a normal float,
+    and by logarithms elsewhere (_table), so that no value in float
+    range is lost to an overflow or underflow on the way.  Raises
+    ValueError for a non-finite or negative t, and ExpOverflowError (an
+    OverflowError, exit code 5 of `symlap invert`) where the modulus of
+    a term or of the sum passes the largest float, naming the first
+    such t and the first term at fault there."""
     ts = _times(t)
     if np.count_nonzero(ts < 0):
         raise ValueError("the one-sided table needs t >= 0")
-    total = np.zeros(len(ts), dtype=complex)
-    fault = None  # (index of the first t at fault, message)
-    for term in terms:
-        k, c, p = term.order, term.coefficient, term.pole
-        power = ts ** (k - 1)
-        # where t^(order-1) alone overflows, go by its logarithm, which
-        # is positive there
-        huge = np.isinf(power)
-        log_power = np.zeros_like(ts)
-        any_huge = np.count_nonzero(huge)
-        if any_huge:
-            log_power[huge] = (k - 1) * np.log(ts[huge])
-        # where t^(order-1) * exp(pole*t) or (order-1)! overflows, go by
-        # the logarithm of the whole term, the factorial's by lgamma
-        logged = log_power + p.real * ts > _EXP_GUARD
-        if k > _FACTORIAL_MAX:
-            logged[:] = True
-        any_logged = np.count_nonzero(logged)
-        if any_logged:
-            log_value = ((k - 1) * np.log(ts[logged]) - math.lgamma(k)
-                         + p * ts[logged])
-            over = log_value.real > _EXP_GUARD
-            if np.count_nonzero(over):
-                j = int(logged.nonzero()[0][np.argmax(over)])
-                if fault is None or j < fault[0]:
-                    fault = (j, _overflow_message(term, float(ts[j])))
-                continue
-        fact = math.factorial(k - 1) if k <= _FACTORIAL_MAX else math.inf
-        value = c * power * np.exp(p * ts) / fact
-        if any_huge:
-            value[huge] = c * np.exp(log_power[huge] + p * ts[huge]) / fact
-        if any_logged:
-            value[logged] = c * np.exp(log_value)
-        total += value
-    if fault is not None:
-        raise ExpOverflowError(fault[1])
+    total = sum((_table(term, ts) for term in terms),
+                np.zeros(len(ts), dtype=complex))
+    over = ~(np.abs(total) < math.inf)  # past float range, or nan
+    if np.count_nonzero(over):
+        at = float(ts[np.argmax(over)])
+        for term in terms:
+            if not abs(_table(term, np.array([at]))[0]) < math.inf:
+                raise ExpOverflowError(_overflow_message(term, at))
+        raise ExpOverflowError(f"the sum of the terms overflows at t={at}")
     return _shaped(total, t)
+
+
+def _table(term, ts):
+    """The term's table value at each of the times ts: directly where
+    every factor and partial product of it is a normal float, and
+    elsewhere, or at every t where (order-1)! is no float (order above
+    171), by logarithms: exp(log|c| - lgamma(order) + (order-1)*log(t) +
+    pole*t) times the phase of c.  log|c| sits in the exponent, so that
+    a large coefficient cannot overflow first and a small one cannot
+    underflow first; a zero coefficient stays 0."""
+    k, c, p = term.order, term.coefficient, term.pole
+    # a factorial past float range as nan sends every t to logarithms
+    fact = math.factorial(k - 1) if k <= _FACTORIAL_MAX else math.nan
+    power, grow = ts ** (k - 1), np.exp(p * ts)
+    head = c * power
+    value = head * grow / fact
+    size = np.abs(value)  # inf or nan where anything overflowed
+    least = np.minimum(np.minimum(power, np.abs(grow)), np.abs(head))
+    logged = ~((np.minimum(least, size) >= _TINY) & (size < math.inf))
+    if np.count_nonzero(logged):
+        log_power = (k - 1) * np.log(ts[logged]) if k > 1 else 0.0
+        value[logged] = np.exp(np.log(abs(c)) - math.lgamma(k) + log_power
+                               + p * ts[logged]) * np.exp(1j * np.angle(c))
+    return value
 
 
 def _overflow_message(term, t):
     growth = f"exp({term.pole.real * t:.1f})"
     if term.order > 1:
         growth = f"t^{term.order - 1} * {growth} / {term.order - 1}!"
-    return f"{growth} overflows for pole {term.pole} at t={t}"
+    return (f"{abs(term.coefficient):.3g} * {growth} overflows for pole "
+            f"{term.pole} at t={t}")
 
 
 def sl_inverse_split(st: SplitTransform, t):
@@ -272,8 +270,8 @@ def sl_inverse_split(st: SplitTransform, t):
     for label, g in (("g1", st.g1), ("g2", st.g2)):
         if not g.is_proper:
             raise PropernessError(
-                f"{label} = {g} is not strictly proper; the split "
-                "transform has no classical inverse")
+                f"{label}, of {g.degrees}, is not strictly proper; the "
+                "split transform has no classical inverse")
     out = np.zeros(len(ts), dtype=complex)
     neg = ts < 0
     sides = [(~neg, "g1_terms", 1.0), (neg, "g2_terms", -1.0)]

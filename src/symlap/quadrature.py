@@ -100,8 +100,10 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 
@@ -160,6 +162,8 @@ _WG[1::2] = _WG7
 MAX_EVALUATIONS = 2 ** 20
 _EPS = float(np.finfo(float).eps)
 _MAX_PANELS = 4096  # laplace_grid's first pass; farther y take a second
+# exp(x) is a normal float for |x| below this (about 708.4 and 709.8)
+_LOG_NORMAL = 708.0
 
 # GK15 error model on a panel of half-width h whose integrand turns at
 # theta = omega*h radians per unit: phi(theta) = |sum_j (w^K_j - w^G_j) *
@@ -317,7 +321,8 @@ def truncation_point(bound: ExponentialOrderBound, x: float,
     method started at z = max(log(M*d!/(tol*r^(d+1))), d) steps past the
     root at most once and then descends to it from above.  A quotient
     M/(tol*r) or M/tol that leaves float range is taken as a difference
-    of logarithms (_log_ratio); a T beyond the largest float raises
+    of logarithms (_log_ratio), and so is a Newton step whose e_d(z), d!
+    or z^d does (_exp_sum); a T beyond the largest float raises
     AccuracyError.
     """
     require_positive(tol=tol)
@@ -339,9 +344,15 @@ def truncation_point(bound: ExponentialOrderBound, x: float,
             return 0.0
         z = max(excess, float(d))
         for _ in range(100):
-            e_d = _exp_sum(z, d)
-            step = ((math.log(e_d) - z + excess) * e_d * math.factorial(d)
-                    / z ** d)
+            e_d, log_e = _exp_sum(z, d)
+            gap = log_e - z + excess
+            try:
+                step = gap * e_d * math.factorial(d) / z ** d
+            except OverflowError:  # d! or z^d past float range
+                step = math.nan
+            if not abs(step) < math.inf:
+                step = gap * math.exp(log_e + math.lgamma(d + 1)
+                                      - d * math.log(z))
             z += step
             if abs(step) <= 4.0 * _EPS * z:
                 break
@@ -364,23 +375,44 @@ def _log_ratio(M, *factors):
 
 
 def _exp_sum(z, d):
-    """e_d(z), the sum of z^k/k! for k <= d."""
-    return math.fsum(z ** k / math.factorial(k) for k in range(d + 1))
+    """e_d(z), the sum of z^k/k! for k <= d, and its logarithm: the sum
+    directly where every term and the sum are floats, else inf and the
+    logarithm taken about the largest term."""
+    try:
+        e_d = math.fsum(z ** k / math.factorial(k) for k in range(d + 1))
+    except (OverflowError, ValueError):  # a term or the sum past range
+        e_d = math.inf if z else 1.0  # at z = 0 only z^0/0! = 1 is not 0
+    if e_d < math.inf:
+        return e_d, math.log(e_d)
+    logs = [k * math.log(z) - math.lgamma(k + 1) for k in range(d + 1)]
+    top = max(logs)
+    return e_d, top + math.log(math.fsum(math.exp(a - top) for a in logs))
+
+
+def _direct_or_logs(direct, logs):
+    """The float product direct() takes, of factors whose logarithms are
+    logs in the order it takes them: directly where every factor and
+    partial product is a normal float (their logarithms, logs and its
+    running sums, are below _LOG_NORMAL in size), else exp of the sum of
+    logs, with each term's rounding (a few ulps) added to that sum, and
+    inf where that sum reaches _LOG_NORMAL."""
+    if max(map(abs, (*logs, *itertools.accumulate(logs)))) < _LOG_NORMAL:
+        return direct()
+    total = math.fsum(logs) + 4.0 * _EPS * sum(map(abs, logs))
+    return math.exp(total) if total < _LOG_NORMAL else math.inf
 
 
 def _tail_bound(bound, x, T):
     """The envelope's tail beyond T (see truncation_point), rounded up."""
     rate = x - bound.a
     d = int(bound.degree)
-    z, scale = rate * T, rate ** (d + 1)
-    if scale:
-        tail = (bound.M * math.factorial(d) * math.exp(-z) * _exp_sum(z, d)
-                / scale)
-    else:  # rate^(d+1) underflows: by logarithms, each term's rounding
-        # (a few ulps) added to their sum
-        logs = (math.log(bound.M), math.lgamma(d + 1), -z,
-                math.log(_exp_sum(z, d)), -(d + 1) * math.log(rate))
-        tail = math.exp(math.fsum(logs) + 4.0 * _EPS * sum(map(abs, logs)))
+    z = rate * T
+    e_d, log_e = _exp_sum(z, d)
+    tail = _direct_or_logs(
+        lambda: (bound.M * math.factorial(d) * math.exp(-z) * e_d
+                 / rate ** (d + 1)),
+        (math.log(bound.M), math.lgamma(d + 1), -z, log_e,
+         -(d + 1) * math.log(rate)))
     return tail * (1.0 + 4.0 * (d + 3) * _EPS)
 
 
@@ -405,12 +437,15 @@ def _truncate(bound, x, tol, tail_cut):
             T_cut = float(tail_cut(tol / 2.0))
             if T_cut < T:
                 T, tail = T_cut, tol / 2.0
-        scale = rate ** (d + 1)  # 0 where it underflows: no finite mass
-        return T, tail, 1.0 / rate, (M * math.factorial(d) / scale if scale
-                                     else math.inf)
+        return T, tail, 1.0 / rate, _direct_or_logs(
+            lambda: M * math.factorial(d) / rate ** (d + 1),
+            (math.log(M), math.lgamma(d + 1), -(d + 1) * math.log(rate)))
     if cut:
         T = float(tail_cut(tol / 2.0))
-        return T, tol / 2.0, 1.0, M * T ** (d + 1) / (d + 1)
+        return T, tol / 2.0, 1.0, (_direct_or_logs(
+            lambda: M * T ** (d + 1) / (d + 1),
+            (math.log(M), (d + 1) * math.log(T), -math.log(d + 1)))
+            if min(M, T) > 0.0 else 0.0)
     raise DivergenceError(
         f"damping x={x} does not exceed growth rate a={bound.a}")
 
@@ -420,8 +455,9 @@ def _affordable(panels, cost):
     panels of cost evaluations each fit in MAX_EVALUATIONS."""
     if cost * panels > MAX_EVALUATIONS:
         raise AccuracyError(
-            f"budget cannot resolve the oscillation: {panels} initial "
-            f"panels need {cost * panels} evaluations (> {MAX_EVALUATIONS})")
+            f"budget cannot resolve the oscillation: {Decimal(panels):.3g} "
+            f"initial panels need {Decimal(cost * panels):.3g} evaluations "
+            f"(> {MAX_EVALUATIONS})")
 
 
 def _model_theta(budget, mass):

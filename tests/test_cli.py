@@ -217,16 +217,39 @@ _DEEP = "(" * 300 + "s" + ")" * 300
      6.7915032994648558611e170),
     (("invert", "--expr", "1/((s+1)^64)^4", "--t", "1"), 0, 0.0),
     (("invert", "--expr", "1/((s+1)^64)^4", "--t", "300"), 0,
-     7.1190215334774511860e-4)],
+     7.1190215334774511860e-4),
+    (("invert", "--expr", "1/(s-5)^50", "--t", "100"), 0,
+     2.3074701069400386e252),
+    (("invert", "--expr", "1e-10/(s-2)^3", "--t", "360"), 0,
+     3.1886142028109527e307),
+    (("invert", "--expr", "1/(s-1)", "--t", "705"), 0,
+     1.5052538330631941e306),
+    (("invert", "--expr", "1e300/(s-1)", "--t", "600"), 5,
+     "overflows for pole (1+0j) at t=600.0"),
+    (("invert", "--expr", "1/(s-1) + 1/(s-1.0000001)", "--t", "709.5"), 5,
+     "the sum of the terms overflows at t=709.5"),
+    (("invert", "--expr", "1/((s+1)^64)^16", "--t", "1"), 5,
+     "failed validation"),
+    (("invert", "--expr", "(s+1)^64*(s+1)^64/(s+2)^3", "--t", "1"), 5,
+     "is not strictly proper"),
+    (("invert-numeric", "--expr", "1/((s+1)^64)^4", "--x1", "-1", "--x2",
+      "1", "--t", "1", "--A", "10"), 5, "evaluation at a pole")],
     ids=["deep-parentheses", "long-sign-run", "forward-x-1e-300",
          "forward-x-5e-324", "forward-ramp-tol-1e-200",
          "invert-numeric-tol-1e-300", "invert-s^171", "invert-s^100",
-         "invert-(s+1)^256-t1", "invert-(s+1)^256-t300"])
+         "invert-(s+1)^256-t1", "invert-(s+1)^256-t300",
+         "invert-(s-5)^50-t100", "invert-1e-10-(s-2)^3-t360",
+         "invert-(s-1)-t705", "invert-1e300-(s-1)-t600",
+         "invert-sum-overflow-t709.5", "invert-(s+1)^1024-t1",
+         "invert-(s+1)^128-over-(s+2)^3", "invert-numeric-at-a-pole"])
 def test_edge_inputs_exit_typed_or_print_their_value(args, code, value):
     # nesting past Python's recursion limit, damping or tolerance past
-    # float range and table terms past the factorial's: a traceback, an
-    # error that named no cause or a false overflow before.  An error row
-    # gives the cause its message names, a value row its value by mpmath
+    # float range and table terms past the factorial's or past float
+    # range on the way: a traceback, an error that named no cause, a
+    # false overflow or inf,nan before; error lines of hundreds of
+    # digits or the whole expanded polynomial.  An error row gives the
+    # cause its message names in one short line, a value row its value
+    # by mpmath
     cp = run_cli(*args, env={"PYTHONWARNINGS": "error::RuntimeWarning"})
     assert cp.returncode == code, cp.stderr
     assert "Traceback" not in cp.stderr
@@ -234,6 +257,7 @@ def test_edge_inputs_exit_typed_or_print_their_value(args, code, value):
         assert cp.stdout == ""
         assert cp.stderr.startswith("symlap: ") and value in cp.stderr
         assert len(cp.stderr.strip().splitlines()) == 1
+        assert len(cp.stderr.encode()) <= 300, len(cp.stderr.encode())
         return
     assert cp.stderr == ""
     header, row = cp.stdout.splitlines()

@@ -379,6 +379,20 @@ def test_missed_oscillation_falls_back_to_refinement(ys, tol, evaluations,
         assert p.abs_error_estimate <= tol
 
 
+def test_refined_ys_refuses_a_refine_caller_it_cannot_classify(refined_ys):
+    # numeric inversion passes unrecorded; any caller that is neither it
+    # nor a forward row fails, so that renaming the closure variables
+    # the fixture reads cannot make the refined_ys == [] tests vacuous
+    from symlap.expr import parse_transform
+    from symlap.inversion import sl_inverse_numeric
+
+    sl_inverse_numeric(parse_transform("1/(s+1)"), 1.0, 1.0, 0.5, 50.0,
+                       1e-6)
+    assert refined_ys == []
+    with pytest.raises(AssertionError, match="cannot classify"):
+        quadrature._refine(lambda mids, halves: None, *[None] * 9)
+
+
 def test_refinement_keeps_the_pass_panels_it_does_not_split(refined_ys):
     # e^-t + cos(40 t)*e^(-20 t): only the first of the 21 panels see the
     # oscillation, so each y splits 5 and keeps the other 16 with the

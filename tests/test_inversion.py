@@ -179,6 +179,47 @@ class TestRationalTable:
                                  r"overflows for pole \(1\+0j\)"):
             sl_inverse_split(parse_transform("1/((s-1)^64)^4"), 1e6)
 
+    def test_the_table_against_mpmath_over_a_seeded_sweep(self):
+        # orders 1-300, t in [0, 2000], Re(pole) and Im(pole) in [-5, 5]
+        # and |c| from 1e-300 to 1e300: each value within rel 1e-12 of
+        # mpmath at 40 digits, 0.0 where that is below the smallest
+        # subnormal (a subnormal also within a few of its spacing), and
+        # ExpOverflowError exactly where |value| passes the largest float
+        import mpmath
+
+        rng = np.random.default_rng(24)
+        n = 1500
+        orders = rng.integers(1, 301, n).tolist()
+        ts = rng.uniform(0.0, 2000.0, n).tolist()
+        poles = (rng.uniform(-5.0, 5.0, n)
+                 + 1j * rng.uniform(-5.0, 5.0, n)).tolist()
+        cs = (10.0 ** rng.uniform(-300.0, 300.0, n)
+              * np.exp(1j * rng.uniform(-np.pi, np.pi, n))).tolist()
+        largest = mpmath.mpf(np.finfo(float).max)
+        spacing = 2.0 ** -1074  # of the subnormals
+        seen = {"value": 0, "zero": 0, "overflow": 0}
+        for k, t, p, c in zip(orders, ts, poles, cs):
+            with mpmath.workdps(40):
+                want = (mpmath.mpc(c) * mpmath.mpf(t) ** (k - 1)
+                        * mpmath.exp(mpmath.mpc(p) * t)
+                        / mpmath.factorial(k - 1))
+                size = abs(want)
+            term = PartialFractionTerm(p, k, c)
+            if size > largest:
+                seen["overflow"] += 1
+                with pytest.raises(ExpOverflowError):
+                    inverse_laplace_rational([term], t)
+                continue
+            got = inverse_laplace_rational([term], t)
+            if size < mpmath.mpf(spacing) / 2:
+                seen["zero"] += 1
+                assert got == 0j, (k, t, p, c)
+                continue
+            seen["value"] += 1
+            assert abs(got - complex(want)) <= (1e-12 * float(size)
+                                                + 4 * spacing), (k, t, p, c)
+        assert min(seen.values()) >= 100, seen
+
     @pytest.mark.parametrize("t", [math.nan, math.inf])
     def test_non_finite_time_rejected(self, t):
         terms = parse_transform("1/s - 1/cs").g1_terms

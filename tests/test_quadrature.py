@@ -39,12 +39,16 @@ def test_truncation_point_clamps_at_zero():
 
 @pytest.mark.parametrize("M,a,degree,x,tol", [
     (1.0, 0.0, 0, 1e-300, 2.5e-9), (1.0, 0.0, 0, 1e10, 1e-320),
-    (1.0, 0.0, 1, 1e-200, 2.5e-201), (1e300, 0.0, 3, 1e-300, 1e-300)])
+    (1.0, 0.0, 1, 1e-200, 2.5e-201), (1e300, 0.0, 3, 1e-300, 1e-300),
+    (1.0, 0.0, 107, 1.0, 1e-8), (1.0, 0.0, 120, 1.0, 1e-8),
+    (1.0, 0.0, 171, 1.0, 1e-8), (1.0, 0.0, 200, 1.0, 1e-8)])
 def test_truncation_point_goes_by_logarithms_out_of_float_range(M, a, degree,
                                                                 x, tol):
     # M/(tol*rate) or M/tol overflowed, which gave T = inf (d = 0) or nan
     # (d > 0), and rate^(d+1) underflowed in the tail, a ZeroDivisionError;
-    # by mpmath the tail beyond T is tol, and the rounded-up bound of it
+    # from degree 107 on e_d(z), z^k or d! left float range, a bare
+    # ValueError or OverflowError.  By mpmath the tail beyond T is tol,
+    # and the rounded-up bound of it
     import mpmath
 
     bound = ExponentialOrderBound(M, a, degree)
@@ -77,7 +81,8 @@ def test_truncation_point_beyond_the_largest_float_is_an_accuracy_error():
 
 @pytest.mark.parametrize("M,a,degree,x,tol", [
     (1.0, 0.0, 0, 1e-300, 1e-8), (1.0, 0.0, 0, 5e-324, 1e-8),
-    (1.0, 0.0, 1, 1e-200, 1e-200), (1e300, 0.0, 3, 1e-300, 2e-300)])
+    (1.0, 0.0, 1, 1e-200, 1e-200), (1e300, 0.0, 3, 1e-300, 2e-300),
+    (1.0, 0.0, 171, 1.0, 1e-8), (1.0, 0.0, 200, 1.0, 1e-8)])
 def test_a_pass_past_float_range_raises_before_any_evaluation(M, a, degree,
                                                               x, tol):
     count = [0]
