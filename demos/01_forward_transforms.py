@@ -6,7 +6,7 @@ neither the Fourier nor the one-sided Laplace transform applies, but
 this one does.
 """
 
-from symlap import SLPoint, catalog_signal, sl_forward, sl_forward_symmetric
+from symlap import SLPoint, catalog_signal, sl_forward
 
 sign = catalog_signal("sign")
 
@@ -18,19 +18,19 @@ for x1, x2, y in [(1.0, 1.0, 1.0), (2.0, 3.0, 0.5), (0.5, 0.5, 5.0)]:
           f"closed {closed:.9f}  |gap| {abs(got.value - closed):.2e}")
 
 print()
-print("Equal damping x1 = x2 = Re(s) gives the s-form; for sign(t) that")
-print("is 1/s - 1/conj(s):")
+print("Equal damping x1 = x2 = Re(s), y = Im(s) gives the s-form; for")
+print("sign(t) that is 1/s - 1/conj(s):")
 for s in (1 + 1j, 2 - 0.5j):
-    got = sl_forward_symmetric(sign, s, 1e-9).value
+    got = sl_forward(sign, SLPoint(s.real, s.real, s.imag), 1e-9).value
     closed = 1.0 / s - 1.0 / s.conjugate()
     print(f"  s={s}: {got:.9f}  vs  {closed:.9f}")
 
 print()
 print("A signal that vanishes for t < 0 reduces to the classical Laplace")
-print("transform: heaviside -> 1/s.")
+print("transform at the point SLPoint(Re s, Re s, Im s): heaviside -> 1/s.")
 h = catalog_signal("heaviside")
 for s in (2.0 + 0j, 1 + 1j):
-    got = sl_forward_symmetric(h, s, 1e-9).value
+    got = sl_forward(h, SLPoint(s.real, s.real, s.imag), 1e-9).value
     print(f"  s={s}: {got:.9f}  vs  {1.0 / s:.9f}")
 
 print()

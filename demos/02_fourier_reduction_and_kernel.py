@@ -1,8 +1,9 @@
 """Fourier reduction at zero damping, and why real arguments lose
 invertibility.
 
-At x1 = x2 = 0 the transform is the plain Fourier transform, defined
-whenever the signal is absolutely integrable.  Restricting the
+At x1 = x2 = 0, the point SLPoint(0, 0, y), the transform is the plain
+Fourier transform, defined whenever the signal is absolutely
+integrable.  Restricting the
 transform to real arguments instead of complex ones collapses its
 kernel: f(t) = t transforms to exactly zero for every real s, so two
 different signals can share a transform there.
@@ -10,19 +11,19 @@ different signals can share a transform there.
 
 import math
 
-from symlap import SLPoint, catalog_signal, fourier_reduction, sl_forward
+from symlap import SLPoint, catalog_signal, sl_forward
 
 gauss = catalog_signal("gauss")
 print("Gaussian Fourier pair: exp(-t^2) -> sqrt(pi) * exp(-y^2/4)")
 for y in (0.0, 1.0, 2.0, 4.0):
-    got = fourier_reduction(gauss, y, 1e-10).value
+    got = sl_forward(gauss, SLPoint(0.0, 0.0, y), 1e-10).value
     closed = math.sqrt(math.pi) * math.exp(-y * y / 4.0)
     print(f"  y={y}: {got.real:.12f}  closed {closed:.12f}")
 
 print()
 print("Signals without decay are rejected (not absolutely integrable):")
 try:
-    fourier_reduction(catalog_signal("one"), 1.0, 1e-8)
+    sl_forward(catalog_signal("one"), SLPoint(0.0, 0.0, 1.0), 1e-8)
 except Exception as exc:
     print(f"  one: {type(exc).__name__}: {exc}")
 

@@ -59,13 +59,7 @@ from .expr import (
     parse_transform,
     polynomial_roots,
 )
-from .forward import (
-    fourier_reduction,
-    sl_forward,
-    sl_forward_grid,
-    sl_forward_symmetric,
-    sl_forward_values,
-)
+from .forward import sl_forward, sl_forward_values
 from .inversion import (
     PartialFractionTerm,
     inverse_laplace_rational,
@@ -119,7 +113,6 @@ __all__ = [
     "erf",
     "evaluate_rational",
     "finite_oscillatory_integral",
-    "fourier_reduction",
     "heat_residual",
     "heat_solution",
     "heat_transform_identity",
@@ -135,8 +128,6 @@ __all__ = [
     "partial_fractions",
     "polynomial_roots",
     "sl_forward",
-    "sl_forward_grid",
-    "sl_forward_symmetric",
     "sl_forward_values",
     "sl_inverse_numeric",
     "sl_inverse_numeric_pair",

@@ -110,6 +110,10 @@ class PiecewiseSignal:
     osc_hint: float = 0.0
     tail_cut: Optional[Callable[[float], float]] = None
 
+    def __post_init__(self):
+        if not math.isfinite(self.osc_hint):
+            raise ValueError(f"osc_hint must be finite, got {self.osc_hint}")
+
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
         scalar = t_arr.ndim == 0

@@ -1,4 +1,4 @@
-"""Forward symmetric Laplace transform and its reduction special cases.
+"""Forward symmetric Laplace transform.
 
 The transform of a signal f at the point (x1, x2, y) is
 
@@ -7,7 +7,9 @@ The transform of a signal f at the point (x1, x2, y) is
 which splits into two one-sided Laplace integrals: the positive piece at
 s1 = x1 + i*y and (after t -> -t) the reflected negative piece at
 conj(s2) = x2 - i*y.  The requested tolerance is split evenly between
-them.
+them.  The classical transforms are points of this one: the Fourier
+transform is SLPoint(0, 0, y), and the Laplace transform at s of an f
+that vanishes on t < 0 is SLPoint(Re s, Re s, Im s).
 
 Along a line of fixed damping (x1, x2) the oscillation y is the Fourier
 direction, so a whole y-grid is evaluated at once: each half-line takes
@@ -16,9 +18,9 @@ for the y beyond 4096 such panels (quadrature.laplace_grid); only a y
 whose panel certificate misses its budget has its own panels bisected.
 one_sided_values is that pass for one half-line, and the one path by
 which the package takes a one-sided transform: the derivative rules and
-the heat and ODE checks call it too.  sl_forward_values returns a grid's values and estimates as
-arrays, which `symlap forward` writes as they are; sl_forward_grid
-wraps them as TransformSamples, and sl_forward is the one-point grid.
+the heat and ODE checks call it too.  sl_forward_values returns a
+grid's values and estimates as arrays, which `symlap forward` writes as
+they are, and sl_forward is its one-point case as a TransformSample.
 """
 
 from __future__ import annotations
@@ -52,7 +54,8 @@ def one_sided_values(f: PiecewiseSignal, side: str, x: float, ys,
         label = "positive" if side == "pos" else "negative"
         raise DivergenceError(
             f"{label} half-line diverges: damping x={x} must exceed "
-            f"the growth rate a={bound.a} of the signal on that side")
+            f"the growth rate a={bound.a} of the signal on that side; "
+            "a tail_cut certifies the side at any x >= 0")
     piece = f.pos if side == "pos" else lambda u: f.neg(-u)
     return laplace_grid(piece, bound, x, ys, tol, osc=f.osc_hint,
                         tail_cut=f.tail_cut)
@@ -83,45 +86,8 @@ def sl_forward_values(f: PiecewiseSignal, x1: float, x2: float, ys,
     return value, estimate
 
 
-def sl_forward_grid(f: PiecewiseSignal, x1: float, x2: float, ys,
-                    tol: float) -> list[TransformSample]:
-    """sl_forward_values as one TransformSample per y in ys, with the
-    same errors."""
-    ys = list(ys)
-    value, estimate = sl_forward_values(f, x1, x2, ys, tol)
-    return [TransformSample(SLPoint(x1, x2, y), complex(v), float(e))
-            for y, v, e in zip(ys, value, estimate)]
-
-
 def sl_forward(f: PiecewiseSignal, p: SLPoint, tol: float) -> TransformSample:
     """Evaluate the transform of f at p to absolute tolerance tol: the
-    one-point case of sl_forward_grid, with the same errors."""
-    return sl_forward_grid(f, p.x1, p.x2, [p.y], tol)[0]
-
-
-def sl_forward_symmetric(f: PiecewiseSignal, s: complex,
-                         tol: float) -> TransformSample:
-    """Transform at equal damping x1 = x2 = Re(s), oscillation Im(s).
-
-    This is the form that reduces to the classical one-sided Laplace
-    transform when f vanishes on t < 0.
-    """
-    s = complex(s)
-    return sl_forward(f, SLPoint(s.real, s.real, s.imag), tol)
-
-
-def fourier_reduction(f: PiecewiseSignal, y: float,
-                      tol: float) -> TransformSample:
-    """Transform at x1 = x2 = 0, i.e. the Fourier transform of f.
-
-    Requires certified absolute integrability: either both envelopes
-    decay (a < 0 on each side) or the signal carries a tail_cut.
-    """
-    integrable = ((f.bound_pos.a < 0 and f.bound_neg.a < 0)
-                  or f.tail_cut is not None)
-    if not integrable:
-        raise DivergenceError(
-            f"signal {f.name!r} is not certified absolutely integrable; "
-            "the Fourier reduction x1 = x2 = 0 needs decaying envelopes "
-            "or an explicit tail_cut")
-    return sl_forward(f, SLPoint(0.0, 0.0, y), tol)
+    one-point case of sl_forward_values, with the same errors."""
+    value, estimate = sl_forward_values(f, p.x1, p.x2, [p.y], tol)
+    return TransformSample(p, complex(value[0]), float(estimate[0]))

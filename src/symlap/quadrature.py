@@ -425,21 +425,27 @@ def _truncate(bound, x, tol, tail_cut):
 
     The envelope certifies a tail when x > a, and a tail_cut (the
     integral of |f| beyond its cut) when x >= 0, since the damping then
-    only shrinks |f|; the shorter of the two cuts wins.
+    only shrinks |f|; the shorter of the two cuts wins, and the cut
+    alone where the envelope's T is past float range.
     """
     M, d = bound.M, int(bound.degree)
     cut = tail_cut is not None and x >= 0.0
     if x > bound.a:
         rate = x - bound.a
-        T = truncation_point(bound, x, tol / 2.0)
-        tail = _tail_bound(bound, x, T)
-        if cut:
-            T_cut = float(tail_cut(tol / 2.0))
-            if T_cut < T:
-                T, tail = T_cut, tol / 2.0
-        return T, tail, 1.0 / rate, _direct_or_logs(
-            lambda: M * math.factorial(d) / rate ** (d + 1),
-            (math.log(M), math.lgamma(d + 1), -(d + 1) * math.log(rate)))
+        try:
+            T = truncation_point(bound, x, tol / 2.0)
+        except AccuracyError:  # T overflows
+            if not cut:
+                raise
+        else:
+            tail = _tail_bound(bound, x, T)
+            if cut:
+                T_cut = float(tail_cut(tol / 2.0))
+                if T_cut < T:
+                    T, tail = T_cut, tol / 2.0
+            return T, tail, 1.0 / rate, _direct_or_logs(
+                lambda: M * math.factorial(d) / rate ** (d + 1),
+                (math.log(M), math.lgamma(d + 1), -(d + 1) * math.log(rate)))
     if cut:
         T = float(tail_cut(tol / 2.0))
         return T, tol / 2.0, 1.0, (_direct_or_logs(
@@ -667,7 +673,8 @@ def laplace_grid(piece, bound: ExponentialOrderBound, x: float, ys,
     half-width h on which the integrand turns at rate omega has
     theta = omega*h, and the pass's |K - G| sum is about phi(theta)
     times the integral of |v| over [0, T], at most the envelope's mass
-    M*d!/(x - a)^(d+1) (M*T^(d+1)/(d+1) under a tail_cut with x <= a).
+    M*d!/(x - a)^(d+1) (M*T^(d+1)/(d+1) under a tail_cut that alone
+    certifies the tail).
     theta is the largest value up to pi whose prediction is a quarter
     of the tol/2 panel budget (_model_theta).  omega bounds the rate of
     the damped kernel, |y| + |osc| + |x|, plus, for a piece with a
@@ -695,7 +702,9 @@ def laplace_grid(piece, bound: ExponentialOrderBound, x: float, ys,
         return values.reshape(ys.shape), estimates.reshape(ys.shape)
     T, tail, scale, mass = _truncate(bound, float(x), float(tol), tail_cut)
     if T <= 0.0 or ys.size == 0:
-        _finite(piece(np.zeros(1)))
+        f0 = float(np.abs(_finite(piece(np.zeros(1)))).max())
+        if f0 > bound.envelope(0.0):  # T = 0 trusted an envelope f breaks
+            raise ValueError(f"|f(0)| = {f0} breaks the envelope {bound}")
         return np.zeros(ys.shape, dtype=complex), np.full(ys.shape, tail)
     theta = _model_theta(tol / 2.0, mass)
     ay = np.abs(ys)

@@ -19,8 +19,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import PiecewiseSignal
-from .forward import one_sided_values, sl_forward_symmetric
+from .core import PiecewiseSignal, SLPoint
+from .forward import one_sided_values, sl_forward
 
 
 @dataclass(frozen=True)
@@ -124,6 +124,6 @@ def check_rule_consistency(f: PiecewiseSignal, f_nth: PiecewiseSignal,
         f0_minus = complex(np.asarray(f.neg(zero), dtype=complex)[0])
         bd = BoundaryData((f0_plus,), (f0_minus,))
     quad_tol = tol / (8.0 * max(1.0, abs(s)) ** n)
-    lhs = sl_forward_symmetric(f_nth, s, quad_tol).value
+    lhs = sl_forward(f_nth, SLPoint(s.real, s.real, s.imag), quad_tol).value
     rule = derivative_rule(transform_pair_of(f, quad_tol / 2.0), bd, n)
     return abs(lhs - rule.combined(s))

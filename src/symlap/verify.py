@@ -30,7 +30,7 @@ from .applications import (
 )
 from .core import ExponentialOrderBound, PiecewiseSignal, SLPoint, catalog_signal
 from .expr import parse_transform
-from .forward import fourier_reduction, sl_forward, sl_forward_values
+from .forward import sl_forward, sl_forward_values
 from .inversion import (
     sl_inverse_numeric,
     sl_inverse_numeric_pair,
@@ -130,13 +130,13 @@ def criterion_examples_2_3_grid() -> CriterionResult:
 def criterion_reductions() -> CriterionResult:
     """Laplace reduction on the heaviside signal (1/s), one grid pass per
     damping row, and Fourier reduction on the Gaussian
-    (sqrt(pi) * exp(-y^2/4)) through fourier_reduction, point by point."""
+    (sqrt(pi) * exp(-y^2/4)) at x1 = x2 = 0, point by point."""
     worst_l = _worst_row_gap(catalog_signal("heaviside"),
                              lambda s1, s2c: 1.0 / s1)
     g = catalog_signal("gauss")
     worst_f = 0.0
     for y in (0.0, 1.0, 2.0):
-        num = fourier_reduction(g, y, 1e-9).value
+        num = sl_forward(g, SLPoint(0.0, 0.0, y), 1e-9).value
         closed = math.sqrt(math.pi) * math.exp(-y * y / 4.0)
         worst_f = max(worst_f, abs(num - closed))
     return _finish("reductions", [Part("heaviside vs 1/s", worst_l, 1e-8),

@@ -11,9 +11,9 @@ import pytest
 from symlap import errors
 from symlap.cli import (forward_csv, grid_points, invert_csv,
                         invert_numeric_csv, main)
-from symlap.core import CATALOG_NAMES, catalog_signal
+from symlap.core import CATALOG_NAMES, SLPoint, TransformSample, catalog_signal
 from symlap.errors import DivergenceError
-from symlap.forward import sl_forward_grid
+from symlap.forward import sl_forward_values
 
 
 def run_cli(*args: str, env=None) -> subprocess.CompletedProcess:
@@ -208,6 +208,12 @@ _DEEP = "(" * 300 + "s" + ")" * 300
       "--y", "1"), 5, "truncation point overflows"),
     (("forward", "--signal", "ramp", "--x1", "1e-200", "--x2", "1e-200",
       "--y", "1", "--tol", "1e-200"), 5, "budget cannot resolve"),
+    (("forward", "--signal", "sincos", "--freq", "inf", "--x1", "1", "--x2",
+      "1", "--y", "0"), 2, "osc_hint must be finite, got inf"),
+    (("forward", "--signal", "sincos", "--freq=-inf", "--x1", "1", "--x2",
+      "1", "--y", "0"), 2, "osc_hint must be finite, got inf"),
+    (("forward", "--signal", "sincos", "--freq", "nan", "--x1", "1", "--x2",
+      "1", "--y", "0"), 2, "osc_hint must be finite, got nan"),
     (("invert-numeric", "--expr", "1/(s+1)+1/(cs+2)", "--x1", "1", "--x2",
       "1", "--t", "0.5", "--tol", "1e-300"), 5,
      "refinement budget exhausted"),
@@ -235,7 +241,8 @@ _DEEP = "(" * 300 + "s" + ")" * 300
     (("invert-numeric", "--expr", "1/((s+1)^64)^4", "--x1", "-1", "--x2",
       "1", "--t", "1", "--A", "10"), 5, "evaluation at a pole")],
     ids=["deep-parentheses", "long-sign-run", "forward-x-1e-300",
-         "forward-x-5e-324", "forward-ramp-tol-1e-200",
+         "forward-x-5e-324", "forward-ramp-tol-1e-200", "forward-freq-inf",
+         "forward-freq--inf", "forward-freq-nan",
          "invert-numeric-tol-1e-300", "invert-s^171", "invert-s^100",
          "invert-(s+1)^256-t1", "invert-(s+1)^256-t300",
          "invert-(s-5)^50-t100", "invert-1e-10-(s-2)^3-t360",
@@ -244,12 +251,12 @@ _DEEP = "(" * 300 + "s" + ")" * 300
          "invert-(s+1)^128-over-(s+2)^3", "invert-numeric-at-a-pole"])
 def test_edge_inputs_exit_typed_or_print_their_value(args, code, value):
     # nesting past Python's recursion limit, damping or tolerance past
-    # float range and table terms past the factorial's or past float
-    # range on the way: a traceback, an error that named no cause, a
-    # false overflow or inf,nan before; error lines of hundreds of
-    # digits or the whole expanded polynomial.  An error row gives the
-    # cause its message names in one short line, a value row its value
-    # by mpmath
+    # float range, a non-finite frequency and table terms past the
+    # factorial's or past float range on the way: a traceback, an error
+    # that named no cause, a false overflow or inf,nan before; error
+    # lines of hundreds of digits or the whole expanded polynomial.  An
+    # error row gives the cause its message names in one short line, a
+    # value row its value by mpmath
     cp = run_cli(*args, env={"PYTHONWARNINGS": "error::RuntimeWarning"})
     assert cp.returncode == code, cp.stderr
     assert "Traceback" not in cp.stderr
@@ -501,7 +508,7 @@ _HELPER_TICKS = """
 import os
 import time
 import numpy as np
-from symlap import ExponentialOrderBound, PiecewiseSignal, sl_forward_grid
+from symlap import ExponentialOrderBound, PiecewiseSignal, sl_forward_values
 from symlap.cli import forward_csv, grid_points
 
 def helper_ticks():
@@ -535,12 +542,12 @@ fast_ys = [-1.0, -0.5, 0.0, 0.5, 1.0]
 ys = grid_points(-59.0, 59.0, 400)
 forward_csv("sincos", 0.5, 1.0, ys, 1e-8)
 forward_csv("sign", 1.0, 1.0, [0.5, 1e4], 1e-8)
-sl_forward_grid(fast, 1.0, 2.0, fast_ys, 1e-8)
+sl_forward_values(fast, 1.0, 2.0, fast_ys, 1e-8)
 before = settled_ticks()
 for _ in range(10):
     forward_csv("sincos", 0.5, 1.0, ys, 1e-8)
     forward_csv("sign", 1.0, 1.0, [0.5, 1e4], 1e-8)
-    sl_forward_grid(fast, 1.0, 2.0, fast_ys, 1e-8)
+    sl_forward_values(fast, 1.0, 2.0, fast_ys, 1e-8)
 grid = helper_ticks() - before
 a = np.ones((400, 400)) * (1.0 + 1.0j)
 before = helper_ticks()
@@ -578,9 +585,11 @@ _ROW_GRIDS = {
 
 def _csv_from_samples(signal, x1, x2, ys, tol, freq=1.0):
     # one TransformSample per row, formatted field by field
+    values, estimates = sl_forward_values(catalog_signal(signal, freq=freq),
+                                          x1, x2, ys, tol)
     lines = ["y,re,im,err"]
-    for sample in sl_forward_grid(catalog_signal(signal, freq=freq), x1, x2,
-                                  ys, tol):
+    for y, v, e in zip(ys, values, estimates):
+        sample = TransformSample(SLPoint(x1, x2, y), complex(v), float(e))
         lines.append(f"{float(sample.point.y)!r},{sample.value.real!r},"
                      f"{sample.value.imag!r},{sample.abs_error_estimate!r}")
     return "\n".join(lines) + "\n"
@@ -604,7 +613,7 @@ def test_forward_csv_writes_the_sample_rows(signal, grid):
 def test_forward_csv_raises_what_the_samples_raise(x1, x2, ys, error, argv,
                                                    code, capsys):
     with pytest.raises(error) as by_rows:
-        sl_forward_grid(catalog_signal("sign"), x1, x2, ys, 1e-8)
+        sl_forward_values(catalog_signal("sign"), x1, x2, ys, 1e-8)
     with pytest.raises(error) as by_columns:
         forward_csv("sign", x1, x2, ys, 1e-8)
     assert str(by_columns.value) == str(by_rows.value)
