@@ -23,7 +23,6 @@ from math import erf  # re-exported as symlap.erf
 import numpy as np
 
 from .core import ExponentialOrderBound, PiecewiseSignal
-from .errors import DivergenceError
 from .rules import transform_pair_of
 
 
@@ -62,12 +61,11 @@ def heat_transform_pair(s: complex, t: float, tol: float):
     G(s, t) transforms x -> u(x, t) on x >= 0 at s; Gm transforms
     x -> u(-x, t) on x >= 0 at conj(s).
 
-    Raises DivergenceError for Re s <= 0, and ValueError unless t > 0 or
-    when s is not finite.
+    Raises ValueError unless t > 0 or when s is not finite, and
+    DivergenceError for Re s <= 0, where the envelope |u| <= 1 does not
+    decay.
     """
     s = complex(s)
-    if s.real <= 0:
-        raise DivergenceError("heat transforms need Re s > 0")
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
     root = 2.0 * math.sqrt(t)
@@ -157,11 +155,10 @@ def ode_residual(t: float) -> float:
 def ode_transform_check(s: complex, tol: float) -> float:
     """Worst gap between the quadrature transforms of the solution and
     the closed forms 1/(2(s-1)) - s/(2(s^2+1)) - 1/(2(s^2+1)) on the
-    positive side and 1/cs - cs/(cs^2+1) on the negative side."""
+    positive side and 1/cs - cs/(cs^2+1) on the negative side.  Raises
+    DivergenceError for Re s <= 1, where the exp(t) branch's envelope
+    does not decay."""
     s = complex(s)
-    if s.real <= 1:
-        raise DivergenceError(
-            f"the exp(t) branch needs Re s > 1, got {s.real}")
     quad_tol = min(tol / 10.0, 1e-9)
     cs = s.conjugate()
     # y(t) on both branches; the negative piece is read at t < 0

@@ -57,10 +57,10 @@ def _derivative(c):
 
 
 class Polynomial:
-    """The expanded polynomial that RationalFunction.num and .den return
-    and RationalFunction(num, den) accepts: complex coefficients in
-    ascending degree, trimmed of trailing exact zeros, the zero
-    polynomial being [0]."""
+    """The expanded polynomial that RationalFunction.num and .den return:
+    complex coefficients in ascending degree, trimmed of trailing exact
+    zeros, the zero polynomial being [0], and its degree.  It has no
+    value: evaluation goes by a RationalFunction's factors."""
 
     __slots__ = ("coef",)
 
@@ -76,12 +76,6 @@ class Polynomial:
     @property
     def is_zero(self) -> bool:
         return len(self.coef) == 1 and self.coef[0] == 0
-
-    def __call__(self, z):
-        return _horner(self.coef, z)
-
-    def __repr__(self):
-        return f"Polynomial({list(self.coef)})"
 
 
 def _length(c):
@@ -155,7 +149,8 @@ def _merged(a: dict, b: dict) -> dict:
 
 class RationalFunction:
     """scale * prod f^m over the numerator factors, divided by
-    prod g^n over the denominator factors.
+    prod g^n over the denominator factors: RationalFunction(scale, numf,
+    denf).  A constant has no factors, and scale is its value.
 
     A factor is a monic polynomial of degree >= 1, its own tuple of
     Python complex coefficients in ascending degree, carried once in a
@@ -174,21 +169,7 @@ class RationalFunction:
     goes by the factors.
     """
 
-    def __init__(self, num: Polynomial, den: Polynomial):
-        """From expanded polynomials, each of which becomes one factor."""
-        if den.is_zero:
-            raise ExprError("division by an identically zero polynomial")
-        nlead, numf = _factored(num.coef.tolist())
-        dlead, denf = _factored(den.coef.tolist())
-        self._set(nlead / dlead, numf, denf)
-
-    @classmethod
-    def _of(cls, scale, numf: dict, denf: dict) -> "RationalFunction":
-        out = cls.__new__(cls)
-        out._set(scale, numf, denf)
-        return out
-
-    def _set(self, scale, numf, denf):
+    def __init__(self, scale, numf: dict, denf: dict):
         scale = complex(scale)
         if not cmath.isfinite(scale):
             raise ExprError(f"non-finite coefficient {scale}")
@@ -212,10 +193,6 @@ class RationalFunction:
     @cached_property
     def den(self) -> Polynomial:
         return Polynomial(_expanded(self.denf))
-
-    @classmethod
-    def const(cls, c) -> "RationalFunction":
-        return cls._of(c, {}, {})
 
     @property
     def is_proper(self) -> bool:
@@ -246,9 +223,6 @@ class RationalFunction:
         return self.scale.imag == 0 and not any(
             c.imag for f in (*self.numf, *self.denf) for c in f)
 
-    def constant_value(self) -> complex:
-        return self.scale
-
     # the parser pairs every atom with a zero side, so sums with the zero
     # function skip the common-denominator products
     def __add__(self, other):
@@ -271,7 +245,7 @@ class RationalFunction:
             if lcm.get(f, 0) < m:
                 lcm[f] = m
         lead, numf = _factored(op(self._over(lcm), other._over(lcm)))
-        return RationalFunction._of(lead, numf, lcm)
+        return RationalFunction(lead, numf, lcm)
 
     def _over(self, lcm: dict) -> list:
         """The numerator coefficients of self written over the
@@ -284,24 +258,24 @@ class RationalFunction:
         return self.num.coef.tolist() if self.numf else [self.scale]
 
     def __neg__(self):
-        return RationalFunction._of(-self.scale, self.numf, self.denf)
+        return RationalFunction(-self.scale, self.numf, self.denf)
 
     def __mul__(self, other):
         if not isinstance(other, RationalFunction):
-            return RationalFunction._of(self.scale * complex(other),
-                                        self.numf, self.denf)
-        return RationalFunction._of(self.scale * other.scale,
-                                    _merged(self.numf, other.numf),
-                                    _merged(self.denf, other.denf))
+            return RationalFunction(self.scale * complex(other), self.numf,
+                                    self.denf)
+        return RationalFunction(self.scale * other.scale,
+                                _merged(self.numf, other.numf),
+                                _merged(self.denf, other.denf))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if other.is_zero:
             raise ExprError("division by an identically zero polynomial")
-        return RationalFunction._of(self.scale / other.scale,
-                                    _merged(self.numf, other.denf),
-                                    _merged(self.denf, other.numf))
+        return RationalFunction(self.scale / other.scale,
+                                _merged(self.numf, other.denf),
+                                _merged(self.denf, other.numf))
 
     def __str__(self):
         return self.to_text("s")
@@ -523,8 +497,8 @@ class _Parser:
 # ---------------------------------------------------------------------------
 # the split algebra: pairs v = (g1 in s, g2 in cs), side k of v being v[k]
 
-_RZERO = RationalFunction.const(0)
-_VAR = RationalFunction._of(1.0, {(0j, 1 + 0j): 1}, {})  # s, or cs
+_RZERO = RationalFunction(0, {}, {})
+_VAR = RationalFunction(1.0, {(0j, 1 + 0j): 1}, {})  # s, or cs
 
 
 def _on_side(k, r):
@@ -574,14 +548,14 @@ def _split_div(u, v, pos):
 
 
 def _split_pow(u, n, pos):
-    out = (RationalFunction.const(1), _RZERO) if n == 0 else u
+    out = (RationalFunction(1, {}, {}), _RZERO) if n == 0 else u
     for _ in range(n - 1):
         out = _split_mul(out, u, pos)
     return out
 
 
 _SPLIT = SimpleNamespace(
-    const=lambda c: (RationalFunction.const(c), _RZERO),
+    const=lambda c: (RationalFunction(c, {}, {}), _RZERO),
     s=(_VAR, _RZERO), cs=(_RZERO, _VAR),
     add=lambda u, v: (u[0] + v[0], u[1] + v[1]),
     sub=lambda u, v: (u[0] - v[0], u[1] - v[1]),

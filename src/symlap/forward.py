@@ -42,23 +42,22 @@ def one_sided_values(f: PiecewiseSignal, side: str, x: float, ys,
     reflected piece f(-u) * exp(-s*u).  Raises ValueError for a
     non-finite or non-positive tol or a non-finite x or y, and
     DivergenceError naming the half-line when x does not dominate the
-    growth rate of its piece.
+    growth rate of its piece (quadrature._truncate's rule).
     """
     ys = np.asarray(ys, dtype=float)
     require_positive(tol=tol)
     require_finite(x=x)
     if np.count_nonzero(np.isfinite(ys)) < ys.size:
         raise ValueError("every oscillation y must be finite")
-    bound = f.bound_for(side)
-    if x <= bound.a and (f.tail_cut is None or x < 0.0):
+    piece = f.pos if side == "pos" else lambda u: f.neg(-u)
+    try:
+        return laplace_grid(piece, f.bound_for(side), x, ys, tol,
+                            osc=f.osc_hint, tail_cut=f.tail_cut)
+    except DivergenceError as exc:  # quadrature's rule, named by side
         label = "positive" if side == "pos" else "negative"
         raise DivergenceError(
-            f"{label} half-line diverges: damping x={x} must exceed "
-            f"the growth rate a={bound.a} of the signal on that side; "
-            "a tail_cut certifies the side at any x >= 0")
-    piece = f.pos if side == "pos" else lambda u: f.neg(-u)
-    return laplace_grid(piece, bound, x, ys, tol, osc=f.osc_hint,
-                        tail_cut=f.tail_cut)
+            f"{label} half-line diverges: {exc}; a tail_cut certifies the "
+            "side at any x >= 0") from None
 
 
 def sl_forward_values(f: PiecewiseSignal, x1: float, x2: float, ys,

@@ -12,10 +12,12 @@ returned.
 
 Half-line integrals split the tolerance evenly: the certified tail
 beyond T gets half, panel refinement on [0, T] gets the other half.
-_truncate is the one place that places T.  An envelope |f(t)| <=
-M * t^d * exp(a*t) certifies the tail M * Gamma(d+1, (x-a)*T) / (x-a)^(d+1)
-when x > a; a signal's tail_cut certifies the integral of |f| beyond its
-cut when x >= 0; the shorter cut wins.
+_truncate is the one place that places T, and the one place that
+refuses a half-line that does not converge (DivergenceError).  An
+envelope |f(t)| <= M * t^d * exp(a*t) certifies the tail
+M * Gamma(d+1, (x-a)*T) / (x-a)^(d+1) when x > a; a signal's tail_cut
+certifies the integral of |f| beyond its cut when x >= 0; the shorter
+cut wins.
 
 laplace_grid evaluates the one-sided Laplace transform of a piece at
 s = x + i*y for a whole grid of y in one factored pass.  Every one-sided
@@ -164,6 +166,7 @@ _EPS = float(np.finfo(float).eps)
 _MAX_PANELS = 4096  # laplace_grid's first pass; farther y take a second
 # exp(x) is a normal float for |x| below this (about 708.4 and 709.8)
 _LOG_NORMAL = 708.0
+_LOG_MAX = math.log(np.finfo(float).max)  # exp(x) is finite below this
 
 # GK15 error model on a panel of half-width h whose integrand turns at
 # theta = omega*h radians per unit: phi(theta) = |sum_j (w^K_j - w^G_j) *
@@ -420,18 +423,21 @@ def _tail_bound(bound, x, T):
 def _truncate(bound, x, tol, tail_cut):
     """Truncation of a half-line integral to tolerance tol: returns T,
     the certified tail beyond T (at most tol/2), the decay length that
-    caps the panel width, and the envelope's mass on [0, T], the
-    integral of |integrand| the error model scales by.
+    caps the panel width, and the mass on [0, T], the integral of
+    |integrand| the error model scales by.
 
     The envelope certifies a tail when x > a, and a tail_cut (the
     integral of |f| beyond its cut) when x >= 0, since the damping then
     only shrinks |f|; the shorter of the two cuts wins, and the cut
-    alone where the envelope's T is past float range.
+    alone where the envelope's T is past float range.  The mass is the
+    envelope's, M*d!/(x-a)^(d+1), and where the cut wins the smaller of
+    that and the cut's (_cut_mass).  This is the one place that refuses
+    a half-line that does not converge: DivergenceError when neither
+    certifies a tail.
     """
-    M, d = bound.M, int(bound.degree)
     cut = tail_cut is not None and x >= 0.0
     if x > bound.a:
-        rate = x - bound.a
+        M, d, rate = bound.M, int(bound.degree), x - bound.a
         try:
             T = truncation_point(bound, x, tol / 2.0)
         except AccuracyError:  # T overflows
@@ -439,21 +445,31 @@ def _truncate(bound, x, tol, tail_cut):
                 raise
         else:
             tail = _tail_bound(bound, x, T)
+            mass = _direct_or_logs(
+                lambda: M * math.factorial(d) / rate ** (d + 1),
+                (math.log(M), math.lgamma(d + 1), -(d + 1) * math.log(rate)))
             if cut:
                 T_cut = float(tail_cut(tol / 2.0))
                 if T_cut < T:
                     T, tail = T_cut, tol / 2.0
-            return T, tail, 1.0 / rate, _direct_or_logs(
-                lambda: M * math.factorial(d) / rate ** (d + 1),
-                (math.log(M), math.lgamma(d + 1), -(d + 1) * math.log(rate)))
+                    mass = min(mass, _cut_mass(bound, T))
+            return T, tail, 1.0 / rate, mass
     if cut:
         T = float(tail_cut(tol / 2.0))
-        return T, tol / 2.0, 1.0, (_direct_or_logs(
-            lambda: M * T ** (d + 1) / (d + 1),
-            (math.log(M), (d + 1) * math.log(T), -math.log(d + 1)))
-            if min(M, T) > 0.0 else 0.0)
+        return T, tol / 2.0, 1.0, _cut_mass(bound, T)
     raise DivergenceError(
         f"damping x={x} does not exceed growth rate a={bound.a}")
+
+
+def _cut_mass(bound, T):
+    """M*T^(d+1)/(d+1), the integral of M*t^d over [0, T]: where x >= a
+    it bounds the integral of |integrand| on [0, T]."""
+    M, d = bound.M, int(bound.degree)
+    if min(M, T) <= 0.0:
+        return 0.0
+    return _direct_or_logs(
+        lambda: M * T ** (d + 1) / (d + 1),
+        (math.log(M), (d + 1) * math.log(T), -math.log(d + 1)))
 
 
 def _affordable(panels, cost):
@@ -674,7 +690,7 @@ def laplace_grid(piece, bound: ExponentialOrderBound, x: float, ys,
     theta = omega*h, and the pass's |K - G| sum is about phi(theta)
     times the integral of |v| over [0, T], at most the envelope's mass
     M*d!/(x - a)^(d+1) (M*T^(d+1)/(d+1) under a tail_cut that alone
-    certifies the tail).
+    certifies the tail, and the smaller of the two where the cut wins).
     theta is the largest value up to pi whose prediction is a quarter
     of the tol/2 panel budget (_model_theta).  omega bounds the rate of
     the damped kernel, |y| + |osc| + |x|, plus, for a piece with a
@@ -688,7 +704,10 @@ def laplace_grid(piece, bound: ExponentialOrderBound, x: float, ys,
     whose panel |K - G| sum exceeds tol/2 has its own panels of the pass
     bisected by _refine, and its rounding allowance is that of the
     refined panels' sum with the phase bound |y|*T; when the budget runs
-    out, the AccuracyError carries that y's value and estimate.  The
+    out, the AccuracyError carries that y's value and estimate.  A
+    damping x < 0 for which exp(-x*T) passes the largest float raises
+    AccuracyError before any evaluation: f(u)*exp(-x*u) cannot be formed
+    from two floats there.  The
     node pairs x_j, -x_j, real for a real piece, meet their weighted
     cosines and sines in real BLAS products of inner dimension 15, in
     chunks of y kept on the calling thread; the panel phases come by
@@ -701,6 +720,10 @@ def laplace_grid(piece, bound: ExponentialOrderBound, x: float, ys,
                                          osc=osc, tail_cut=tail_cut)
         return values.reshape(ys.shape), estimates.reshape(ys.shape)
     T, tail, scale, mass = _truncate(bound, float(x), float(tol), tail_cut)
+    if -x * T > _LOG_MAX:  # exp(-x*u) passes the largest float before T
+        raise AccuracyError(
+            f"damping x={x} over [0, T={T}]: exp(-x*T) is past float "
+            "range, so the damped integrand cannot be formed")
     if T <= 0.0 or ys.size == 0:
         f0 = float(np.abs(_finite(piece(np.zeros(1)))).max())
         if f0 > bound.envelope(0.0):  # T = 0 trusted an envelope f breaks

@@ -210,8 +210,8 @@ def test_polynomial_products_per_parse_are_pinned(monkeypatch, text,
     (verify.ODE_TRANSFORM_TEXT, 40, 9)], ids=["simple", "squared", "ode"])
 def test_algebra_objects_per_parse_are_pinned(monkeypatch, text, rationals,
                                               polynomials):
-    # machine-independent: the RationalFunction values (each set up by
-    # one _set call) and the Polynomials one parse_transform builds,
+    # machine-independent: the RationalFunction values (each built by
+    # one __init__ call) and the Polynomials one parse_transform builds,
     # after a warm-up parse.  A constant folds into the other side as it
     # is, a sum works on coefficient lists and a constant's numerator
     # needs no Polynomial.  A factor is its own coefficient tuple, so
@@ -223,18 +223,18 @@ def test_algebra_objects_per_parse_are_pinned(monkeypatch, text, rationals,
     from symlap import expr
 
     count = {"rationals": 0, "polynomials": 0}
-    set_up, init = expr.RationalFunction._set, expr.Polynomial.__init__
+    build, init = expr.RationalFunction.__init__, expr.Polynomial.__init__
 
-    def counted_set(self, *args):
+    def counted_build(self, *args):
         count["rationals"] += 1
-        return set_up(self, *args)
+        return build(self, *args)
 
     def counted_init(self, *args):
         count["polynomials"] += 1
         return init(self, *args)
 
     expr.parse_transform(text)
-    monkeypatch.setattr(expr.RationalFunction, "_set", counted_set)
+    monkeypatch.setattr(expr.RationalFunction, "__init__", counted_build)
     monkeypatch.setattr(expr.Polynomial, "__init__", counted_init)
     expr.parse_transform(text)
     assert count == {"rationals": rationals, "polynomials": polynomials}

@@ -15,7 +15,6 @@ from symlap.errors import (
     SplitError,
 )
 from symlap.expr import (
-    Polynomial,
     RationalFunction,
     _add,
     _derivative,
@@ -92,7 +91,7 @@ class TestParsing:
     def test_constants_land_in_g1(self):
         st = parse_transform("5 + 1/cs")
         assert st.g1.is_constant
-        assert st.g1.constant_value() == 5.0
+        assert st.g1.scale == 5.0
 
     def test_conj_alias(self):
         st = parse_transform("conj(s)^2 + s")
@@ -444,7 +443,10 @@ def test_polynomial_taylor_shift():
 
 def test_rational_function_requires_nonzero_denominator():
     with pytest.raises(ExprError):
-        RationalFunction(Polynomial([1.0]), Polynomial([0.0]))
+        RationalFunction(1.0, {}, {}) / RationalFunction(0.0, {}, {})
+    with pytest.raises(ExprError):
+        RationalFunction(1.0, {}, {(0j, 1 + 0j): 1}) / RationalFunction(
+            0.0, {(1 + 0j, 1 + 0j): 2}, {})
 
 
 @pytest.mark.parametrize("text,real", [
@@ -457,9 +459,18 @@ def test_real_coefficients_are_read_off_both_sides(text, real):
 
 
 def test_monic_normalization():
-    r = RationalFunction(Polynomial([2.0]), Polynomial([0.0, 4.0]))
+    # 2/(4s): the constant 4 leaves the factor s monic
+    r = RationalFunction(2.0, {}, {}) / (
+        RationalFunction(4.0, {}, {}) * RationalFunction(
+            1.0, {(0j, 1 + 0j): 1}, {}))
+    assert (r.scale, r.numf, r.denf) == (0.5, {}, {(0j, 1 + 0j): 1})
     assert np.allclose(r.den.coef, [0.0, 1.0])
     assert np.allclose(r.num.coef, [0.5])
+    # a sum's numerator is one factor over its lead: (2s + 4)/s
+    r = RationalFunction(2.0, {}, {}) + RationalFunction(
+        4.0, {}, {(0j, 1 + 0j): 1})
+    assert (r.scale, r.numf) == (2.0, {(2 + 0j, 1 + 0j): 1})
+    assert np.allclose(r.num.coef, [4.0, 2.0])
 
 
 def test_eval_expression_matches_cmath():
