@@ -11,7 +11,9 @@ different signals can share a transform there.
 
 import math
 
-from symlap import SLPoint, catalog_signal, sl_forward
+import numpy as np
+
+from symlap import SLPoint, catalog_signal, sl_forward, sl_forward_values
 
 gauss = catalog_signal("gauss")
 print("Gaussian Fourier pair: exp(-t^2) -> sqrt(pi) * exp(-y^2/4)")
@@ -31,8 +33,11 @@ print()
 print("Kernel witness: the ramp f(t) = t maps to zero for every real s,")
 print("so evaluation on the real axis alone cannot be inverted.")
 ramp = catalog_signal("ramp")
-for x in (0.5, 1.0, 2.0):
-    got = sl_forward(ramp, SLPoint(x, x, 0.0), 1e-10).value
+# three dampings at y = 0 in one call: each damping is a row with its
+# own quadrature panels, and the rows run together
+xs = np.array([0.5, 1.0, 2.0])
+values, _ = sl_forward_values(ramp, xs, xs, 0.0, 1e-10)
+for x, got in zip(xs, values):
     print(f"  x={x}: |SL(ramp)| = {abs(got):.2e}")
 print("Off the real axis the transform separates points again:")
 got = sl_forward(ramp, SLPoint(1.0, 1.0, 1.0), 1e-10).value

@@ -23,7 +23,7 @@ from math import erf  # re-exported as symlap.erf
 import numpy as np
 
 from .core import ExponentialOrderBound, PiecewiseSignal
-from .rules import transform_pair_of
+from .rules import finite_points, transform_pair_of
 
 
 def heat_solution(x: float, t: float) -> float:
@@ -61,11 +61,11 @@ def heat_transform_pair(s: complex, t: float, tol: float):
     G(s, t) transforms x -> u(x, t) on x >= 0 at s; Gm transforms
     x -> u(-x, t) on x >= 0 at conj(s).
 
-    Raises ValueError unless t > 0 or when s is not finite, and
+    Raises ValueError when s is not finite or unless t > 0, and
     DivergenceError for Re s <= 0, where the envelope |u| <= 1 does not
     decay.
     """
-    s = complex(s)
+    s = finite_points(s)
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
     root = 2.0 * math.sqrt(t)
@@ -152,13 +152,15 @@ def ode_residual(t: float) -> float:
     return abs(math.fsum([*ypp, *y, -f]))
 
 
-def ode_transform_check(s: complex, tol: float) -> float:
+def ode_transform_check(s, tol: float):
     """Worst gap between the quadrature transforms of the solution and
     the closed forms 1/(2(s-1)) - s/(2(s^2+1)) - 1/(2(s^2+1)) on the
-    positive side and 1/cs - cs/(cs^2+1) on the negative side.  Raises
+    positive side and 1/cs - cs/(cs^2+1) on the negative side: a float
+    for one complex s, an array for an array of s, whose transforms take
+    one call a side.  Raises ValueError for an s that is not finite and
     DivergenceError for Re s <= 1, where the exp(t) branch's envelope
     does not decay."""
-    s = complex(s)
+    s = finite_points(s)
     quad_tol = min(tol / 10.0, 1e-9)
     cs = s.conjugate()
     # y(t) on both branches; the negative piece is read at t < 0
@@ -171,4 +173,5 @@ def ode_transform_check(s: complex, tol: float) -> float:
     closed_pos = (0.5 / (s - 1.0) - 0.5 * s / (s * s + 1.0)
                   - 0.5 / (s * s + 1.0))
     closed_neg = 1.0 / cs - cs / (cs * cs + 1.0)
-    return max(abs(pos - closed_pos), abs(neg - closed_neg))
+    gap = np.maximum(abs(pos - closed_pos), abs(neg - closed_neg))
+    return gap if gap.ndim else float(gap)

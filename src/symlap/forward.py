@@ -16,11 +16,16 @@ direction, so a whole y-grid is evaluated at once: each half-line takes
 one factored GK15 pass over uniform panels shared by its y, and a second
 for the y beyond 4096 such panels (quadrature.laplace_grid); only a y
 whose panel certificate misses its budget has its own panels bisected.
-one_sided_values is that pass for one half-line, and the one path by
-which the package takes a one-sided transform: the derivative rules and
-the heat and ODE checks call it too.  sl_forward_values returns a
-grid's values and estimates as arrays, which `symlap forward` writes as
-they are, and sl_forward is its one-point case as a TransformSample.
+Scattered points, each at its own damping and tolerance, are served
+the same way: the points that share a damping and a tolerance form a
+row with its own panels, and the rows of a call run together, so a set
+of points takes one call per piece side.  one_sided_values is that
+call for one half-line, and the one path by which the package takes a
+one-sided transform: the derivative rules and the heat and ODE checks
+call it too.  sl_forward_values returns the values and estimates of
+points (x1, x2, y) broadcast together as arrays, which `symlap forward`
+writes as they are, and sl_forward is its one-point case as a
+TransformSample.
 """
 
 from __future__ import annotations
@@ -32,17 +37,19 @@ from .errors import DivergenceError
 from .quadrature import laplace_grid, require_finite, require_positive
 
 
-def one_sided_values(f: PiecewiseSignal, side: str, x: float, ys,
-                     tol: float):
+def one_sided_values(f: PiecewiseSignal, side: str, x, ys, tol):
     """Values and error estimates of the one-sided Laplace transform of
-    one half-line of f at s = x + i*y for every y in ys, each to
-    absolute tolerance tol: two complex and real arrays over ys.
+    one half-line of f at s = x + i*y for every point of x, ys and tol
+    broadcast together, each to absolute tolerance its tol: two complex
+    and real arrays in their broadcast shape, from one laplace_grid call
+    whose rows are the points of equal x and tol.
 
     side "pos" integrates f(u) * exp(-s*u) over u >= 0, side "neg" the
     reflected piece f(-u) * exp(-s*u).  Raises ValueError for a
     non-finite or non-positive tol or a non-finite x or y, and
-    DivergenceError naming the half-line when x does not dominate the
-    growth rate of its piece (quadrature._truncate's rule).
+    DivergenceError naming the half-line and the damping when an x does
+    not dominate the growth rate of its piece (quadrature._truncate's
+    rule), before any evaluation.
     """
     ys = np.asarray(ys, dtype=float)
     require_positive(tol=tol)
@@ -60,12 +67,12 @@ def one_sided_values(f: PiecewiseSignal, side: str, x: float, ys,
             "side at any x >= 0") from None
 
 
-def sl_forward_values(f: PiecewiseSignal, x1: float, x2: float, ys,
-                      tol: float):
+def sl_forward_values(f: PiecewiseSignal, x1, x2, ys, tol):
     """Values and error estimates of the transform of f at (x1, x2, y)
-    for every y in ys, each to absolute tolerance tol: two complex and
-    real arrays in the shape of ys.  The positive half-line at y and the
-    negative one at -y take tol/2 each (one_sided_values).
+    for every point of x1, x2, ys and tol broadcast together, each to
+    absolute tolerance its tol: two complex and real arrays in their
+    broadcast shape.  The positive half-line at (x1, y) and the negative
+    one at (x2, -y) take tol/2 each, one one_sided_values call a side.
 
     Raises ValueError for a non-finite or non-positive tol or a
     non-finite x1, x2 or y, and DivergenceError naming the offending
@@ -76,6 +83,8 @@ def sl_forward_values(f: PiecewiseSignal, x1: float, x2: float, ys,
     require_positive(tol=tol)
     require_finite(x1=x1, x2=x2)
     ys = np.asarray(ys, dtype=float)
+    if not isinstance(tol, (float, int)):  # a sequence halves as an array
+        tol = np.asarray(tol, dtype=float)
     value, estimate = 0j, 0.0
     for side, x, y in (("pos", x1, ys), ("neg", x2, -ys)):
         v, e = one_sided_values(f, side, x, y, tol / 2.0)

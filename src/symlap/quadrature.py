@@ -20,12 +20,13 @@ certifies the integral of |f| beyond its cut when x >= 0; the shorter
 cut wins.
 
 laplace_grid evaluates the one-sided Laplace transform of a piece at
-s = x + i*y for a whole grid of y in one factored pass.  Every one-sided
-transform of the package goes through it (forward.one_sided_values):
-the forward grid, the derivative-rule images and the heat and ODE
-checks, a single point being a one-y grid.  T depends on x and the
-tolerance only, so every y shares the uniform panels of [0, T] with
-midpoints c_p and half-width h, and with u_pj = c_p + h*x_j
+points s = x + i*y, each with its own tolerance, in one call per piece
+side.  Every one-sided transform of the package goes through it
+(forward.one_sided_values): the forward grid, the derivative-rule
+images and the heat and ODE checks, a single point being a one-y grid.
+The points of equal x and tolerance form a row.  T depends on x and the
+tolerance only, so every y of a row shares the uniform panels of
+[0, T] with midpoints c_p and half-width h, and with u_pj = c_p + h*x_j
 
     K_p(y) = h * exp(-i*y*c_p) * sum_j w_j * v(u_pj) * exp(-i*y*h*x_j),
 
@@ -47,34 +48,41 @@ as ceil(P/B) blocks of B, with its B inner phases, and the block sums
 are dotted with the outer phases: Y*(P/B + B) complex exps and no
 Y x P phase table.  The same node product with the weights w^K - w^G
 gives each panel's |K_p - G_p| (the panel phase drops out of the
-modulus), so every y carries the certificate of its panels.  Every
-product of a pass of at most 4096 panels has an inner dimension of at
-most 64 and is cut, in rows or blocks, below the size at which
-OpenBLAS hands it to helper threads (_SOLO_DGEMM, _SOLO_ZGEMV): a
+modulus), so every y carries the certificate of its panels.  The rows of
+a call keep their own panels and run together: the piece is called once
+on the union of their nodes, and the pair rows, node products, block
+phases and |K - G| sums are arrays over the rows, padded with zero
+panels to the largest panel count, in batches whose size does not grow
+with the number of rows (_grid_pass, _batches).  One shared set of
+panels for all rows would be sized by the smallest damping for T and the
+largest for the width, and would take more panels than the rows
+together.  Every product of a pass of at most 4096 panels has an inner
+dimension of at most 64 and is cut, in rows or blocks, below the size at
+which OpenBLAS hands it to helper threads (_SOLO_DGEMM, _SOLO_ZGEMV): a
 helper thread spins between calls, which doubles the CPU time of a
 forward grid for no gain in wall time.  A larger pass, whose one-y node
 product alone is above that size, takes its node products through
-einsum, which never calls BLAS.  On one thread the sums do not depend
-on OPENBLAS_NUM_THREADS, so `symlap forward` writes the same bytes
-under any setting.
+einsum, which never calls BLAS.  On one thread the sums do not depend on
+OPENBLAS_NUM_THREADS, so `symlap forward` writes the same bytes under
+any setting.
 
 The panel width comes from the GK15 error model: on a panel where the
 integrand turns by theta radians per half-width, sum_p |K_p - G_p| is
 about phi(theta) * integral of |v|, with phi(theta) = |sum_j (w^K_j -
 w^G_j) * exp(i*theta*x_j)| / 2 tabulated once.  A pass takes the widest
 panels whose predicted sum is a quarter of its budget (_model_theta).
-The y that 4096 such panels resolve share one pass; the others share a
-second, sized for the fastest of them and refused with AccuracyError,
-before any evaluation, when it needs more than 2^20 evaluations.  A y
-whose panel sum misses its budget has its own panels of the pass handed
-to _refine: their Kronrod values with the panel phase, their |K - G|
-and their Kronrod sums of |v| come from the pass's node sums, so no
-node is evaluated twice, and the halves are evaluated by _phased_panels
-with the kernel exp(-i*y*u), as numeric inversion evaluates its panels.
-half_line_integral is the one-y case of the same code: its integrand,
-damped already, is a piece at y = 0.  The reported estimate adds a
-rounding allowance for the sums and phases; refinement never tests
-against it.
+The y of a row that 4096 such panels resolve share one pass; the others
+share a second, run alone, sized for the fastest of them and refused
+with AccuracyError, before any evaluation, when it needs more than 2^20
+evaluations.  A y whose panel sum misses its budget has its own panels
+of the pass handed to _refine: their Kronrod values with the panel
+phase, their |K - G| and their Kronrod sums of |v| come from the pass's
+node sums, so no node is evaluated twice, and the halves are evaluated
+by _phased_panels with the kernel exp(-i*y*u), as numeric inversion
+evaluates its panels.  half_line_integral is the one-y case of the same
+code: its integrand, damped already, is a piece at y = 0.  The reported
+estimate adds a rounding allowance for the sums and phases; refinement
+never tests against it.
 
 finite_oscillatory_integral, the Fourier integral behind numeric
 inversion, is factored the same way in t and runs on [0, A] only.  Its
@@ -106,6 +114,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from decimal import Decimal
+from typing import NamedTuple
 
 import numpy as np
 
@@ -164,6 +173,9 @@ _WG[1::2] = _WG7
 MAX_EVALUATIONS = 2 ** 20
 _EPS = float(np.finfo(float).eps)
 _MAX_PANELS = 4096  # laplace_grid's first pass; farther y take a second
+# complex entries a batch of laplace_grid rows may pad to: rows x panels x
+# (15 nodes + y), so that memory does not grow with the number of rows
+_BATCH_ENTRIES = 2 ** 17
 # exp(x) is a normal float for |x| below this (about 708.4 and 709.8)
 _LOG_NORMAL = 708.0
 _LOG_MAX = math.log(np.finfo(float).max)  # exp(x) is finite below this
@@ -195,6 +207,7 @@ _SOLO_ZGEMV = 2 ** 12
 # rows [cos(t_0), sin(t_0), ..., cos(t_6), sin(t_6), 1], and i*x_j for
 # the t_j = y*h*x_j of the first 8 nodes
 _PAIRED = np.array([np.repeat(w[:8], 2)[:15] for w in (_WGK, _WGK - _WG)])
+_PAIRED_ROWS = _PAIRED[:, None]  # broadcast over the y of a chunk
 _IXGK8 = 1j * _XGK[:8]
 _ODD = np.arange(1.0, 2.0 * _MAX_PANELS, 2.0)  # panel midpoints over h
 # Kronrod and Kronrod-minus-Gauss weights as a real 30 x 4 matrix: the
@@ -230,16 +243,33 @@ class OscillatoryResult(QuadratureResult):
     half_value: complex
 
 
+def _scalar(v):
+    """Whether v is a real scalar, a Python or numpy float or a Python
+    int: anything else is read as an array, which takes longer."""
+    return isinstance(v, (float, int))
+
+
 def require_positive(**values):
-    """Raise ValueError unless every keyword value is finite and > 0."""
+    """Raise ValueError unless every keyword value, or every entry of an
+    array value, is finite and > 0; the message names the first that
+    is not."""
     for name, v in values.items():
+        if not _scalar(v):
+            a = np.asarray(v, dtype=float)
+            bad = ~(np.isfinite(a) & (a > 0.0))
+            v = float(a[bad][0]) if bad.any() else 1.0
         if not (math.isfinite(v) and v > 0):
             raise ValueError(f"{name} must be positive and finite, got {v}")
 
 
 def require_finite(**values):
-    """Raise ValueError unless every keyword value is finite."""
+    """Raise ValueError unless every keyword value, or every entry of an
+    array value, is finite; the message names the first that is not."""
     for name, v in values.items():
+        if not _scalar(v):
+            a = np.asarray(v, dtype=float)
+            bad = ~np.isfinite(a)
+            v = float(a[bad][0]) if bad.any() else 0.0
         if not math.isfinite(v):
             raise ValueError(f"{name} must be finite, got {v}")
 
@@ -572,9 +602,11 @@ def _phase_steps(block, nb):
 
 
 def _block_phased_sum(terms, y, half, block):
-    """For each row k, the sum over p of exp(-i*y_k*c_p) * terms[k, p]
+    """For each y_k of y, the sum over p of exp(-i*y_k*c_p) * terms[k, p]
     with c_p = (2p + 1)*half, for terms of whole blocks of block panels
-    (a ragged last block padded with zeros).
+    (a ragged last block padded with zeros), in the shape of y: terms
+    has the axes of y and one of panels, and half, one value or one per
+    row of a 2-d y, broadcasts against y.
 
     With p = a*block + b, c_p = 2*block*half*a + (2b + 1)*half, so the
     phase is an outer factor times an inner one, both from one exp over
@@ -583,49 +615,148 @@ def _block_phased_sum(terms, y, half, block):
     dots the nb block sums with the outer phases.  That takes
     Y*(nb + block) complex exps and no Y x P table.
     """
-    Y, P = terms.shape
-    nb = P // block
+    Y, nb = y.size, terms.shape[-1] // block
     # -half*y times i*step is -1j*half*y*step to the bit
-    phases = np.exp((-half * y)[:, None] * _phase_steps(block, nb))
+    phases = np.exp((-half * y).reshape(Y, 1) * _phase_steps(block, nb))
     inner = phases[:, nb:, None]
     terms = terms.reshape(Y, nb, block)
     sums = np.empty((Y, nb, 1), dtype=complex)
     step = (_SOLO_ZGEMV - 1) // block  # blocks per product
     for a in range(0, nb, step):
         np.matmul(terms[:, a:a + step], inner, out=sums[:, a:a + step])
-    return (phases[:, None, :nb] @ sums)[:, 0, 0]
+    return (phases[:, None, :nb] @ sums).reshape(y.shape)
 
 
-def _grid_pass(piece, x, ys, ay, omega, T, tail, tol, theta, scale):
-    """laplace_grid's uniform pass for every y of ys (ay = |ys|, omega
-    the rates): values and estimates, tail + panel |K - G| sum +
-    rounding allowance.  A y whose |K - G| sum exceeds tol/2 has its own
-    panels of this pass bisected by _refine."""
-    P = _panel_count(T, theta, scale, float(omega.max()))
-    _affordable(P, 15)
-    half = T / (2.0 * P)
-    block = math.isqrt(P - 1) + 1
-    nb = -(-P // block)
-    # node j of panel p in row j, column p; a real piece stays real,
-    # the same bits as on its complex cast
-    odd = _ODD[:P] if P <= _MAX_PANELS else np.arange(1.0, 2.0 * P, 2.0)
-    nodes = (half * _XGK)[:, None] + odd * half
-    v = _finite(piece(nodes.ravel())).reshape(15, P) * np.exp(-x * nodes)
+class _Pass(NamedTuple):
+    """One row's uniform pass: its damping and tolerance, T and the
+    tail bound, its panel count, and its points (indices into the
+    call's flat points, or a slice) and their number."""
+
+    x: float
+    tol: float
+    T: float
+    tail: float
+    panels: int
+    points: object
+    count: int
+
+
+def _rows(xs, tols):
+    """(x, tol, indices of its points) for each distinct (x, tol) of a
+    call's flat points, in the order of their first points."""
+    if not xs.size:
+        return []
+    order = np.lexsort((tols, xs))  # stable: indices ascend in a row
+    xo, to = xs[order], tols[order]
+    cut = np.flatnonzero((xo[1:] != xo[:-1]) | (to[1:] != to[:-1])) + 1
+    rows = sorted(np.split(order, cut), key=lambda g: g[0])
+    return [(float(xs[g[0]]), float(tols[g[0]]), g) for g in rows]
+
+
+def _batches(passes):
+    """The passes in batches for _grid_pass: one beyond _MAX_PANELS
+    alone, the others, widest first so that a batch's rows pad little,
+    in batches whose padded arrays, rows x panels x (15 nodes + y), stay
+    within _BATCH_ENTRIES (a pass above it alone)."""
+    if len(passes) == 1:
+        return [passes]
+    batches = [[p] for p in passes if p.panels > _MAX_PANELS]
+    batch = None
+    for p in sorted((p for p in passes if p.panels <= _MAX_PANELS),
+                    key=lambda p: -p.panels):
+        if batch and (len(batch) + 1) * width * (
+                15 + max(most, p.count)) <= _BATCH_ENTRIES:
+            batch.append(p)
+            most = max(most, p.count)
+        else:  # the widest pass of a batch sets its padded width
+            block = math.isqrt(p.panels - 1) + 1
+            width, most, batch = -(-p.panels // block) * block, p.count, [p]
+            batches.append(batch)
+    return batches
+
+
+def _refined(piece, x, t, half, odd, k, kg, mass, T, tail, tol):
+    """Value and estimate of the y with kernel exp(i*t*u) whose panel
+    |K - G| sum missed tol/2: its own panels of the pass, Kronrod node
+    sums k (without the panel phase) and Kronrod-minus-Gauss ones kg,
+    with the Kronrod sums of |v| (mass), bisected by _refine, the
+    halves evaluated by _phased_panels."""
+    def panels(mids, halves):
+        k, e, m = _phased_panels(
+            lambda u: _finite(piece(u)) * np.exp(-x * u), t, mids, halves, 0)
+        return k[0], e, m
+
+    def result(k, e, m, evals):
+        return complex(k.sum()), tail + float(e.sum()) + _rounding(
+            math.ceil(math.log2(evals)), float(m.sum()), abs(t) * T)
+
+    P = odd.size
+    edges = 2.0 * half * np.arange(P + 1)
+    return result(*_refine(
+        panels, edges[:-1], edges[1:],
+        half * np.exp(1j * t * (odd * half)) * k, half * np.abs(kg),
+        half * mass, tol / 2.0, 15 * P, 15, result)[2:])
+
+
+def _grid_pass(piece, passes, ys, values, estimates):
+    """laplace_grid's uniform passes of one batch, all rows at once:
+    values and estimates, tail + panel |K - G| sum + rounding allowance,
+    written to the points of each pass.  Several rows take a leading
+    row axis on every array, padded with zero panels to the batch's
+    largest count and with copies of their first y to its largest
+    number of y; one row takes none, with its parameters as floats.  A
+    y whose |K - G| sum exceeds tol/2 has its own panels of its row
+    bisected by _refine."""
+    R = len(passes)
+    P = [p.panels for p in passes]
+    most = max(P)
+    block = math.isqrt(most - 1) + 1
+    nb = -(-most // block)
+    width = nb * block
+    if R == 1:
+        x, tol, T, tail = passes[0][:4]
+        x3 = x
+        half = h3 = T / (2.0 * most)
+    else:  # the row parameters as R x 1 columns, x and half as R x 1 x 1
+        x, tol, T, tail, half = np.array([
+            (p.x, p.tol, p.T, p.tail, p.T / (2.0 * p.panels)) for p in passes
+        ]).T[:, :, None]
+        x3, h3 = x[:, :, None], half[:, :, None]
+    # node j of panel p in row j, column p (of row r); a real piece
+    # stays real, the same bits as on its complex cast
+    odd = _ODD[:most] if most <= _MAX_PANELS else np.arange(1.0, 2.0 * most,
+                                                             2.0)
+    nodes = h3 * _XGK[:, None] + odd * h3
+    if min(P) == most:
+        v = (_finite(piece(nodes.ravel())).reshape(nodes.shape)
+             * np.exp(-x3 * nodes))
+    else:  # the rows' own nodes in one call of the piece, zero panels after
+        own = np.arange(most) < np.array(P)[:, None]
+        own = np.broadcast_to(own[:, None], nodes.shape)
+        u = nodes[own]
+        vals = _finite(piece(u)) * np.exp(
+            np.repeat(-x3.ravel(), [15 * n for n in P]) * u)
+        v = np.zeros(nodes.shape, dtype=vals.dtype)
+        v[own] = vals
+        del u, vals
+    del nodes  # the padded arrays of all rows live at once: free early
     # rows [sum_0, -i*difference_0, ..., -i*difference_6, centre] of
     # the node pairs j, 14 - j, each real and imaginary part a column
     # of its own, meet real phase rows w*[cos(t_0), sin(t_0), ...,
     # sin(t_6), 1] (exp(i*t) read as reals; t_7 = 0 gives exactly 1);
     # zero panels pad the last block, as -i*0 in the difference rows
-    pairs = np.zeros((15, nb * block), dtype=complex)
-    pairs[:14:2, :P] = v[:7] + v[:7:-1]
-    pairs[1:14:2, :P] = (v[:7] - v[:7:-1]) * -1j
-    pairs[1:14:2, P:] = 0j * -1j
-    pairs[14, :P] = v[7]
+    pairs = np.zeros((*v.shape[:-1], width), dtype=complex)
+    pairs[..., :14:2, :most] = v[..., :7, :] + v[..., :7:-1, :]
+    pairs[..., 1:14:2, :most] = (v[..., :7, :] - v[..., :7:-1, :]) * -1j
+    pairs[..., 1:14:2, most:] = 0j * -1j
+    pairs[..., 14, :most] = v[..., 7, :]
     pairs = pairs.view(float)
-    step = max(1, _SOLO_DGEMM // (2 * pairs.size))
+    step = max(1, _SOLO_DGEMM // (60 * width))
     # a one-y product above _SOLO_DGEMM, only ever in a pass beyond
-    # _MAX_PANELS, goes to einsum, which never hands it to threaded BLAS
-    dot = (np.matmul if 2 * pairs.size <= _SOLO_DGEMM
+    # _MAX_PANELS and so of one row, goes to einsum, which never hands
+    # it to threaded BLAS; a product of several rows is one BLAS call
+    # per row
+    dot = (np.matmul if 60 * width <= _SOLO_DGEMM
            else functools.partial(np.einsum, "ij,j...->i..."))
     # a term passes a pair sum, 15 products summed in whatever order
     # BLAS or einsum takes, block panels and nb blocks: at most 1 + 14 +
@@ -634,59 +765,74 @@ def _grid_pass(piece, x, ys, ay, omega, T, tail, tol, theta, scale):
     # pair's sum of moduli: the sqrt(2).  Phase arguments: at most
     # |y|*T for the outer factor and |y|*2*block*half for the inner
     # one and the nodes together; 3 for the three phase products
-    mass = dot(np.abs(v.T, order="C"), _WGK)  # sum_j w_j*|v_pj| by panel
-    rounding = _rounding(block + nb + 13,
-                         math.sqrt(2.0) * half * float(mass.sum()),
-                         ay * (T + 2.0 * block * half) + 3.0)
-    values, estimates = np.empty(ys.shape, dtype=complex), np.empty(ys.shape)
-    for lo in range(0, ys.size, step):
+    mass = dot(np.abs(v.swapaxes(-1, -2), order="C"), _WGK)  # by panel
+    del v
+    padded = None
+    if R == 1:
+        take = passes[0].points
+        y = ys[take]
+    else:  # one row of y per pass, padded with copies of its first y
+        counts = [p.count for p in passes]
+        take = np.empty((R, max(counts)), dtype=np.intp)
+        for row, p in zip(take, passes):
+            row[:p.count], row[p.count:] = p.points, p.points[0]
+        if min(counts) < take.shape[1]:
+            padded = np.arange(take.shape[1]) < np.array(counts)[:, None]
+        y = ys[take]
+    rounding = _rounding(
+        block + nb + 13,
+        math.sqrt(2.0) * half * mass.sum(axis=-1, keepdims=R > 1),
+        np.abs(y) * (T + 2.0 * block * half) + 3.0)
+    # a pass of all of a call's points writes the call's arrays in place
+    direct = isinstance(take, slice)
+    value, estimate = ((values, estimates) if direct else
+                       (np.empty(y.shape, dtype=complex), np.empty(y.shape)))
+    for lo in range(0, y.shape[-1], step):
         chunk = slice(lo, lo + step)
-        y = ys[chunk]
-        trig = np.exp((half * y)[:, None] * _IXGK8).view(float)
-        # Kronrod rows, then Kronrod-minus-Gauss rows
-        sums = dot((_PAIRED[:, None] * trig[:, :15]).reshape(-1, 15),
-                   pairs).view(complex)
-        values[chunk] = half * _block_phased_sum(sums[:y.size], y, half,
-                                                 block)
-        disc = half * np.abs(sums[y.size:]).sum(axis=1)
-        estimates[chunk] = tail + disc + rounding[chunk]
-        for i in (disc > tol / 2.0).nonzero()[0]:
-            t = -float(y[i])  # the kernel exp(i*t*u) of _phased_panels
-
-            def panels(mids, halves):
-                k, e, m = _phased_panels(
-                    lambda u: _finite(piece(u)) * np.exp(-x * u), t, mids,
-                    halves, 0)
-                return k[0], e, m
-
-            def result(k, e, m, evals):
-                return complex(k.sum()), tail + float(e.sum()) + _rounding(
-                    math.ceil(math.log2(evals)), float(m.sum()), abs(t) * T)
-
-            # this y's panels: K_p with its panel phase, |K_p - G_p| and
-            # the Kronrod sums of |v|
-            edges = 2.0 * half * np.arange(P + 1)
-            values[lo + i], estimates[lo + i] = result(*_refine(
-                panels, edges[:-1], edges[1:],
-                half * np.exp(1j * t * (odd * half)) * sums[i, :P],
-                half * np.abs(sums[y.size + i, :P]), half * mass, tol / 2.0,
-                15 * P, 15, result)[2:])
-    return values, estimates
+        yc = y[..., chunk]
+        c = yc.shape[-1]
+        trig = np.exp((half * yc)[..., None] * _IXGK8).view(float)
+        # Kronrod rows, then Kronrod-minus-Gauss rows (of each row)
+        sums = dot((_PAIRED_ROWS * trig[..., None, :, :15]).reshape(
+            *yc.shape[:-1], 2 * c, 15), pairs).view(complex)
+        value[..., chunk] = half * _block_phased_sum(sums[..., :c, :], yc,
+                                                     half, block)
+        disc = half * np.abs(sums[..., c:, :]).sum(axis=-1)
+        estimate[..., chunk] = tail + disc + rounding[..., chunk]
+        miss = disc > tol / 2.0
+        if padded is not None:
+            miss &= padded[:, chunk]
+        for k in miss.ravel().nonzero()[0]:
+            r, i = divmod(int(k), c)
+            p, n = passes[r], P[r]
+            row = sums.reshape(R, 2 * c, width)[r]
+            value[..., chunk].flat[k], estimate[..., chunk].flat[k] = _refined(
+                piece, p.x, -float(yc.flat[k]), p.T / (2.0 * n), odd[:n],
+                row[i, :n], row[c + i, :n], mass.reshape(R, -1)[r, :n], p.T,
+                p.tail, p.tol)
+    if direct:
+        return
+    if padded is not None:
+        take, value, estimate = take[padded], value[padded], estimate[padded]
+    values[take], estimates[take] = value, estimate
 
 
-def laplace_grid(piece, bound: ExponentialOrderBound, x: float, ys,
-                 tol: float, *, osc: float = 0.0, tail_cut=None):
-    """Integral of piece(u) * exp(-(x + i*y)*u) over [0, inf) for every y.
+def laplace_grid(piece, bound: ExponentialOrderBound, x, ys, tol, *,
+                 osc: float = 0.0, tail_cut=None):
+    """Integral of piece(u) * exp(-(x + i*y)*u) over [0, inf) for every
+    point (x, y, tol).
 
-    Returns (values, estimates), arrays in the shape of ys (a grid of
-    any shape is served as its flat grid), each value to absolute
-    tolerance tol.  bound, osc and tail_cut mean what they mean for
-    half_line_integral, with osc the oscillation of piece itself; T, the
-    tail and the mass of |v| come from _truncate.
+    x, ys and tol broadcast together; the result is two arrays in their
+    broadcast shape (a grid of any shape is served as its flat grid),
+    values and estimates, each value to absolute tolerance its tol.
+    The points that share a damping x and a tolerance form a row, and a
+    row's y are a grid.  bound, osc and tail_cut mean what they mean
+    for half_line_integral, with osc the oscillation of piece itself;
+    T, the tail and the mass of |v| of a row come from _truncate.
 
-    Uniform GK15 passes over [0, T] serve the y, many to a pass.  The
-    panel width comes from the GK15 error model (_PHI): a panel of
-    half-width h on which the integrand turns at rate omega has
+    Uniform GK15 passes over [0, T] serve the y of a row, many to a
+    pass.  The panel width comes from the GK15 error model (_PHI): a
+    panel of half-width h on which the integrand turns at rate omega has
     theta = omega*h, and the pass's |K - G| sum is about phi(theta)
     times the integral of |v| over [0, T], at most the envelope's mass
     M*d!/(x - a)^(d+1) (M*T^(d+1)/(d+1) under a tail_cut that alone
@@ -697,56 +843,86 @@ def laplace_grid(piece, bound: ExponentialOrderBound, x: float, ys,
     tail_cut, the mean decay rate that certifies, log(2/tol)/
     tail_cut(tol/2).  The width is min(2*theta/max omega, decay length).
 
-    The y that _MAX_PANELS (4096) such panels reach share one pass.
-    The others share a second one, sized the same way for the largest of
-    their rates; when it would need more than MAX_EVALUATIONS
-    evaluations, AccuracyError is raised before any evaluation.  A y
-    whose panel |K - G| sum exceeds tol/2 has its own panels of the pass
-    bisected by _refine, and its rounding allowance is that of the
-    refined panels' sum with the phase bound |y|*T; when the budget runs
-    out, the AccuracyError carries that y's value and estimate.  A
-    damping x < 0 for which exp(-x*T) passes the largest float raises
-    AccuracyError before any evaluation: f(u)*exp(-x*u) cannot be formed
-    from two floats there.  The
-    node pairs x_j, -x_j, real for a real piece, meet their weighted
-    cosines and sines in real BLAS products of inner dimension 15, in
-    chunks of y kept on the calling thread; the panel phases come by
-    block from one exp per y over one step vector (_block_phased_sum).
+    The y of a row that _MAX_PANELS (4096) such panels reach share one
+    pass.  The others share a second one, sized the same way for the
+    largest of their rates, which runs alone; when it would need more
+    than MAX_EVALUATIONS evaluations, AccuracyError is raised before any
+    evaluation.  A y whose panel |K - G| sum exceeds tol/2 has its own
+    panels of the pass bisected by _refine, and its rounding allowance
+    is that of the refined panels' sum with the phase bound |y|*T; when
+    the budget runs out, the AccuracyError carries that y's value and
+    estimate.  A damping x < 0 for which exp(-x*T) passes the largest
+    float raises AccuracyError before any evaluation: f(u)*exp(-x*u)
+    cannot be formed from two floats there.  Every row is checked, and
+    every pass sized, before the first evaluation, so a call raises
+    what the first row that fails would raise alone.
+
+    The passes of a call's rows run together (_grid_pass), in batches
+    of bounded size (_batches): the piece is called once on the union
+    of their own nodes, each row keeping its own T, panels and
+    evaluations, and the pair rows, node products, block phases and
+    |K - G| sums are arrays over the rows, padded to the batch's
+    largest panel count.  The node pairs x_j, -x_j, real for a real
+    piece, meet their weighted cosines and sines in real BLAS products
+    of inner dimension 15, one per row, in chunks of y kept on the
+    calling thread; the panel phases come by block from one exp per y
+    over one step vector (_block_phased_sum).  A scalar x and tol make
+    one row, with no grouping and no row axis; a row padded beside
+    wider ones sums in other blocks, within rounding of its own pass.
     Estimates are tail bound + panel |K - G| sum + rounding allowance.
     """
     ys = np.asarray(ys, dtype=float)
-    if ys.ndim != 1:  # a scalar or a grid of any shape, by its flat grid
-        values, estimates = laplace_grid(piece, bound, x, ys.ravel(), tol,
-                                         osc=osc, tail_cut=tail_cut)
-        return values.reshape(ys.shape), estimates.reshape(ys.shape)
-    T, tail, scale, mass = _truncate(bound, float(x), float(tol), tail_cut)
-    if -x * T > _LOG_MAX:  # exp(-x*u) passes the largest float before T
-        raise AccuracyError(
-            f"damping x={x} over [0, T={T}]: exp(-x*T) is past float "
-            "range, so the damped integrand cannot be formed")
-    if T <= 0.0 or ys.size == 0:
+    if _scalar(x) and _scalar(tol):  # one row: no grouping
+        shape, ys = ys.shape, ys.ravel()
+        rows = [(x, tol, slice(None))]
+    else:
+        shape = np.broadcast_shapes(np.shape(x), ys.shape, np.shape(tol))
+        xs, tols, ys = (np.broadcast_to(np.asarray(a, dtype=float),
+                                        shape).ravel() for a in (x, tol, ys))
+        rows = _rows(xs, tols)
+    values, estimates = np.zeros(ys.size, dtype=complex), np.empty(ys.size)
+    passes, zero = [], []
+    for x, tol, points in rows:
+        T, tail, scale, mass = _truncate(bound, float(x), float(tol),
+                                         tail_cut)
+        if -x * T > _LOG_MAX:  # exp(-x*u) passes the largest float before T
+            raise AccuracyError(
+                f"damping x={x} over [0, T={T}]: exp(-x*T) is past float "
+                "range, so the damped integrand cannot be formed")
+        y = ys[points]
+        if T <= 0.0 or y.size == 0:
+            zero.append((points, tail))
+            continue
+        theta = _model_theta(tol / 2.0, mass)
+        omega = np.abs(y) + (abs(osc) + abs(x))
+        if tail_cut is not None:
+            # the mean decay rate of a piece that falls below tol/2 by its cut
+            omega += (abs(math.log(2.0 / tol))
+                      / max(float(tail_cut(tol / 2.0)), _EPS))
+        near = omega <= 2.0 * theta * _MAX_PANELS / T
+        # the y beyond _MAX_PANELS such panels take a pass of their own
+        for part in [None] if near.all() else [~near, near]:
+            if part is None:
+                sub, rates = points, omega
+            elif part.any():
+                sub = (np.flatnonzero(part) if isinstance(points, slice)
+                       else points[part])
+                rates = omega[part]
+            else:
+                continue
+            panels = _panel_count(T, theta, scale, float(rates.max()))
+            _affordable(panels, 15)
+            passes.append(_Pass(x, tol, T, tail, panels, sub, rates.size))
+    if zero:
         f0 = float(np.abs(_finite(piece(np.zeros(1)))).max())
         if f0 > bound.envelope(0.0):  # T = 0 trusted an envelope f breaks
             raise ValueError(f"|f(0)| = {f0} breaks the envelope {bound}")
-        return np.zeros(ys.shape, dtype=complex), np.full(ys.shape, tail)
-    theta = _model_theta(tol / 2.0, mass)
-    ay = np.abs(ys)
-    omega = ay + (abs(osc) + abs(x))
-    if tail_cut is not None:
-        # the mean decay rate of a piece that falls below tol/2 by its cut
-        omega += (abs(math.log(2.0 / tol))
-                  / max(float(tail_cut(tol / 2.0)), _EPS))
-    near = omega <= 2.0 * theta * _MAX_PANELS / T
-    if near.all():  # the usual case: no gather or scatter
-        return _grid_pass(piece, x, ys, ay, omega, T, tail, tol, theta,
-                          scale)
-    values, estimates = np.empty(ys.shape, dtype=complex), np.empty(ys.shape)
-    # the far pass first, so that one over budget evaluates nothing
-    for part in (~near, near):
-        if part.any():
-            values[part], estimates[part] = _grid_pass(
-                piece, x, ys[part], ay[part], omega[part], T, tail, tol,
-                theta, scale)
+        for points, tail in zero:
+            estimates[points] = tail
+    for batch in _batches(passes):
+        _grid_pass(piece, batch, ys, values, estimates)
+    if values.shape != shape:
+        values, estimates = values.reshape(shape), estimates.reshape(shape)
     return values, estimates
 
 

@@ -85,20 +85,22 @@ def test_report_is_stable_json():
 def test_suite_makes_one_grid_pass_per_damping_row(monkeypatch,
                                                   refined_ys):
     # machine-independent; point-by-point grid criteria made 406 calls,
-    # 402 of them at a single y.  The derivative-rule, heat and ODE
-    # checks add 56 one-y passes, which replaced their 56 adaptive
-    # integrals, and no y of the suite has its panels bisected
+    # 402 of them at a single y, and one call per damping row 182, 108
+    # of them at a single point.  With the rows of a call run together
+    # every set of points is one call per piece side; the Gaussian's
+    # three Fourier points (6 calls) and the heat check's six pieces (12)
+    # stay single points.  No y of the suite has its panels bisected
     sizes = []
     grid = forward.laplace_grid
 
     def counted(piece, bound, x, ys, tol, **kwargs):
-        sizes.append(np.size(ys))
+        sizes.append(np.broadcast(x, ys, tol).size)
         return grid(piece, bound, x, ys, tol, **kwargs)
 
     monkeypatch.setattr(forward, "laplace_grid", counted)
     verify.run_all()
-    assert len(sizes) == 182
-    assert sizes.count(1) == 108
+    assert len(sizes) == 48
+    assert sizes.count(1) == 18
     assert refined_ys == []
 
 

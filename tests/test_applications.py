@@ -19,6 +19,7 @@ from symlap.applications import (
     ode_transform_check,
 )
 from symlap.errors import DivergenceError
+from symlap.verify import HEAT_IDENTITY_SAMPLES
 
 HEAT_POINTS = ((0.7, 0.3), (-0.7, 0.3), (1.2, 0.5), (-1.2, 0.5),
                (0.5, 0.25), (1.0, 0.5))
@@ -126,6 +127,19 @@ class TestHeatTransform:
         with pytest.raises(ValueError, match="osc"):
             heat_transform_pair(complex(1.0, math.nan), 1.0, 1e-6)
 
+    def test_rejects_an_infinite_s_by_name(self):
+        # it said "x must be finite, got inf", a name the caller never used
+        with pytest.raises(ValueError, match=r"s must be finite, got \(inf"):
+            heat_transform_pair(complex(math.inf, 0.0), 0.5, 1e-8)
+
+    @pytest.mark.parametrize("s,t", HEAT_IDENTITY_SAMPLES)
+    def test_each_criterion_sample_measures_a_gap(self, s, t):
+        # at a real s the identity is 0.0 to the bit (the solution is
+        # odd, so Gm = -G) and checks nothing; every sample of the heat
+        # criterion measures discretization instead
+        assert 0.0 < heat_transform_identity(s, t, 1e-4) <= 1e-4
+        assert heat_transform_identity(s.real + 0j, t, 1e-4) == 0.0
+
     @pytest.mark.parametrize("t", [0.25, 0.5, 0.5 + 3e-4, 0.25 - 3e-4, 1e-4])
     def test_piece_has_the_bits_of_a_vectorized_erf(self, t):
         # the heat piece erf(v / 2sqrt(t)) against np.vectorize of
@@ -189,3 +203,18 @@ class TestOdeTransform:
     def test_rejects_nan_oscillation(self):
         with pytest.raises(ValueError, match="osc"):
             ode_transform_check(complex(2.0, math.nan), 1e-7)
+
+    @pytest.mark.parametrize("s", [complex(math.inf, 0.0),
+                                   np.array([2.0, complex(math.inf, 1.0)])])
+    def test_rejects_an_infinite_s_by_name(self, s):
+        # it said "x must be finite, got inf"
+        with pytest.raises(ValueError, match=r"s must be finite, got \(inf"):
+            ode_transform_check(s, 1e-7)
+
+    def test_an_array_of_s_agrees_with_one_call_per_s(self):
+        s = np.array([2.0 + 0j, 3.0 + 1j, 1.5 - 2j])
+        gaps = ode_transform_check(s, 1e-7)
+        assert gaps.shape == s.shape and np.all(gaps <= 1e-7)
+        loop = [ode_transform_check(v, 1e-7) for v in s]
+        assert all(isinstance(v, float) for v in loop)
+        assert np.all(np.abs(gaps - loop) <= 1e-9)

@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -556,3 +560,168 @@ def test_forward_evaluation_counts_are_pinned(name, x1, x2, ymax, n,
     got, est = sl_forward_values(f, x1, x2, ys, 1e-8)
     assert count[0] == evaluations
     assert np.all(np.abs(got - closed_form(name, x1, x2, ys)) <= est)
+
+
+def _scattered(rng, name):
+    """Points (x1, x2, y, tol), shuffled, from three to five rows of one
+    to four y each: some rows share x1 at another tol, or tol at
+    another x1."""
+    lo = 1.25 if name == "ode_rhs" else 0.25  # x1 must exceed a = 1
+    rows = []
+    for _ in range(int(rng.integers(3, 6))):
+        x1 = rows[-1][0] if rows and rng.random() < 0.3 else float(
+            rng.uniform(lo, 4.0))
+        tol = float(10.0 ** -rng.integers(6, 11))
+        x2 = float(rng.uniform(0.25, 4.0))
+        for y in rng.uniform(-20.0, 20.0, int(rng.integers(1, 5))):
+            rows.append((x1, x2, float(y), tol))
+    order = rng.permutation(len(rows))
+    return [np.array(c) for c in zip(*(rows[i] for i in order))]
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_a_multi_row_call_agrees_with_one_call_per_point(name, refined_ys):
+    # each (x, tol) is a row with the panels its own call gives it: the
+    # rows together cost what one call per row costs, and every value
+    # agrees with the point's own call within the two estimates
+    rng = np.random.default_rng([20261020, CATALOG_NAMES.index(name)])
+    f, count = _counted(catalog_signal(name))
+    for _ in range(2):
+        x1, x2, ys, tol = _scattered(rng, name)
+        count[0] = 0
+        got, est = sl_forward_values(f, x1, x2, ys, tol)
+        together = count[0]
+        count[0] = 0
+        for side, x, y in (("pos", x1, ys), ("neg", x2, -ys)):
+            for key in set(zip(x, tol)):
+                row = (x == key[0]) & (tol == key[1])
+                one_sided_values(f, side, key[0], y[row], key[1] / 2.0)
+        assert together == count[0]
+        for i in range(ys.size):
+            one = sl_forward(f, SLPoint(x1[i], x2[i], ys[i]), tol[i])
+            assert abs(got[i] - one.value) <= est[i] + one.abs_error_estimate
+            assert est[i] <= tol[i]
+        gap = np.abs(got - closed_form(name, x1, x2, ys))
+        assert np.all(gap <= est)
+    assert refined_ys == []
+
+
+def test_points_broadcast_in_any_shape_and_order():
+    sign = catalog_signal("sign")
+    # a scalar: 0-d arrays, the bits of a one-y grid
+    v, e = sl_forward_values(sign, 1.0, 0.5, 2.0, 1e-8)
+    assert v.shape == e.shape == ()
+    want = sl_forward_values(sign, 1.0, 0.5, [2.0], 1e-8)
+    assert v.tobytes() == want[0].tobytes()
+    assert e.tobytes() == want[1].tobytes()
+    # (X, 1) x (Y,): one row per x, every value within its estimate
+    x = np.array([0.5, 2.0, 8.0])[:, None]
+    ys = np.linspace(-5.0, 5.0, 7)
+    v, e = sl_forward_values(sign, x, x, ys, 1e-9)
+    assert v.shape == e.shape == (3, 7)
+    assert np.all(np.abs(v - closed_form("sign", x, x, ys)) <= e)
+    # a repeated x is one row, and points in any order come back in it
+    x = np.array([1.0, 3.0, 1.0, 1.0, 3.0])
+    ys = np.array([4.0, -2.0, 0.0, -4.0, 9.0])
+    v, e = sl_forward_values(sign, x, 2.0, ys, 1e-8)
+    order = np.argsort(ys)
+    w, d = sl_forward_values(sign, x[order], 2.0, ys[order], 1e-8)
+    assert v[order].tobytes() == w.tobytes()
+    assert e[order].tobytes() == d.tobytes()
+    assert np.all(np.abs(v - closed_form("sign", x, 2.0, ys)) <= e)
+
+
+def test_a_refined_row_beside_plain_rows(refined_ys):
+    # cos(40 t) without an osc_hint: at x = 1 the panels sized for
+    # |y| <= 1 span several periods and every y is bisected; at x = 60
+    # the damping enters the rate and the panels resolve the
+    # oscillation.  Alone, the x = 1 row costs 15,210 evaluations, 300
+    # of them on the zero negative side at x2 = 2, which here is one row
+    # of all seven points, as in the call of the x = 60 row alone
+    fast, count = _counted(PiecewiseSignal(
+        "fast", lambda t: np.cos(40.0 * t), lambda t: np.zeros_like(t),
+        ExponentialOrderBound(1.0, 0.0), ExponentialOrderBound(1.0, 0.0)))
+    ys = [-1.0, -0.5, 0.0, 0.5, 1.0]
+    x = np.array([60.0, 1.0, 60.0, 1.0, 1.0, 1.0, 1.0])
+    y = np.array([0.0, -1.0, 3.0, -0.5, 0.0, 0.5, 1.0])
+    count[0] = 0
+    alone = sl_forward_values(fast, 60.0, 2.0, [0.0, 3.0], 1e-8)
+    rest = count[0]
+    count[0] = 0
+    refined_ys.clear()
+    got, est = sl_forward_values(fast, x, 2.0, y, 1e-8)
+    assert refined_ys == ys
+    assert count[0] == 15210 - 300 + rest
+    s1 = x + 1j * y
+    assert np.all(np.abs(got - s1 / (s1 ** 2 + 1600.0)) <= est)
+    assert np.all(est <= 1e-8)
+    assert np.all(np.abs(got[[0, 2]] - alone[0]) <= est[[0, 2]] + alone[1])
+
+
+def test_a_far_row_beside_near_rows(refined_ys):
+    # y = 1e4 takes a pass of its own beyond the panel cap on each side
+    # (1,142,130 evaluations for the two, as at the point alone); the
+    # near points cost what they cost alone
+    f, count = _counted(catalog_signal("sign"))
+    near = sl_forward_values(f, np.array([[2.0], [0.5]]), 1.0,
+                             [0.0, 3.0], 1e-8)
+    cost = count[0]
+    count[0] = 0
+    x = np.array([2.0, 1.0, 0.5, 2.0, 0.5])
+    y = np.array([0.0, 1e4, 0.0, 3.0, 3.0])
+    got, est = sl_forward_values(f, x, 1.0, y, 1e-8)
+    assert refined_ys == []
+    closed = closed_form("sign", x, 1.0, y)
+    assert np.all(np.abs(got - closed) <= est)
+    assert np.all(est <= 1e-8)
+    far = sl_forward(catalog_signal("sign"), SLPoint(1.0, 1.0, 1e4), 1e-8)
+    assert abs(got[1] - far.value) <= est[1] + far.abs_error_estimate
+    assert count[0] == cost + 1142130
+    assert np.all(np.abs(got[[0, 3, 2, 4]] - near[0].ravel())
+                  <= est[[0, 3, 2, 4]] + near[1].ravel())
+
+
+def test_one_failing_row_raises_before_any_evaluation():
+    f, count = _counted(catalog_signal("ode_rhs"))
+    with pytest.raises(DivergenceError, match=r"positive.*x=0\.5"):
+        sl_forward_values(f, [2.0, 0.5, 3.0], 1.0, [0.0, 1.0, 2.0], 1e-8)
+    assert count[0] == 0
+
+    def piece(t):
+        return np.exp(-2.0 * np.abs(t))
+
+    bound = ExponentialOrderBound(1.0, -2.0)
+    decay, count = _counted(PiecewiseSignal("decay", piece, piece, bound,
+                                            bound))
+    # x = -1.95 passes float range at tol 1e-8, x = -1 does not
+    with pytest.raises(AccuracyError, match="past float range"):
+        sl_forward_values(decay, [-1.0, -1.95], -1.0, 0.0, 1e-8)
+    assert count[0] == 0
+    # a far pass beyond the budget in one row, near passes in the others
+    sign, count = _counted(catalog_signal("sign"))
+    with pytest.raises(AccuracyError, match="budget cannot resolve"):
+        sl_forward_values(sign, [2.0, 1.0], 1.0, [0.0, 1e5], 1e-8)
+    assert count[0] == 0
+
+
+def test_a_multi_row_call_writes_the_same_bytes_at_any_thread_count():
+    # rows of up to 4096 panels and hundreds of y: every product stays
+    # below the sizes at which OpenBLAS splits work across threads
+    code = (
+        "import hashlib, numpy as np\n"
+        "from symlap import catalog_signal, sl_forward_values\n"
+        "x = np.array([0.05, 0.3, 1.0, 1.0, 4.0])[:, None]\n"
+        "tol = np.array([1e-12, 1e-10, 1e-8, 1e-12, 1e-10])[:, None]\n"
+        "ys = np.linspace(-80.0, 80.0, 301)\n"
+        "v, e = sl_forward_values(catalog_signal('ramp'), x, x, ys, tol)\n"
+        "print(hashlib.sha256(v.tobytes() + e.tobytes()).hexdigest())\n")
+    root = Path(__file__).resolve().parents[1]
+    out = []
+    for threads in ("1", "4"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=str(root / "src"))
+        cp = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120)
+        assert cp.returncode == 0, cp.stderr
+        out.append(cp.stdout)
+    assert out[0] == out[1]

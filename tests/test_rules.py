@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from symlap.core import ExponentialOrderBound, PiecewiseSignal, catalog_signal
+from symlap.errors import AccuracyError
 from symlap.rules import (
     BoundaryData,
     TransformPair,
@@ -127,3 +129,76 @@ def test_quadrature_backed_pair_matches_closed_form():
     for s in (1.0 + 0j, 2.0 + 1j):
         assert abs(tp.pos(s) - 1.0 / s) <= 1e-9
         assert abs(tp.neg(s.conjugate()) - 1.0 / s.conjugate()) <= 1e-9
+
+
+def test_consistency_over_an_array_of_s_agrees_with_the_scalar_loop():
+    # the ten s of one order in one call, each at its own quadrature
+    # tolerance tol/(8*max(1, |s|)^n): the same panels as one call per
+    # s, summed in other blocks, so far inside those tolerances
+    g, d1, d2 = gauss_family()
+    bd2 = BoundaryData((1.0, 0.0), (1.0, 0.0))
+    rng = np.random.default_rng(20260811)
+    s = np.array([complex(1.0 + 2.0 * rng.random(), -2.0 + 4.0 * rng.random())
+                  for _ in range(10)])
+    for n, f_nth, bd in ((1, d1, None), (2, d2, bd2)):
+        together = check_rule_consistency(g, f_nth, n, s, 1e-7, bd=bd)
+        assert together.shape == s.shape
+        loop = [check_rule_consistency(g, f_nth, n, v, 1e-7, bd=bd)
+                for v in s]
+        assert all(isinstance(v, float) for v in loop)
+        assert np.all(together <= 1e-7)
+        assert np.all(np.abs(together - loop) <= 1e-12)
+
+
+def test_quadrature_backed_images_take_arrays_of_s():
+    one = catalog_signal("one")
+    tp = transform_pair_of(one, 1e-10)
+    s = np.array([[1.0 + 0j, 2.0 + 1j], [0.5 - 3j, 4.0 + 0j]])
+    assert np.all(np.abs(tp.pos(s) - 1.0 / s) <= 1e-10)
+    assert np.all(np.abs(tp.combined(s) - (1.0 / s + 1.0 / s.conjugate()))
+                  <= 2e-10)
+    # each s alone: the same panels, summed in other blocks
+    assert all(abs(tp.pos(v) - p) <= 2e-10
+               for v, p in zip(s.ravel(), tp.pos(s).ravel()))
+    assert isinstance(tp.pos(2.0 + 1j), complex)
+
+
+@pytest.mark.parametrize("s,part", [
+    (complex(math.inf, 0.0), r"\(inf\+0j\): its damping"),
+    (complex(1.0, -math.inf), r"\(1-infj\): its oscillation"),
+    (np.array([1.0 + 1j, complex(math.nan, 1.0)]),
+     r"\(nan\+1j\): its damping")])
+def test_consistency_rejects_an_s_that_is_not_finite(s, part):
+    # an infinite s made the quadrature tolerance 0 ("tol must be
+    # positive and finite, got 0.0", though the caller passed 1e-7)
+    g, d1, _ = gauss_family()
+    with pytest.raises(ValueError, match="s must be finite, got " + part):
+        check_rule_consistency(g, d1, 1, s, 1e-7)
+
+
+@pytest.mark.parametrize("n,s,tol,match", [
+    (2, 1e160, 1e-7, "past float range"),
+    (1, 1e308, 1e-7, "past float range"),
+    (2, np.array([1.0, 1e150 + 1j]), 1e-25, "underflows to 0")])
+def test_consistency_refuses_an_amplification_past_float_range(n, s, tol,
+                                                               match):
+    # |s|^2 at s = 1e160 was a bare OverflowError from max(1, |s|) ** n;
+    # tol/(8*|s|^2) at s = 1e150 and tol = 1e-25 underflows to 0.  Both
+    # are refused, naming s and n, before any evaluation and without a
+    # RuntimeWarning (an error under this suite's settings)
+    count = [0]
+
+    def counted(f):
+        def wrap(piece):
+            def evaluated(t):
+                count[0] += np.size(t)
+                return piece(t)
+            return evaluated
+        return dataclasses.replace(f, pos=wrap(f.pos), neg=wrap(f.neg))
+
+    g, d1, d2 = (counted(f) for f in gauss_family())
+    bd = BoundaryData((1.0,) * n, (1.0,) * n)
+    with pytest.raises(AccuracyError, match=match) as exc:
+        check_rule_consistency(g, (d1, d2)[n - 1], n, s, tol, bd=bd)
+    assert f"n={n}" in str(exc.value) and "s=(1e+" in str(exc.value)
+    assert count[0] == 0
