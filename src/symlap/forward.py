@@ -13,9 +13,10 @@ that vanishes on t < 0 is SLPoint(Re s, Re s, Im s).
 
 Along a line of fixed damping (x1, x2) the oscillation y is the Fourier
 direction, so a whole y-grid is evaluated at once: each half-line takes
-one factored GK15 pass over uniform panels shared by its y, and a second
-for the y beyond 4096 such panels (quadrature.laplace_grid); only a y
-whose panel certificate misses its budget has its own panels bisected.
+one factored pass of Gauss-Kronrod 15/31 panels, uniform and shared by
+its y, and a second for the y beyond 4096 such panels
+(quadrature.laplace_grid); only a y whose panel certificate misses
+its budget has its own panels bisected.
 Scattered points, each at its own damping and tolerance, are served
 the same way: the points that share a damping and a tolerance form a
 row with its own panels, and the rows of a call run together, so a set

@@ -1,13 +1,13 @@
 """Semi-infinite and finite oscillatory integration with certified truncation.
 
-Both directions use one Gauss-Kronrod 7/15 scheme: a uniform pass of
-panels, each estimated with the 15-point Kronrod rule, the difference
-against the embedded 7-point Gauss rule serving as the local error
-estimate, and one refinement loop (_refine) that bisects the panels
-whose error exceeds their fair share of the budget until the error sum
-fits, or a hard evaluation budget (2^20 integrand evaluations) runs
-out.  Then an AccuracyError carrying the value and estimate the panels
-would have given is raised rather than a silently degraded value
+Both directions use one Gauss-Kronrod 15/31 scheme (QUADPACK's qk31): a
+uniform pass of panels, each estimated with the 31-point Kronrod rule,
+the difference against the embedded 15-point Gauss rule serving as the
+local error estimate, and one refinement loop (_refine) that bisects the
+panels whose error exceeds their fair share of the budget until the
+error sum fits, or a hard evaluation budget (2^20 integrand evaluations)
+runs out.  Then an AccuracyError carrying the value and estimate the
+panels would have given is raised rather than a silently degraded value
 returned.
 
 Half-line integrals split the tolerance evenly: the certified tail
@@ -34,12 +34,13 @@ v(u) = f(u)*exp(-x*u), real for a real f: its damping, pair sums and
 moduli stay in real arithmetic, to the bits of its complex cast.  The
 node phases are shared by all panels, so the integrand is evaluated
 once per node rather than once per node and y.
-The nodes come in pairs x_(14-j) = -x_j, so with t_j = y*h*x_j a pair
-adds w_j*(v_j + v_(14-j))*cos(t_j) - i*w_j*(v_j - v_(14-j))*sin(t_j).
-A real Y x 15 table of weighted cosines and sines and the centre weight
-meets the 15 x P complex rows of pair sums, -i times pair differences
-and centre values, read as 15 x 2P reals, and one real BLAS product of
-inner dimension 15 gives the Y x P node sums, read back as complex.  The
+The nodes come in 15 pairs x_(30-j) = -x_j and the centre x_15 = 0, so
+with t_j = y*h*x_j a pair adds
+w_j*(v_j + v_(30-j))*cos(t_j) - i*w_j*(v_j - v_(30-j))*sin(t_j).
+A real Y x 31 table of weighted cosines and sines and the centre weight
+meets the 31 x P complex rows of pair sums, -i times pair differences
+and centre values, read as 31 x 2P reals, and one real BLAS product of
+inner dimension 31 gives the Y x P node sums, read back as complex.  The
 panel phases factor in blocks: with p = a*B + b and B about sqrt(P),
 exp(-i*y*c_p) is an outer factor exp(-2i*y*B*h*a) times an inner one
 exp(-i*y*(2b+1)*h), both from one exp per y over one vector of steps
@@ -66,11 +67,14 @@ einsum, which never calls BLAS.  On one thread the sums do not depend on
 OPENBLAS_NUM_THREADS, so `symlap forward` writes the same bytes under
 any setting.
 
-The panel width comes from the GK15 error model: on a panel where the
+The panel width comes from the rule's error model: on a panel where the
 integrand turns by theta radians per half-width, sum_p |K_p - G_p| is
 about phi(theta) * integral of |v|, with phi(theta) = |sum_j (w^K_j -
-w^G_j) * exp(i*theta*x_j)| / 2 tabulated once.  A pass takes the widest
-panels whose predicted sum is a quarter of its budget (_model_theta).
+w^G_j) * exp(i*theta*x_j)| / 2 tabulated once, up to theta = 13.39
+(1.16 nodes per radian).  A pass takes the widest panels whose
+predicted sum is a quarter of its budget (_model_theta); the turn
+counts the damping, the oscillations of the kernel and of the piece,
+and a tail_cut's decay, so no decay length caps the width.
 The y of a row that 4096 such panels resolve share one pass; the others
 share a second, run alone, sized for the fastest of them and refused
 with AccuracyError, before any evaluation, when it needs more than 2^20
@@ -94,8 +98,8 @@ into two such parts (_symmetric_parts).  poles, (y_p, order, strength)
 triples, give F's poles: the first pass then has uniform panels as wide
 as the error model allows for the integral of |F| they estimate
 (_pole_mass) by the rule of the forward pass (_model_theta), never
-narrower than the one oscillation of the kernel it has without them,
-and is graded toward those poles (_graded) in one call of F.  The
+narrower than the widest tabulated turn of the kernel it has without
+them, and is graded toward those poles (_graded) in one call of F.  The
 panels still over budget are bisected by the refinement loop and
 phase-factored panels (_phased_panels) of a forward y.
 
@@ -113,7 +117,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from typing import NamedTuple
 
 import numpy as np
@@ -121,77 +125,119 @@ import numpy as np
 from .core import ExponentialOrderBound
 from .errors import AccuracyError, DivergenceError
 
-# 15-point Kronrod nodes on [-1, 1] and weights, with the embedded
-# 7-point Gauss weights aligned on the same nodes (zeros at the
-# Kronrod-only positions).  Values are the classical QUADPACK constants.
-_XGK = np.array([
-    -0.991455371120812639206854697526329,
-    -0.949107912342758524526189684047851,
-    -0.864864423359769072789712788640926,
-    -0.741531185599394439863864773280788,
-    -0.586087235467691130294144838258730,
-    -0.405845151377397166906606412076961,
-    -0.207784955007898467600689403773245,
-    0.0,
-    0.207784955007898467600689403773245,
-    0.405845151377397166906606412076961,
-    0.586087235467691130294144838258730,
-    0.741531185599394439863864773280788,
-    0.864864423359769072789712788640926,
-    0.949107912342758524526189684047851,
-    0.991455371120812639206854697526329,
-])
-_WGK = np.array([
-    0.022935322010529224963732008058970,
-    0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518,
-    0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550,
-    0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649,
-    0.209482141084727828012999174891714,
-    0.204432940075298892414161999234649,
-    0.190350578064785409913256402421014,
-    0.169004726639267902826583426598550,
-    0.140653259715525918745189590510238,
-    0.104790010322250183839876322541518,
-    0.063092092629978553290700663189204,
-    0.022935322010529224963732008058970,
-])
-_WG7 = np.array([
-    0.129484966168869693270611432679082,
-    0.279705391489276667901467771423780,
-    0.381830050505118944950369775488975,
-    0.417959183673469387755102040816327,
-    0.381830050505118944950369775488975,
-    0.279705391489276667901467771423780,
-    0.129484966168869693270611432679082,
-])
-_WG = np.zeros(15)
-_WG[1::2] = _WG7
+# Gauss-Kronrod 15/31 on [-1, 1] (QUADPACK's qk31), as digit strings:
+# the nodes x_0 < ... < x_15 = 0 of the left half, the others mirrored as
+# x_(30-j) = -x_j, their 31-point Kronrod weights and the 15-point Gauss
+# weights of the embedded rule, whose nodes are the odd j.
+_NODE_DIGITS = (
+    "-0.998002298693397060285172840152271",
+    "-0.987992518020485428489565718586613",
+    "-0.967739075679139134257347978784337",
+    "-0.937273392400705904307758947710209",
+    "-0.897264532344081900882509656454496",
+    "-0.848206583410427216200648320774217",
+    "-0.790418501442465932967649294817947",
+    "-0.724417731360170047416186054613938",
+    "-0.650996741297416970533735895313275",
+    "-0.570972172608538847537226737253911",
+    "-0.485081863640239680693655740232351",
+    "-0.394151347077563369897207370981045",
+    "-0.299180007153168812166780024266389",
+    "-0.201194093997434522300628303394596",
+    "-0.101142066918717499027074231447392",
+    "0",
+)
+_KRONROD_DIGITS = (
+    "0.005377479872923348987792051430128",
+    "0.015007947329316122538374763075807",
+    "0.025460847326715320186874001019653",
+    "0.035346360791375846222037948478360",
+    "0.044589751324764876608227299373280",
+    "0.053481524690928087265343147239430",
+    "0.062009567800670640285139230960803",
+    "0.069854121318728258709520077099147",
+    "0.076849680757720378894432777482659",
+    "0.083080502823133021038289247286104",
+    "0.088564443056211770647275443693774",
+    "0.093126598170825321225486872747346",
+    "0.096642726983623678505179907627589",
+    "0.099173598721791959332393173484603",
+    "0.100769845523875595044946662617570",
+    "0.101330007014791549017374792767493",
+)
+_GAUSS_DIGITS = (
+    "0.030753241996117268354628393577204",
+    "0.070366047488108124709267416450667",
+    "0.107159220467171935011869546685869",
+    "0.139570677926154314447804794511028",
+    "0.166269205816993933553200860481209",
+    "0.186161000015562211026800561866423",
+    "0.198431485327111576456118326443839",
+    "0.202578241925561272880620199967519",
+)
+# Gauss weights at the 16 left-half positions, 0 at the Kronrod-only ones
+_GAUSS_HALF = tuple(_GAUSS_DIGITS[j // 2] if j % 2 else "0"
+                    for j in range(16))
+
+
+def _mirrored(half, sign=1.0):
+    """The 31 values of a rule from its 16 left-half digit strings: x_j
+    and, for j < 15, sign * x_j at position 30 - j."""
+    left = [float(d) for d in half]
+    return np.array(left + [sign * v for v in left[-2::-1]])
+
+
+_N = 31  # nodes per panel
+_XGK = _mirrored(_NODE_DIGITS, -1.0)
+_WGK = _mirrored(_KRONROD_DIGITS)
+_WG = _mirrored(_GAUSS_HALF)
 
 MAX_EVALUATIONS = 2 ** 20
 _EPS = float(np.finfo(float).eps)
 _MAX_PANELS = 4096  # laplace_grid's first pass; farther y take a second
 # complex entries a batch of laplace_grid rows may pad to: rows x panels x
-# (15 nodes + y), so that memory does not grow with the number of rows
+# (31 nodes + y), so that memory does not grow with the number of rows
 _BATCH_ENTRIES = 2 ** 17
 # exp(x) is a normal float for |x| below this (about 708.4 and 709.8)
 _LOG_NORMAL = 708.0
 _LOG_MAX = math.log(np.finfo(float).max)  # exp(x) is finite below this
 
-# GK15 error model on a panel of half-width h whose integrand turns at
-# theta = omega*h radians per unit: phi(theta) = |sum_j (w^K_j - w^G_j) *
-# exp(i*theta*x_j)| / 2, so that sum_p |K_p - G_p| ~ phi(theta) * integral
-# of |v|.  Tabulated on (0, pi] and made nondecreasing by its running
-# maximum, so every smaller theta predicts no more.
-_THETA = tuple((math.pi * np.arange(1, 257) / 256).tolist())
-_PHI = tuple(np.maximum.accumulate(0.5 * np.abs(
-    np.exp(1j * np.outer(_THETA, _XGK)) @ (_WGK - _WG))).tolist())
+# Error model of the rule on a panel of half-width h whose integrand
+# turns at theta = omega*h radians per unit: phi(theta) = |sum_j (w^K_j -
+# w^G_j) * exp(i*theta*x_j)| / 2, so that sum_p |K_p - G_p| ~ phi(theta) *
+# integral of |v|.  Tabulated in steps of pi/256 up to 13.39 (1091 steps),
+# where it predicts 8.2e-9 of the mass with 1.16 nodes per radian, the
+# widest panel it sizes; made nondecreasing by its running maximum, so
+# every smaller theta predicts no more.
+_THETA = tuple((math.pi * np.arange(1, 1092) / 256).tolist())
+_POWERS = np.arange(30, 81, 2)  # the even k of _model_phi's series
+
+
+def _model_phi(thetas):
+    """phi(theta) at each theta from the series of exp(i*theta*x) about
+    0.  Both rules integrate x^k exactly for k < 30 and odd x^k by
+    symmetry, so with the moments mu_k = sum_j (w^K_j - w^G_j) * x_j^k,
+    phi(theta) = |sum over even k >= 30 of (-1)^(k/2) * mu_k * theta^k
+    / k!| / 2.  The moments come from the digit strings in 50-digit
+    decimal arithmetic, since the float sum of the 31 terms stops at its
+    cancellation, about 1e-17, where phi(pi/256) is about 2.5e-99; the
+    terms beyond k = 80 are below 1e-21 of phi up to theta = 13.39."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        x = [Decimal(d) for d in _NODE_DIGITS[:15]]
+        diff = [Decimal(k) - Decimal(g)
+                for k, g in zip(_KRONROD_DIGITS, _GAUSS_HALF)]
+        coef = [float((-1) ** (k // 2) * 2 * sum(
+            d * v ** k for d, v in zip(diff, x)) / math.factorial(k))
+            for k in _POWERS.tolist()]
+    return 0.5 * np.abs(np.power.outer(thetas, _POWERS) @ coef)
+
+
+_PHI = tuple(np.maximum.accumulate(_model_phi(np.array(_THETA))).tolist())
 # share of the panel budget a model may predict: for laplace_grid's
 # uniform pass, and for the poles' own terms of a graded inversion pass
 _MODEL_SHARE = 0.25
-# Pole distances, in panel half-widths, of the GK15 error model for an
+# Pole distances, in panel half-widths, of the rule's error model for an
 # order-m pole (_pole_model): 1/16 to 16 in steps of 2^(1/4)
 _DELTA = tuple((2.0 ** (np.arange(-16, 17) / 4.0)).tolist())
 _NO_PIECES = np.empty((4, 0))  # _graded's rows of no pieces
@@ -204,16 +250,16 @@ _NO_PIECES = np.empty((4, 0))  # _graded's rows of no pieces
 _SOLO_DGEMM = 2 ** 19
 _SOLO_ZGEMV = 2 ** 12
 # Kronrod and Kronrod-minus-Gauss weights of laplace_grid's paired node
-# rows [cos(t_0), sin(t_0), ..., cos(t_6), sin(t_6), 1], and i*x_j for
-# the t_j = y*h*x_j of the first 8 nodes
-_PAIRED = np.array([np.repeat(w[:8], 2)[:15] for w in (_WGK, _WGK - _WG)])
+# rows [cos(t_0), sin(t_0), ..., cos(t_14), sin(t_14), 1], and i*x_j for
+# the t_j = y*h*x_j of the first 16 nodes
+_PAIRED = np.array([np.repeat(w[:16], 2)[:_N] for w in (_WGK, _WGK - _WG)])
 _PAIRED_ROWS = _PAIRED[:, None]  # broadcast over the y of a chunk
-_IXGK8 = 1j * _XGK[:8]
+_IXGK16 = 1j * _XGK[:16]
 _ODD = np.arange(1.0, 2.0 * _MAX_PANELS, 2.0)  # panel midpoints over h
-# Kronrod and Kronrod-minus-Gauss weights as a real 30 x 4 matrix: the
-# real and imaginary parts of 15 complex node values in, the real and
+# Kronrod and Kronrod-minus-Gauss weights as a real 62 x 4 matrix: the
+# real and imaginary parts of 31 complex node values in, the real and
 # imaginary parts of K and K - G out
-_KG_REAL = np.zeros((30, 4))
+_KG_REAL = np.zeros((2 * _N, 4))
 _KG_REAL[0::2, 0] = _KG_REAL[1::2, 1] = _WGK
 _KG_REAL[0::2, 2] = _KG_REAL[1::2, 3] = _WGK - _WG
 
@@ -283,7 +329,7 @@ def _finite(vals):
 
 
 def _rounding(depth, magnitude, phase=0.0):
-    """Rounding allowance for a GK15 sum whose Kronrod sum of
+    """Rounding allowance for a panel sum whose Kronrod sum of
     |integrand| is magnitude: at most depth additions on any term's path
     (ceil(log2(nodes)) for a pairwise sum), phases exp(i*phi) with |phi|
     up to phase, and the final scaling."""
@@ -452,9 +498,8 @@ def _tail_bound(bound, x, T):
 @functools.lru_cache(maxsize=64)  # passes repeat bounds, x and tol
 def _truncate(bound, x, tol, tail_cut):
     """Truncation of a half-line integral to tolerance tol: returns T,
-    the certified tail beyond T (at most tol/2), the decay length that
-    caps the panel width, and the mass on [0, T], the integral of
-    |integrand| the error model scales by.
+    the certified tail beyond T (at most tol/2) and the mass on [0, T],
+    the integral of |integrand| the error model scales by.
 
     The envelope certifies a tail when x > a, and a tail_cut (the
     integral of |f| beyond its cut) when x >= 0, since the damping then
@@ -483,10 +528,10 @@ def _truncate(bound, x, tol, tail_cut):
                 if T_cut < T:
                     T, tail = T_cut, tol / 2.0
                     mass = min(mass, _cut_mass(bound, T))
-            return T, tail, 1.0 / rate, mass
+            return T, tail, mass
     if cut:
         T = float(tail_cut(tol / 2.0))
-        return T, tol / 2.0, 1.0, _cut_mass(bound, T)
+        return T, tol / 2.0, _cut_mass(bound, T)
     raise DivergenceError(
         f"damping x={x} does not exceed growth rate a={bound.a}")
 
@@ -531,8 +576,8 @@ def _pole_mass(poles, A):
     and all listed.  Of a repeated pole it counts the leading Laurent
     term only, and it counts nothing of a polynomial part or of a pole
     left out.  An estimate too small widens the first pass, to at most
-    one oscillation of the kernel per panel; the |K - G| sums and
-    _refine still decide the result."""
+    the widest tabulated turn of the kernel per panel; the |K - G| sums
+    and _refine still decide the result."""
     mass = 0.0
     for y_p, order, strength in poles:
         a, d = min(abs(y_p.real), A), abs(y_p.imag)
@@ -548,11 +593,10 @@ def _pole_mass(poles, A):
     return mass
 
 
-def _panel_count(T, theta, scale, rate):
+def _panel_count(T, theta, rate):
     """Number of model-width panels on [0, T], at least 4, for an
-    integrand turning at rate: min(2*theta/rate, decay length) wide."""
-    return max(math.ceil(T / (min(2.0 * theta / rate, scale) if rate
-                              else scale)), 4)
+    integrand turning at rate: 2*theta/rate wide."""
+    return max(math.ceil(T * rate / (2.0 * theta)), 4)
 
 
 def half_line_integral(integrand, bound: ExponentialOrderBound, x: float,
@@ -580,7 +624,7 @@ def half_line_integral(integrand, bound: ExponentialOrderBound, x: float,
     require_positive(tol=tol)
     require_finite(x=x, osc=osc)
     x = float(x)
-    T, _, _, mass = _truncate(bound, x, float(tol), tail_cut)
+    T, _, mass = _truncate(bound, x, float(tol), tail_cut)
     evaluations = [0]
 
     def counted(u):
@@ -656,7 +700,7 @@ def _rows(xs, tols):
 def _batches(passes):
     """The passes in batches for _grid_pass: one beyond _MAX_PANELS
     alone, the others, widest first so that a batch's rows pad little,
-    in batches whose padded arrays, rows x panels x (15 nodes + y), stay
+    in batches whose padded arrays, rows x panels x (31 nodes + y), stay
     within _BATCH_ENTRIES (a pass above it alone)."""
     if len(passes) == 1:
         return [passes]
@@ -665,7 +709,7 @@ def _batches(passes):
     for p in sorted((p for p in passes if p.panels <= _MAX_PANELS),
                     key=lambda p: -p.panels):
         if batch and (len(batch) + 1) * width * (
-                15 + max(most, p.count)) <= _BATCH_ENTRIES:
+                _N + max(most, p.count)) <= _BATCH_ENTRIES:
             batch.append(p)
             most = max(most, p.count)
         else:  # the widest pass of a batch sets its padded width
@@ -695,7 +739,7 @@ def _refined(piece, x, t, half, odd, k, kg, mass, T, tail, tol):
     return result(*_refine(
         panels, edges[:-1], edges[1:],
         half * np.exp(1j * t * (odd * half)) * k, half * np.abs(kg),
-        half * mass, tol / 2.0, 15 * P, 15, result)[2:])
+        half * mass, tol / 2.0, _N * P, _N, result)[2:])
 
 
 def _grid_pass(piece, passes, ys, values, estimates):
@@ -735,31 +779,33 @@ def _grid_pass(piece, passes, ys, values, estimates):
         own = np.broadcast_to(own[:, None], nodes.shape)
         u = nodes[own]
         vals = _finite(piece(u)) * np.exp(
-            np.repeat(-x3.ravel(), [15 * n for n in P]) * u)
+            np.repeat(-x3.ravel(), [_N * n for n in P]) * u)
         v = np.zeros(nodes.shape, dtype=vals.dtype)
         v[own] = vals
         del u, vals
     del nodes  # the padded arrays of all rows live at once: free early
-    # rows [sum_0, -i*difference_0, ..., -i*difference_6, centre] of
-    # the node pairs j, 14 - j, each real and imaginary part a column
+    # rows [sum_0, -i*difference_0, ..., -i*difference_14, centre] of
+    # the node pairs j, 30 - j, each real and imaginary part a column
     # of its own, meet real phase rows w*[cos(t_0), sin(t_0), ...,
-    # sin(t_6), 1] (exp(i*t) read as reals; t_7 = 0 gives exactly 1);
+    # sin(t_14), 1] (exp(i*t) read as reals; t_15 = 0 gives exactly 1);
     # zero panels pad the last block, as -i*0 in the difference rows
     pairs = np.zeros((*v.shape[:-1], width), dtype=complex)
-    pairs[..., :14:2, :most] = v[..., :7, :] + v[..., :7:-1, :]
-    pairs[..., 1:14:2, :most] = (v[..., :7, :] - v[..., :7:-1, :]) * -1j
-    pairs[..., 1:14:2, most:] = 0j * -1j
-    pairs[..., 14, :most] = v[..., 7, :]
+    pairs[..., :30:2, :most] = v[..., :15, :] + v[..., :15:-1, :]
+    pairs[..., 1:30:2, :most] = (v[..., :15, :] - v[..., :15:-1, :]) * -1j
+    pairs[..., 1:30:2, most:] = 0j * -1j
+    pairs[..., 30, :most] = v[..., 15, :]
     pairs = pairs.view(float)
-    step = max(1, _SOLO_DGEMM // (60 * width))
+    # multiply-adds of a chunk's product: 2 rows of N weights per y and
+    # 2 reals per panel
+    step = max(1, _SOLO_DGEMM // (4 * _N * width))
     # a one-y product above _SOLO_DGEMM, only ever in a pass beyond
     # _MAX_PANELS and so of one row, goes to einsum, which never hands
     # it to threaded BLAS; a product of several rows is one BLAS call
     # per row
-    dot = (np.matmul if 60 * width <= _SOLO_DGEMM
+    dot = (np.matmul if 4 * _N * width <= _SOLO_DGEMM
            else functools.partial(np.einsum, "ij,j...->i..."))
-    # a term passes a pair sum, 15 products summed in whatever order
-    # BLAS or einsum takes, block panels and nb blocks: at most 1 + 14 +
+    # a term passes a pair sum, 31 products summed in whatever order
+    # BLAS or einsum takes, block panels and nb blocks: at most 1 + 30 +
     # (block - 1) + (nb - 1) additions.  The real and imaginary parts
     # are separate real sums, each over at most sqrt(2) times the
     # pair's sum of moduli: the sqrt(2).  Phase arguments: at most
@@ -780,7 +826,7 @@ def _grid_pass(piece, passes, ys, values, estimates):
             padded = np.arange(take.shape[1]) < np.array(counts)[:, None]
         y = ys[take]
     rounding = _rounding(
-        block + nb + 13,
+        _N + block + nb - 2,
         math.sqrt(2.0) * half * mass.sum(axis=-1, keepdims=R > 1),
         np.abs(y) * (T + 2.0 * block * half) + 3.0)
     # a pass of all of a call's points writes the call's arrays in place
@@ -791,10 +837,10 @@ def _grid_pass(piece, passes, ys, values, estimates):
         chunk = slice(lo, lo + step)
         yc = y[..., chunk]
         c = yc.shape[-1]
-        trig = np.exp((half * yc)[..., None] * _IXGK8).view(float)
+        trig = np.exp((half * yc)[..., None] * _IXGK16).view(float)
         # Kronrod rows, then Kronrod-minus-Gauss rows (of each row)
-        sums = dot((_PAIRED_ROWS * trig[..., None, :, :15]).reshape(
-            *yc.shape[:-1], 2 * c, 15), pairs).view(complex)
+        sums = dot((_PAIRED_ROWS * trig[..., None, :, :_N]).reshape(
+            *yc.shape[:-1], 2 * c, _N), pairs).view(complex)
         value[..., chunk] = half * _block_phased_sum(sums[..., :c, :], yc,
                                                      half, block)
         disc = half * np.abs(sums[..., c:, :]).sum(axis=-1)
@@ -830,18 +876,20 @@ def laplace_grid(piece, bound: ExponentialOrderBound, x, ys, tol, *,
     for half_line_integral, with osc the oscillation of piece itself;
     T, the tail and the mass of |v| of a row come from _truncate.
 
-    Uniform GK15 passes over [0, T] serve the y of a row, many to a
-    pass.  The panel width comes from the GK15 error model (_PHI): a
-    panel of half-width h on which the integrand turns at rate omega has
-    theta = omega*h, and the pass's |K - G| sum is about phi(theta)
-    times the integral of |v| over [0, T], at most the envelope's mass
-    M*d!/(x - a)^(d+1) (M*T^(d+1)/(d+1) under a tail_cut that alone
-    certifies the tail, and the smaller of the two where the cut wins).
-    theta is the largest value up to pi whose prediction is a quarter
-    of the tol/2 panel budget (_model_theta).  omega bounds the rate of
-    the damped kernel, |y| + |osc| + |x|, plus, for a piece with a
-    tail_cut, the mean decay rate that certifies, log(2/tol)/
-    tail_cut(tol/2).  The width is min(2*theta/max omega, decay length).
+    Uniform passes of 31-node Gauss-Kronrod panels over [0, T] serve
+    the y of a row, many to a pass.  The panel width comes from the
+    rule's error model (_PHI): a panel of half-width h on which the
+    integrand turns at rate omega has theta = omega*h, and the pass's
+    |K - G| sum is about phi(theta) times the integral of |v| over
+    [0, T], at most the envelope's mass M*d!/(x - a)^(d+1)
+    (M*T^(d+1)/(d+1) under a tail_cut that alone certifies the tail,
+    and the smaller of the two where the cut wins).
+    theta is the largest tabulated value, up to 13.39, whose prediction
+    is a quarter of the tol/2 panel budget (_model_theta).  omega bounds
+    the rate of the damped kernel, |y| + |osc| + |x|, plus, for a piece
+    with a tail_cut, the mean decay rate that certifies, log(2/tol)/
+    tail_cut(tol/2).  The width is 2*theta/max omega, with no cap by a
+    decay length, and a pass has at least 4 panels.
 
     The y of a row that _MAX_PANELS (4096) such panels reach share one
     pass.  The others share a second one, sized the same way for the
@@ -862,13 +910,14 @@ def laplace_grid(piece, bound: ExponentialOrderBound, x, ys, tol, *,
     of their own nodes, each row keeping its own T, panels and
     evaluations, and the pair rows, node products, block phases and
     |K - G| sums are arrays over the rows, padded to the batch's
-    largest panel count.  The node pairs x_j, -x_j, real for a real
-    piece, meet their weighted cosines and sines in real BLAS products
-    of inner dimension 15, one per row, in chunks of y kept on the
-    calling thread; the panel phases come by block from one exp per y
-    over one step vector (_block_phased_sum).  A scalar x and tol make
-    one row, with no grouping and no row axis; a row padded beside
-    wider ones sums in other blocks, within rounding of its own pass.
+    largest panel count.  The 15 node pairs x_j, -x_j and the centre,
+    real for a real piece, meet their weighted cosines and sines in real
+    BLAS products of inner dimension 31, one per row, in chunks of y
+    kept on the calling thread; the panel phases come by block from one
+    exp per y over one step vector (_block_phased_sum).  A scalar x and
+    tol make one row, with no grouping and no row axis; a row padded
+    beside wider ones sums in other blocks, within rounding of its own
+    pass.
     Estimates are tail bound + panel |K - G| sum + rounding allowance.
     """
     ys = np.asarray(ys, dtype=float)
@@ -883,8 +932,7 @@ def laplace_grid(piece, bound: ExponentialOrderBound, x, ys, tol, *,
     values, estimates = np.zeros(ys.size, dtype=complex), np.empty(ys.size)
     passes, zero = [], []
     for x, tol, points in rows:
-        T, tail, scale, mass = _truncate(bound, float(x), float(tol),
-                                         tail_cut)
+        T, tail, mass = _truncate(bound, float(x), float(tol), tail_cut)
         if -x * T > _LOG_MAX:  # exp(-x*u) passes the largest float before T
             raise AccuracyError(
                 f"damping x={x} over [0, T={T}]: exp(-x*T) is past float "
@@ -910,8 +958,8 @@ def laplace_grid(piece, bound: ExponentialOrderBound, x, ys, tol, *,
                 rates = omega[part]
             else:
                 continue
-            panels = _panel_count(T, theta, scale, float(rates.max()))
-            _affordable(panels, 15)
+            panels = _panel_count(T, theta, float(rates.max()))
+            _affordable(panels, _N)
             passes.append(_Pass(x, tol, T, tail, panels, sub, rates.size))
     if zero:
         f0 = float(np.abs(_finite(piece(np.zeros(1)))).max())
@@ -949,7 +997,7 @@ def _symmetric_parts(F, hermitian):
 
 
 def _phased_panels(parts, t, mids, half, shared):
-    """GK15 panels for the integrals of H_k(u)*exp(i*t*u), with parts(u)
+    """31-node panels for the integrals of H_k(u)*exp(i*t*u), with parts(u)
     giving the H_k at the nodes, one row per part (a flat array for one).
     The panels are centred at mids, of half-widths half (one per panel);
     the nodes of all of them go to parts in one call.
@@ -960,24 +1008,24 @@ def _phased_panels(parts, t, mids, half, shared):
     factors as exp(i*t*u) = exp(i*t*c) * exp(i*t*h*x_j) at the nodes of a
     panel with midpoint c and half-width h, and the panel phase drops out
     of |K - G|; the first shared panels have one half-width and share its
-    15 node phases, every other panel has its own.
+    31 node phases, every other panel has its own.
     """
     # row 0 of off: the shared node offsets; from row own on: the others'
     own = min(shared, 1)
     off = np.multiply.outer(half[shared - own:], _XGK)
-    nodes = np.empty((mids.size, 15))
+    nodes = np.empty((mids.size, _N))
     np.add(mids[:shared, None], off[0], out=nodes[:shared])
     np.add(mids[shared:, None], off[own:], out=nodes[shared:])
-    vals = parts(nodes.ravel()).reshape(-1, mids.size, 15)
+    vals = parts(nodes.ravel()).reshape(-1, mids.size, _N)
     del nodes  # freed before the products
     # node values times phases, as rows read as reals that meet the
     # Kronrod and Kronrod-minus-Gauss weights in real products of inner
-    # dimension 30, each below OpenBLAS's helper-thread size
+    # dimension 62, each below OpenBLAS's helper-thread size
     phase = np.exp(1j * t * off)
     rows = np.empty(vals.shape, dtype=complex)
     np.multiply(vals[:, :shared], phase[0], out=rows[:, :shared])
     np.multiply(vals[:, shared:], phase[own:], out=rows[:, shared:])
-    rows = rows.reshape(-1, 15).view(float)
+    rows = rows.reshape(-1, _N).view(float)
     step = _SOLO_DGEMM // _KG_REAL.size
     sums = np.concatenate([rows[i:i + step] @ _KG_REAL
                            for i in range(0, len(rows), step)])
@@ -990,7 +1038,7 @@ def _phased_panels(parts, t, mids, half, shared):
 
 @functools.lru_cache(maxsize=64)  # one pair of rows per pole order
 def _pole_model(order):
-    """-log of the GK15 |K - G| on [-1, 1] of (u - z)^-order for a pole z
+    """-log of the rule's |K - G| on [-1, 1] of (u - z)^-order for a pole z
     delta (in _DELTA) from an end, straight across from it, z = -1 +
     i*delta, and delta over the middle, z = i*delta; each row made
     nondecreasing by its running maximum from the far end, so that every
@@ -1121,14 +1169,17 @@ def finite_oscillatory_integral(F, t: float, A: float, tol: float, *,
     complex y_p of that order whose leading Laurent coefficient has
     modulus strength.  They should be all of F's poles.
 
-    The pass is GK15 over [0, A] with uniform panels, their number even
-    so that A/2 is a panel edge, one oscillation of the kernel wide,
-    min(4, 2pi/(|t|+1)), unless poles are given.  Then they estimate the
+    The pass is Gauss-Kronrod 15/31 over [0, A] with uniform panels,
+    their number even so that A/2 is a panel edge, as wide as the widest
+    tabulated turn, theta = 13.39, at the kernel's rate |t| + 1 allows:
+    theta/pi * min(4, 2pi/(|t|+1)), 4.26 oscillations of the kernel,
+    where the model predicts 8.2e-9 of the integral of |F| for the
+    |K - G| sum, unless poles are given.  Then they estimate the
     integral of |F| over [0, A] (_pole_mass), theta is the largest
     tabulated turn whose error model phi(theta) times that estimate is
     within a quarter of tol*pi (_model_theta, as laplace_grid sizes its
     panels), and the panels are 2*theta/|t| wide (A/2 at t = 0), but
-    never narrower than one oscillation.  The uniform panels on which
+    never narrower than without poles.  The uniform panels on which
     the model predicts more than their share are split into pieces
     graded toward the poles (_graded), every uniform edge staying an
     edge; the pieces and the uniform panels go to F in one call.  A
@@ -1150,12 +1201,14 @@ def finite_oscillatory_integral(F, t: float, A: float, tol: float, *,
     require_finite(t=t)
     parts, per_node = _symmetric_parts(F, hermitian)
     budget = tol * math.pi  # of the |K - G| sum over [0, A]
-    width = min(4.0, 2.0 * math.pi / (abs(t) + 1.0))
+    # the widest tabulated turn at the kernel's rate |t| + 1, at most
+    # 4 * _THETA[-1] / pi wide
+    width = _THETA[-1] / math.pi * min(4.0, 2.0 * math.pi / (abs(t) + 1.0))
     if poles:  # as wide as the model allows, never narrower
         width = max(width, 2.0 * _model_theta(
             budget, _pole_mass(poles, A)) / abs(t) if t else 0.5 * A)
     n = 2 * math.ceil(A / (2.0 * width))
-    cost = 15 * per_node  # evaluations of F per panel
+    cost = _N * per_node  # evaluations of F per panel
     half = A / (2 * n)
     _affordable(n, cost)
     # a grading beyond the budget leaves the uniform pass to _refine

@@ -104,13 +104,19 @@ def test_suite_makes_one_grid_pass_per_damping_row(monkeypatch,
     assert refined_ys == []
 
 
-@pytest.mark.parametrize("name,evaluations", [
+_CRITERION_EVALUATIONS = {"criterion_example1_grid": 1860,
+                          "criterion_examples_2_3_grid": 10540,
+                          "criterion_reductions": 2604}
+
+
+@pytest.mark.parametrize("name,gk15", [
     ("criterion_example1_grid", 4680),
     ("criterion_examples_2_3_grid", 26220),
     ("criterion_reductions", 5340)])
-def test_grid_criteria_evaluation_counts_are_pinned(monkeypatch, name,
-                                                    evaluations):
-    # point-by-point loops took 19260, 104760 and 19920
+def test_grid_criteria_evaluation_counts_are_pinned(monkeypatch, name, gk15):
+    # _CRITERION_EVALUATIONS, less than half of gk15, the counts with
+    # 7/15 panels; point-by-point loops of those took 19260, 104760 and
+    # 19920
     count = [0]
 
     def wrap(piece):
@@ -125,7 +131,8 @@ def test_grid_criteria_evaluation_counts_are_pinned(monkeypatch, name,
 
     monkeypatch.setattr(verify, "catalog_signal", counted_signal)
     assert getattr(verify, name)().passed
-    assert count[0] == evaluations
+    assert count[0] == _CRITERION_EVALUATIONS[name]
+    assert 2 * count[0] < gk15
 
 
 @pytest.mark.parametrize("name,freq", [

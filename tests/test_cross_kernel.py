@@ -2,11 +2,11 @@
 
 Output bytes are fixed for one host, numpy build and BLAS kernel.
 Across kernels every value agrees within the sum of the two estimates,
-and every error has the same type.  Tiny rounds of the benchmark's job
-generators (perfbench/workloads.py, read through tools/output_hashes.py)
-run in subprocesses under each OpenBLAS core this CPU can run, and with
-numpy held to the lowest SIMD level it found, and each run is compared
-with one in the default environment.
+and every error has the same type (tools/output_hashes.py, agree).  Tiny
+rounds of the benchmark's job generators (perfbench/workloads.py, read
+through tools/output_hashes.py) run in subprocesses under each OpenBLAS
+core this CPU can run, and with numpy held to the lowest SIMD level it
+found, and each run is compared with one in the default environment.
 """
 
 import importlib.util
@@ -16,16 +16,12 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SEED, ROUND = 1, 0
 # each OpenBLAS core and the CPU flag it needs
 CORES = (("Haswell", "avx2"), ("Sandybridge", "avx"), ("SkylakeX", "avx512f"))
-HEADERS = {"forward-grid": "y,re,im,err", "split-invert": "t,re,im",
-           "numeric-invert": "t,re,im,a_sensitivity", "verify-suite": "{"}
-SPLIT_RTOL = 1e-12
 
 RUN = f"""
 import json, sys
@@ -67,40 +63,6 @@ def _run(**settings):
     return tuple(doc["kernel"]), doc["outputs"]
 
 
-def _error(name, text):
-    """The type name of an error text, None for a workload's output."""
-    return None if text.startswith(HEADERS[name]) else text.split(":")[0]
-
-
-def _values(wl, text, name):
-    rows = wl.parse_csv(text, HEADERS[name])
-    return rows[:, 0], rows[:, 1] + 1j * rows[:, 2], rows[:, 3:]
-
-
-def _agree(wl, name, job, a, b):
-    """None when outputs a and b of job meet the contract, else why not."""
-    if _error(name, a) or _error(name, b):
-        ea, eb = _error(name, a), _error(name, b)
-        return None if ea == eb else f"error types {ea} and {eb}"
-    if name == "verify-suite":
-        da, db = json.loads(a), json.loads(b)
-        status = [[(c["id"], c["status"]) for c in d["criteria"]]
-                  for d in (da, db)]
-        return None if status[0] == status[1] else f"statuses {status}"
-    (xa, va, ca), (xb, vb, cb) = (_values(wl, t, name) for t in (a, b))
-    if not np.array_equal(xa, xb):
-        return "argument columns differ"
-    gap = np.abs(va - vb)
-    if name == "forward-grid":
-        allow = ca[:, 0] + cb[:, 0]  # the sum of the two estimates
-    elif name == "numeric-invert":
-        allow = 2.0 * job.args[5]  # two tolerances, the estimate's bound
-    else:
-        allow = SPLIT_RTOL * np.maximum(np.abs(va), np.abs(vb))
-    return None if np.all(gap <= allow) else (
-        f"|difference| {gap.max():.3e} above its allowance")
-
-
 def test_outputs_agree_across_cpu_kernels():
     flags = _cpu_flags()
     tool = _tool()
@@ -128,7 +90,7 @@ def test_outputs_agree_across_cpu_kernels():
             jobs = wl.ROUNDS[name](SEED, ROUND, True)
             assert len(jobs) == len(reference[name]) == len(outputs[name])
             for job, a, b in zip(jobs, reference[name], outputs[name]):
-                why = _agree(wl, name, job, a, b)
+                why = tool.agree(wl, name, job, a, b)
                 if why:
                     problems.append(f"{label} {name} {job.template}: {why}")
     assert problems == []

@@ -19,8 +19,8 @@ def test_counts_of_tiny_rounds_repeat():
     first = tool.counts(seeds=(1, 2), rounds=(0,), tiny=True)
     # tiny rounds set A = 20, so the labels of the two A merge
     assert sum(jobs for jobs, _, _ in first.values()) == 22
-    # every job one call of F, on a pass of whole 15-node panels
-    assert all(calls == jobs and evals > 0 and evals % 15 == 0
+    # every job one call of F, on a pass of whole 31-node panels
+    assert all(calls == jobs and evals > 0 and evals % 31 == 0
                for jobs, calls, evals in first.values())
     assert tool.counts(seeds=(1, 2), rounds=(0,), tiny=True) == first
 

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -331,13 +332,19 @@ def test_half_value_is_the_integral_over_half_the_range(t, A):
     assert r.abs_error_estimate <= 1e-10
 
 
-@pytest.mark.parametrize("t,panels", [(0.0, 28), (3.0, 64)])
-def test_panels_are_one_oscillation_wide(t, panels):
-    # 4 * ceil(A / (2 * min(4, 2pi / (|t| + 1)))) panels of 15 nodes, none
-    # of them refined: 28 at the width cap of 4, 64 at t = 3
+@pytest.mark.parametrize("t,panels", [(0.0, 8), (3.0, 16)])
+def test_panels_without_poles_take_the_widest_turn(t, panels):
+    # 2 * ceil(A / (2 * w)) panels of 31 nodes for each of the two parts,
+    # none of them refined, w = _THETA[-1] / pi * min(4, 2pi / (|t| + 1)):
+    # the widest tabulated turn, 13.39, at the kernel's rate |t| + 1.  8
+    # at the width cap of 17.05, 16 at t = 3; panels one oscillation wide
+    # took 28 and 64 of 15 nodes
     r = finite_oscillatory_integral(lambda y: np.exp(-y * y / 8.0), t, 50.0,
                                     1e-8)
-    assert r.evaluations == 15 * panels
+    width = quadrature._THETA[-1] / math.pi * min(
+        4.0, 2.0 * math.pi / (abs(t) + 1.0))
+    assert panels == 4 * math.ceil(50.0 / (2.0 * width))
+    assert r.evaluations == 31 * panels
 
 
 # transforms F(x1, x2, y) for y a numpy array or an mpmath number: the
@@ -351,23 +358,32 @@ def _two_pole(x1, x2, y):
     return 1.0 / (x1 + 0.5 + 1j * y) ** 2 + 1.0 / (x2 + 1.0 - 1j * y)
 
 
-@pytest.mark.parametrize("t,evaluations", [(0.0, 7560), (2.0, 14400),
-                                           (3.75, 22680)])
-def test_inversion_evaluation_counts_are_pinned(t, evaluations):
-    # machine-independent cost of the pass for the sign signal at x = 1;
-    # half-oscillation panels took 15000, 28680 and 45360
+_INVERSION_EVALUATIONS = {0.0: 3844, 2.0: 7192, 3.75: 11036}
+
+
+@pytest.mark.parametrize("t,gk15", [(0.0, 7560), (2.0, 14400),
+                                    (3.75, 22680)])
+def test_inversion_evaluation_counts_are_pinned(t, gk15):
+    # machine-independent cost of the pass for the sign signal at x = 1
+    # (_INVERSION_EVALUATIONS), below gk15, its cost with 7/15 panels one
+    # oscillation wide; half-oscillation 7/15 panels took 15000, 28680
+    # and 45360
     r = finite_oscillatory_integral(lambda y: _jump(1.0, 1.0, y), t, 1000.0,
                                     1e-6)
-    assert r.evaluations == evaluations
+    assert r.evaluations == _INVERSION_EVALUATIONS[t]
+    assert r.evaluations < gk15
 
 
-@pytest.mark.parametrize("t,evaluations", [(0.0, 165), (2.0, 4830),
-                                           (3.75, 9000)])
+@pytest.mark.parametrize("t,evaluations", [(0.0, 279), (2.0, 2418),
+                                           (3.75, 4433)])
 def test_real_split_evaluation_counts_are_pinned(t, evaluations):
     # the sign signal's SplitTransform has real coefficients, so it is
     # hermitian, evaluated at y >= 0 only, and its poles at y = +-i size
     # the uniform panels and grade the first pass, all in one call of F.
-    # One oscillation per uniform panel took 3780, 7185 and 11355
+    # 7/15 panels took 165, 4830 and 9000: at t = 0 the two uniform
+    # panels are graded into 9 pieces of 31 nodes, where they were
+    # graded into 11 of 15.  One oscillation per uniform 7/15 panel took
+    # 3780, 7185 and 11355
     G, described = _on_line(parse_transform("1/s - 1/cs"), 1.0, 1.0)
     assert described["hermitian"]
     assert described["poles"] == ((1j, 1, 1.0), (-1j, 1, 1.0))
@@ -385,20 +401,24 @@ def test_real_split_evaluation_counts_are_pinned(t, evaluations):
 @pytest.mark.parametrize("t,panels", [(0.0, 2), (0.5, 80), (2.0, 320),
                                       (-2.0, 320)])
 def test_split_uniform_panels_take_the_models_width(monkeypatch, t, panels):
-    # the sign transform at x = 1, A = 1000, tol 1e-6: its poles at +-i
-    # bound the integral of |F| by 2*asinh(1000) = 15.2, for which the
-    # error model allows theta = pi, so the uniform panels are 2pi/|t|
-    # wide (A/2 at t = 0), where one oscillation of the kernel took 250,
-    # 250 and 478
+    # the sign transform at x = 1, A = 4280, tol 1e-6: its poles at +-i
+    # bound the integral of |F| by 2*asinh(4280) = 18.1, for which the
+    # error model allows its widest turn, theta = 13.39, so the uniform
+    # panels are 2*theta/|t| wide (A/2 at t = 0).  At A = 1000 they
+    # number 2, 20, 76 and 76, where 7/15 panels numbered 2, 80, 320 and
+    # 320 and one oscillation of the kernel took 250, 250 and 478
     counts = []
     graded = quadrature._graded
     monkeypatch.setattr(quadrature, "_graded",
                         lambda *args: counts.append(args[1]) or graded(*args))
     G, described = _on_line(parse_transform("1/s - 1/cs"), 1.0, 1.0)
-    assert quadrature._pole_mass(described["poles"], 1000.0) == pytest.approx(
-        2.0 * math.asinh(1000.0), rel=1e-15)
-    finite_oscillatory_integral(G, t, 1000.0, 1e-6, **described)
+    assert quadrature._pole_mass(described["poles"], 4280.0) == pytest.approx(
+        2.0 * math.asinh(4280.0), rel=1e-15)
+    finite_oscillatory_integral(G, t, 4280.0, 1e-6, **described)
     assert counts == [panels]
+    theta = quadrature._THETA[-1]
+    assert panels == (2 if t == 0.0 else
+                      2 * math.ceil(4280.0 / (2.0 * 2.0 * theta / abs(t))))
 
 
 @pytest.mark.parametrize("tol", [1e-200, 1e-300, 5e-324])
@@ -411,14 +431,15 @@ def test_grading_toward_a_budget_beyond_reach_is_dropped(tol):
     n, A = 80, 250.0
     split, pieces = quadrature._graded(
         described["poles"], n, A / (2 * n), 0.5, tol * math.pi,
-        quadrature.MAX_EVALUATIONS // 15)
+        quadrature.MAX_EVALUATIONS // 31)
     assert split == [] and pieces.shape == (4, 0)
 
 
 def test_refinement_evaluates_each_round_in_one_call():
     # both halves of a round's split panels go to F together: 6 rounds of
-    # 2 panels each after the initial pass, where two calls per round
-    # took 13 calls for the same 1140 evaluations
+    # 2 panels each after the initial pass of 6, 1116 evaluations.  7/15
+    # panels took 780 and 6 rounds of 60, 1140 in all, and two calls per
+    # round 13 calls for those
     sizes = []
 
     def F(y):
@@ -426,8 +447,8 @@ def test_refinement_evaluates_each_round_in_one_call():
         return _jump(0.05, 0.05, y)
 
     r = finite_oscillatory_integral(F, 0.5, 100.0, 1e-8)
-    assert sizes == [780] + [60] * 6
-    assert r.evaluations == 1140
+    assert sizes == [372] + [124] * 6
+    assert r.evaluations == 1116
 
 
 # SplitTransforms of the certificate sweep: two with real coefficients,
@@ -713,20 +734,135 @@ def test_half_line_takes_the_shorter_tail_cut():
     assert abs(r.value - exact) <= r.abs_error_estimate <= 5e-9
 
 
+def _moment_gap(weights, k):
+    """|rule - exact| for the rule with these left-half weights (digit
+    strings) applied to x^k on [-1, 1], k even, in 40-digit decimal
+    arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        x = [Decimal(d) for d in quadrature._NODE_DIGITS]
+        w = [Decimal(d) for d in weights]
+        rule = (2 * sum(wj * xj ** k for wj, xj in zip(w[:15], x[:15]))
+                + (w[15] if k == 0 else 0))
+        return abs(rule - Decimal(2) / (k + 1))
+
+
+@pytest.mark.parametrize("weights,exact,next_even", [
+    (quadrature._KRONROD_DIGITS, 46, 48), (quadrature._GAUSS_HALF, 29, 30)],
+    ids=["K31", "G15"])
+def test_the_rule_integrates_monomials_exactly_to_its_degree(weights, exact,
+                                                             next_even):
+    # a mistyped digit of a node or weight breaks one of these moments;
+    # odd powers vanish by the symmetry x_(30-j) = -x_j
+    for k in range(0, exact + 1, 2):
+        assert _moment_gap(weights, k) < Decimal("1e-31"), k
+    assert _moment_gap(weights, next_even) > Decimal("1e-20")
+    # the float tables are the digits, mirrored
+    half = [float(d) for d in weights]
+    w = _WGK if weights is quadrature._KRONROD_DIGITS else _WG
+    assert w.tolist() == half + half[-2::-1]
+    nodes = [float(d) for d in quadrature._NODE_DIGITS]
+    assert _XGK.tolist() == nodes + [-v for v in nodes[-2::-1]]
+
+
+def _gauss_kronrod_31(dps):
+    """Nodes and Kronrod and Gauss weights of the 15/31 rule (Gauss
+    weights 0 at the Kronrod-only nodes) to dps digits, from their
+    definitions: the Gauss nodes are the roots of P_15, the others those
+    of the Stieltjes polynomial E_16, monic, even and orthogonal to
+    P_15(x)*x^k for k < 16, each polished by Newton's method from the
+    float node; the Kronrod weights solve the even moment equations
+    through x^30."""
+    import mpmath
+    from fractions import Fraction
+
+    p = [[Fraction(1)], [Fraction(0), Fraction(1)]]  # ascending powers
+    for n in range(1, 15):  # Bonnet: (n+1) P_(n+1) = (2n+1) x P_n - n P_(n-1)
+        up = [Fraction(0)] + [(2 * n + 1) * c for c in p[n]]
+        down = p[n - 1] + [Fraction(0)] * 2
+        p.append([(a - n * b) / (n + 1) for a, b in zip(up, down)])
+    p15 = p[15]
+
+    def integral(coef):  # of the polynomial over [-1, 1]
+        return sum(c * Fraction(2, k + 1) for k, c in enumerate(coef)
+                   if k % 2 == 0)
+
+    def times_power(coef, m):
+        return [Fraction(0)] * m + coef
+
+    rows = [[integral(times_power(p15, k + 2 * i)) for i in range(8)]
+            for k in range(1, 16, 2)]
+    rhs = [-integral(times_power(p15, k + 16)) for k in range(1, 16, 2)]
+    with mpmath.workdps(dps + 20):
+        def mp(q):
+            return mpmath.mpf(q.numerator) / q.denominator
+
+        c = mpmath.lu_solve(mpmath.matrix([[mp(q) for q in r] for r in rows]),
+                            mpmath.matrix([mp(q) for q in rhs]))
+        e16 = [c[i // 2] if i % 2 == 0 else 0 for i in range(16)] + [1]
+        p15 = [mp(q) for q in p15]
+        nodes = []
+        for j, x0 in enumerate(_XGK.tolist()):
+            coef = (p15 if j % 2 else e16)[::-1]
+            x = mpmath.mpf(x0)
+            for _ in range(8):
+                value, slope = mpmath.polyval(coef, x, derivative=True)
+                x -= value / slope
+            nodes.append(x)
+        nodes[15] = mpmath.mpf(0)
+        moments = mpmath.matrix(
+            [[2 * nodes[j] ** k if j < 15 else int(k == 0)
+              for j in range(16)] for k in range(0, 31, 2)])
+        kronrod = mpmath.lu_solve(moments, mpmath.matrix(
+            [mpmath.mpf(2) / (k + 1) for k in range(0, 31, 2)]))
+        kronrod = list(kronrod) + list(kronrod)[-2::-1]
+        p15c = p15[::-1]
+        gauss = [0] * 31
+        for j in range(1, 31, 2):
+            slope = mpmath.polyval(p15c, nodes[j], derivative=True)[1]
+            gauss[j] = 2 / ((1 - nodes[j] ** 2) * slope ** 2)
+    return nodes, kronrod, gauss
+
+
+def test_error_model_table_matches_the_rule_in_high_precision():
+    # phi(theta) = |sum (w^K - w^G) exp(i theta x_j)| / 2 from the rule
+    # derived anew at 130 digits, whose rounding is far below phi(pi/256)
+    # = 2.5e-99; a float sum stops at its cancellation, about 1e-17
+    import mpmath
+
+    nodes, kronrod, gauss = _gauss_kronrod_31(130)
+    with mpmath.workdps(130):
+        for j, d in enumerate(quadrature._NODE_DIGITS):
+            assert abs(nodes[j] - mpmath.mpf(d)) < mpmath.mpf("1e-32")
+        for j, d in enumerate(quadrature._KRONROD_DIGITS):
+            assert abs(kronrod[j] - mpmath.mpf(d)) < mpmath.mpf("1e-32")
+        for j, d in enumerate(quadrature._GAUSS_HALF):
+            assert abs(gauss[j] - mpmath.mpf(d)) < mpmath.mpf("1e-32")
+        diff = [k - g for k, g in zip(kronrod, gauss)]
+        assert quadrature._THETA[0] <= math.pi / 256
+        top = 0.0
+        for theta, phi in zip(quadrature._THETA, _PHI):
+            z = sum(d * mpmath.expj(mpmath.mpf(theta) * x)
+                    for d, x in zip(diff, nodes))
+            top = max(top, float(abs(z) / 2))
+            assert phi == pytest.approx(top, rel=1e-6), theta
+
+
 def test_error_model_table_is_nondecreasing():
     assert np.all(np.diff(_PHI) >= 0.0)
-    at_pi = 0.5 * abs(np.sum((_WGK - _WG) * np.exp(1j * math.pi * _XGK)))
-    assert _PHI[-1] == pytest.approx(at_pi, rel=1e-6)
+    end = quadrature._THETA[-1]
+    at_end = 0.5 * abs(np.sum((_WGK - _WG) * np.exp(1j * end * _XGK)))
+    assert _PHI[-1] == pytest.approx(at_end, rel=1e-6)
     assert 1e-9 < _PHI[-1] < 1e-8
 
 
 @pytest.mark.parametrize("tol", [1e-4, 1e-8, 1e-12])
 def test_grid_panel_width_comes_from_the_error_model(tol):
-    # theta is the largest k*pi/256 whose running maximum of
+    # theta is the largest k*pi/256 up to 13.39 whose running maximum of
     # |sum (w^K - w^G) exp(i theta x_j)|/2, times the mass bound M/(x-a)
     # = 1, is a quarter of the tol/2 panel budget; the panel count is
     # ceil(T * (max|y| + x) / (2 theta))
-    thetas = math.pi * np.arange(1, 257) / 256
+    thetas = math.pi * np.arange(1, 1092) / 256
     phi = np.maximum.accumulate(0.5 * np.abs(
         np.exp(1j * np.outer(thetas, _XGK)) @ (_WGK - _WG)))
     theta = thetas[phi <= 0.25 * tol / 2.0][-1]
@@ -739,7 +875,7 @@ def test_grid_panel_width_comes_from_the_error_model(tol):
 
     ys = np.linspace(-59.0, 59.0, 201)
     values, est = laplace_grid(piece, B10, 1.0, ys, tol)
-    assert sum(nodes) == 15 * math.ceil(T * 60.0 / (2.0 * theta))
+    assert sum(nodes) == 31 * math.ceil(T * 60.0 / (2.0 * theta))
     assert np.all(np.abs(values - 1.0 / (1.0 + 1j * ys)) <= est)
 
 
@@ -757,7 +893,8 @@ def test_grid_of_a_complex_piece():
 
 
 def test_grid_without_damping_or_oscillation_uses_the_decay_length():
-    # an envelope decaying at rate 1 needs no damping: x = 0, y = 0
+    # an envelope decaying at rate 1 needs no damping: x = 0, y = 0, a
+    # pass of the least 4 panels
     values, est = laplace_grid(lambda u: np.exp(-u),
                                ExponentialOrderBound(1.0, -1.0), 0.0,
                                [0.0], 1e-10)
