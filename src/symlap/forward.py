@@ -35,7 +35,12 @@ import numpy as np
 
 from .core import PiecewiseSignal, SLPoint, TransformSample
 from .errors import DivergenceError
-from .quadrature import laplace_grid, require_finite, require_positive
+from .quadrature import (
+    laplace_grid,
+    real_array,
+    require_finite,
+    require_positive,
+)
 
 
 def one_sided_values(f: PiecewiseSignal, side: str, x, ys, tol):
@@ -47,12 +52,13 @@ def one_sided_values(f: PiecewiseSignal, side: str, x, ys, tol):
 
     side "pos" integrates f(u) * exp(-s*u) over u >= 0, side "neg" the
     reflected piece f(-u) * exp(-s*u).  Raises ValueError for a
-    non-finite or non-positive tol or a non-finite x or y, and
-    DivergenceError naming the half-line and the damping when an x does
-    not dominate the growth rate of its piece (quadrature._truncate's
-    rule), before any evaluation.
+    non-finite or non-positive tol, a non-finite x or y, or a complex
+    x, y or tol with a nonzero imaginary part, and DivergenceError
+    naming the half-line and the damping when an x does not dominate
+    the growth rate of its piece (quadrature._truncate's rule), before
+    any evaluation.
     """
-    ys = np.asarray(ys, dtype=float)
+    ys = real_array("ys", ys)
     require_positive(tol=tol)
     require_finite(x=x)
     if np.count_nonzero(np.isfinite(ys)) < ys.size:
@@ -75,17 +81,18 @@ def sl_forward_values(f: PiecewiseSignal, x1, x2, ys, tol):
     broadcast shape.  The positive half-line at (x1, y) and the negative
     one at (x2, -y) take tol/2 each, one one_sided_values call a side.
 
-    Raises ValueError for a non-finite or non-positive tol or a
-    non-finite x1, x2 or y, and DivergenceError naming the offending
+    Raises ValueError for a non-finite or non-positive tol, a
+    non-finite x1, x2 or y, or a complex x1, x2, y or tol with a nonzero
+    imaginary part, and DivergenceError naming the offending
     half-line when x1 or x2 does not dominate the growth rate of its
     piece.
     """
     # name the caller's tol, x1 and x2, before any pass
     require_positive(tol=tol)
     require_finite(x1=x1, x2=x2)
-    ys = np.asarray(ys, dtype=float)
+    ys = real_array("ys", ys)
     if not isinstance(tol, (float, int)):  # a sequence halves as an array
-        tol = np.asarray(tol, dtype=float)
+        tol = real_array("tol", tol)
     value, estimate = 0j, 0.0
     for side, x, y in (("pos", x1, ys), ("neg", x2, -ys)):
         v, e = one_sided_values(f, side, x, y, tol / 2.0)

@@ -47,6 +47,7 @@ from .expr import (
 )
 from .quadrature import (
     finite_oscillatory_integral,
+    real_array,
     require_finite,
     require_positive,
 )
@@ -177,10 +178,9 @@ def _reconstruction_gap(r, terms):
 
 def _times(t):
     """t flattened to a one-dimensional float array; ValueError names the
-    first non-finite t."""
-    ts = np.asarray(t, dtype=float).ravel()
-    if np.count_nonzero(np.isfinite(ts)) < ts.size:
-        require_finite(t=float(ts[~np.isfinite(ts)][0]))
+    first non-finite t, or a t with a nonzero imaginary part."""
+    ts = real_array("t", t).ravel()
+    require_finite(t=ts)
     return ts
 
 
@@ -201,7 +201,8 @@ def inverse_laplace_rational(terms, t):
     where every factor and partial product of that is a normal float,
     and by logarithms elsewhere (_table), so that no value in float
     range is lost to an overflow or underflow on the way.  Raises
-    ValueError for a non-finite or negative t, and ExpOverflowError (an
+    ValueError for a non-finite or negative t or a complex t with a
+    nonzero imaginary part, and ExpOverflowError (an
     OverflowError, exit code 5 of `symlap invert`) where the modulus of
     a term or of the sum passes the largest float, naming the first
     such t and the first term at fault there."""
@@ -262,7 +263,8 @@ def sl_inverse_split(st: SplitTransform, t):
     side is decomposed once per SplitTransform and the terms are reused
     at every later t.
 
-    Raises ValueError for a non-finite t, PropernessError for a side
+    Raises ValueError for a non-finite t or a complex t with a nonzero
+    imaginary part, PropernessError for a side
     that is not strictly proper and ExpOverflowError when a table term
     overflows at some t, naming the first such t.
     """

@@ -50,14 +50,15 @@ are dotted with the outer phases: Y*(P/B + B) complex exps and no
 Y x P phase table.  The same node product with the weights w^K - w^G
 gives each panel's |K_p - G_p| (the panel phase drops out of the
 modulus), so every y carries the certificate of its panels.  The rows of
-a call keep their own panels and run together: the piece is called once
-on the union of their nodes, and the pair rows, node products, block
-phases and |K - G| sums are arrays over the rows, padded with zero
-panels to the largest panel count, in batches whose size does not grow
-with the number of rows (_grid_pass, _batches).  One shared set of
-panels for all rows would be sized by the smallest damping for T and the
-largest for the width, and would take more panels than the rows
-together.  Every product of a pass of at most 4096 panels has an inner
+a call keep their own panels, and the rows of one number of y run
+together: the piece is called once on the union of their nodes, and the
+pair rows, node products, block phases and |K - G| sums are arrays over
+the rows, padded with zero panels only, to the largest panel count, in
+batches whose size does not grow with the number of rows (_grid_pass,
+_batches); that bound keeps a pass of more than 2048 panels alone.  One
+shared set of panels for all rows would be sized by the smallest damping
+for T and the largest for the width, and would take more panels than the
+rows together.  Every product of a pass of at most 4096 panels has an inner
 dimension of at most 64 and is cut, in rows or blocks, below the size at
 which OpenBLAS hands it to helper threads (_SOLO_DGEMM, _SOLO_ZGEMV): a
 helper thread spins between calls, which doubles the CPU time of a
@@ -295,29 +296,42 @@ def _scalar(v):
     return isinstance(v, (float, int))
 
 
-def require_positive(**values):
+def real_array(name, value):
+    """value, real input from outside, as a float array.  A complex
+    value whose imaginary parts are all zero drops them; any other
+    raises ValueError naming name, where numpy's cast would drop them
+    with only a ComplexWarning."""
+    a = np.asarray(value)
+    if a.dtype.kind == "c":
+        if np.count_nonzero(a.imag):
+            raise ValueError(f"{name} must be real, got {a[a.imag != 0][0]}")
+        a = a.real
+    return a.astype(float, copy=False)
+
+
+def _require(values, low, what):
     """Raise ValueError unless every keyword value, or every entry of an
-    array value, is finite and > 0; the message names the first that
-    is not."""
+    array value, is real, finite and > low; the message names the first
+    that is not and says it must be what."""
     for name, v in values.items():
         if not _scalar(v):
-            a = np.asarray(v, dtype=float)
-            bad = ~(np.isfinite(a) & (a > 0.0))
+            a = real_array(name, v)
+            bad = ~(np.isfinite(a) & (a > low))
             v = float(a[bad][0]) if bad.any() else 1.0
-        if not (math.isfinite(v) and v > 0):
-            raise ValueError(f"{name} must be positive and finite, got {v}")
+        if not (math.isfinite(v) and v > low):
+            raise ValueError(f"{name} must be {what}, got {v}")
+
+
+def require_positive(**values):
+    """Raise ValueError unless every keyword value, or every entry of an
+    array value, is real, finite and > 0 (_require)."""
+    _require(values, 0.0, "positive and finite")
 
 
 def require_finite(**values):
     """Raise ValueError unless every keyword value, or every entry of an
-    array value, is finite; the message names the first that is not."""
-    for name, v in values.items():
-        if not _scalar(v):
-            a = np.asarray(v, dtype=float)
-            bad = ~np.isfinite(a)
-            v = float(a[bad][0]) if bad.any() else 0.0
-        if not math.isfinite(v):
-            raise ValueError(f"{name} must be finite, got {v}")
+    array value, is real and finite (_require)."""
+    _require(values, -math.inf, "finite")
 
 
 def _finite(vals):
@@ -328,7 +342,7 @@ def _finite(vals):
     return vals
 
 
-def _rounding(depth, magnitude, phase=0.0):
+def _rounding(depth, magnitude, phase):
     """Rounding allowance for a panel sum whose Kronrod sum of
     |integrand| is magnitude: at most depth additions on any term's path
     (ceil(log2(nodes)) for a pairwise sum), phases exp(i*phi) with |phi|
@@ -698,23 +712,20 @@ def _rows(xs, tols):
 
 
 def _batches(passes):
-    """The passes in batches for _grid_pass: one beyond _MAX_PANELS
-    alone, the others, widest first so that a batch's rows pad little,
-    in batches whose padded arrays, rows x panels x (31 nodes + y), stay
-    within _BATCH_ENTRIES (a pass above it alone)."""
-    if len(passes) == 1:
-        return [passes]
-    batches = [[p] for p in passes if p.panels > _MAX_PANELS]
-    batch = None
-    for p in sorted((p for p in passes if p.panels <= _MAX_PANELS),
-                    key=lambda p: -p.panels):
-        if batch and (len(batch) + 1) * width * (
-                _N + max(most, p.count)) <= _BATCH_ENTRIES:
+    """The passes in batches for _grid_pass: passes of one y count
+    together, widest first so that a batch's rows pad little, in batches
+    whose padded arrays, rows x panels x (31 nodes + y), stay within
+    _BATCH_ENTRIES.  A pass above it is alone, and so is every pass of
+    more than 2048 panels, whose one-y node product may exceed
+    _SOLO_DGEMM."""
+    batches, batch = [], None
+    for p in sorted(passes, key=lambda p: (p.count, -p.panels)):
+        if batch and batch[0].count == p.count and (len(batch) + 1) * (
+                width * (_N + p.count)) <= _BATCH_ENTRIES:
             batch.append(p)
-            most = max(most, p.count)
         else:  # the widest pass of a batch sets its padded width
             block = math.isqrt(p.panels - 1) + 1
-            width, most, batch = -(-p.panels // block) * block, p.count, [p]
+            width, batch = -(-p.panels // block) * block, [p]
             batches.append(batch)
     return batches
 
@@ -745,12 +756,11 @@ def _refined(piece, x, t, half, odd, k, kg, mass, T, tail, tol):
 def _grid_pass(piece, passes, ys, values, estimates):
     """laplace_grid's uniform passes of one batch, all rows at once:
     values and estimates, tail + panel |K - G| sum + rounding allowance,
-    written to the points of each pass.  Several rows take a leading
-    row axis on every array, padded with zero panels to the batch's
-    largest count and with copies of their first y to its largest
-    number of y; one row takes none, with its parameters as floats.  A
-    y whose |K - G| sum exceeds tol/2 has its own panels of its row
-    bisected by _refine."""
+    written to the points of each pass.  Several rows, all of one
+    number of y (_batches), take a leading row axis on every array,
+    padded with zero panels only, to the batch's largest count; one row
+    takes none, with its parameters as floats.  A y whose |K - G| sum
+    exceeds tol/2 has its own panels of its row bisected by _refine."""
     R = len(passes)
     P = [p.panels for p in passes]
     most = max(P)
@@ -798,10 +808,10 @@ def _grid_pass(piece, passes, ys, values, estimates):
     # multiply-adds of a chunk's product: 2 rows of N weights per y and
     # 2 reals per panel
     step = max(1, _SOLO_DGEMM // (4 * _N * width))
-    # a one-y product above _SOLO_DGEMM, only ever in a pass beyond
-    # _MAX_PANELS and so of one row, goes to einsum, which never hands
-    # it to threaded BLAS; a product of several rows is one BLAS call
-    # per row
+    # a one-y product above _SOLO_DGEMM, only ever in a pass of more
+    # than 2048 panels and so of one row (_batches), goes to einsum,
+    # which never hands it to threaded BLAS; a product of several rows
+    # is one BLAS call per row
     dot = (np.matmul if 4 * _N * width <= _SOLO_DGEMM
            else functools.partial(np.einsum, "ij,j...->i..."))
     # a term passes a pair sum, 31 products summed in whatever order
@@ -813,26 +823,13 @@ def _grid_pass(piece, passes, ys, values, estimates):
     # one and the nodes together; 3 for the three phase products
     mass = dot(np.abs(v.swapaxes(-1, -2), order="C"), _WGK)  # by panel
     del v
-    padded = None
-    if R == 1:
-        take = passes[0].points
-        y = ys[take]
-    else:  # one row of y per pass, padded with copies of its first y
-        counts = [p.count for p in passes]
-        take = np.empty((R, max(counts)), dtype=np.intp)
-        for row, p in zip(take, passes):
-            row[:p.count], row[p.count:] = p.points, p.points[0]
-        if min(counts) < take.shape[1]:
-            padded = np.arange(take.shape[1]) < np.array(counts)[:, None]
-        y = ys[take]
+    take = np.array([p.points for p in passes]) if R > 1 else passes[0].points
+    y = ys[take]
     rounding = _rounding(
         _N + block + nb - 2,
         math.sqrt(2.0) * half * mass.sum(axis=-1, keepdims=R > 1),
         np.abs(y) * (T + 2.0 * block * half) + 3.0)
-    # a pass of all of a call's points writes the call's arrays in place
-    direct = isinstance(take, slice)
-    value, estimate = ((values, estimates) if direct else
-                       (np.empty(y.shape, dtype=complex), np.empty(y.shape)))
+    value, estimate = np.empty(y.shape, dtype=complex), np.empty(y.shape)
     for lo in range(0, y.shape[-1], step):
         chunk = slice(lo, lo + step)
         yc = y[..., chunk]
@@ -846,8 +843,6 @@ def _grid_pass(piece, passes, ys, values, estimates):
         disc = half * np.abs(sums[..., c:, :]).sum(axis=-1)
         estimate[..., chunk] = tail + disc + rounding[..., chunk]
         miss = disc > tol / 2.0
-        if padded is not None:
-            miss &= padded[:, chunk]
         for k in miss.ravel().nonzero()[0]:
             r, i = divmod(int(k), c)
             p, n = passes[r], P[r]
@@ -856,10 +851,6 @@ def _grid_pass(piece, passes, ys, values, estimates):
                 piece, p.x, -float(yc.flat[k]), p.T / (2.0 * n), odd[:n],
                 row[i, :n], row[c + i, :n], mass.reshape(R, -1)[r, :n], p.T,
                 p.tail, p.tol)
-    if direct:
-        return
-    if padded is not None:
-        take, value, estimate = take[padded], value[padded], estimate[padded]
     values[take], estimates[take] = value, estimate
 
 
@@ -870,7 +861,9 @@ def laplace_grid(piece, bound: ExponentialOrderBound, x, ys, tol, *,
 
     x, ys and tol broadcast together; the result is two arrays in their
     broadcast shape (a grid of any shape is served as its flat grid),
-    values and estimates, each value to absolute tolerance its tol.
+    values and estimates, each value to absolute tolerance its tol.  A
+    complex x, ys or tol with a nonzero imaginary part raises ValueError
+    (real_array).
     The points that share a damping x and a tolerance form a row, and a
     row's y are a grid.  bound, osc and tail_cut mean what they mean
     for half_line_integral, with osc the oscillation of piece itself;
@@ -905,29 +898,31 @@ def laplace_grid(piece, bound: ExponentialOrderBound, x, ys, tol, *,
     every pass sized, before the first evaluation, so a call raises
     what the first row that fails would raise alone.
 
-    The passes of a call's rows run together (_grid_pass), in batches
-    of bounded size (_batches): the piece is called once on the union
-    of their own nodes, each row keeping its own T, panels and
-    evaluations, and the pair rows, node products, block phases and
-    |K - G| sums are arrays over the rows, padded to the batch's
-    largest panel count.  The 15 node pairs x_j, -x_j and the centre,
-    real for a real piece, meet their weighted cosines and sines in real
-    BLAS products of inner dimension 31, one per row, in chunks of y
-    kept on the calling thread; the panel phases come by block from one
-    exp per y over one step vector (_block_phased_sum).  A scalar x and
-    tol make one row, with no grouping and no row axis; a row padded
-    beside wider ones sums in other blocks, within rounding of its own
-    pass.
+    The passes of a call's rows with one number of y run together
+    (_grid_pass), in batches of bounded size (_batches), and rows with
+    other numbers of y in other batches: the piece is called once on
+    the union of a batch's own nodes, each row keeping its own T,
+    panels and evaluations, and the pair rows, node products, block
+    phases and |K - G| sums are arrays over the rows, padded with zero
+    panels only, to the batch's largest panel count.  The bound on a
+    batch's entries keeps a pass of more than 2048 panels alone.  The
+    15 node pairs x_j, -x_j and the centre, real for a real piece, meet
+    their weighted cosines and sines in real BLAS products of inner
+    dimension 31, one per row, in chunks of y kept on the calling
+    thread; the panel phases come by block from one exp per y over one
+    step vector (_block_phased_sum).  A scalar x and tol make one row,
+    with no grouping and no row axis; a row padded beside wider ones
+    sums in other blocks, within rounding of its own pass.
     Estimates are tail bound + panel |K - G| sum + rounding allowance.
     """
-    ys = np.asarray(ys, dtype=float)
+    ys = real_array("ys", ys)
     if _scalar(x) and _scalar(tol):  # one row: no grouping
         shape, ys = ys.shape, ys.ravel()
         rows = [(x, tol, slice(None))]
     else:
         shape = np.broadcast_shapes(np.shape(x), ys.shape, np.shape(tol))
-        xs, tols, ys = (np.broadcast_to(np.asarray(a, dtype=float),
-                                        shape).ravel() for a in (x, tol, ys))
+        xs, tols, ys = (np.broadcast_to(real_array(*a), shape).ravel()
+                        for a in (("x", x), ("tol", tol), ("ys", ys)))
         rows = _rows(xs, tols)
     values, estimates = np.zeros(ys.size, dtype=complex), np.empty(ys.size)
     passes, zero = [], []

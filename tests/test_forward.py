@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -541,6 +542,41 @@ def test_rejects_non_finite_point(x1, x2, y):
         sl_forward_values(f, x1, x2, [0.5, y], 1e-8)
     with pytest.raises(ValueError, match="finite"):
         sl_forward(f, SLPoint(x1, x2, y), 1e-8)
+
+
+# the caller's x1, x2, y and tol in turn, complex: a nonzero imaginary
+# part is refused by name, a zero one is dropped, with no ComplexWarning
+_REAL_ARGS = {"x1": 1.0, "x2": 1.0, "ys": np.array([2.0, 0.5]), "tol": 1e-8}
+
+
+@pytest.mark.parametrize("name", list(_REAL_ARGS))
+def test_complex_input_is_refused_unless_real(name):
+    f = catalog_signal("sign")
+    real = np.asarray(_REAL_ARGS[name])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = sl_forward_values(f, **_REAL_ARGS)
+        got = sl_forward_values(f, **{**_REAL_ARGS, name: real + 0j})
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        with pytest.raises(ValueError, match=f"^{name} must be real, got"):
+            sl_forward_values(f, **{**_REAL_ARGS, name: real + 1j})
+
+
+@pytest.mark.parametrize("name, args", [
+    ("x", (np.array([1.0 + 1e-3j]), [0.0, 2.0], 1e-8)),
+    ("ys", (1.0, np.array([0.0, 2.0 + 1j]), 1e-8)),
+    ("tol", (1.0, [0.0, 2.0], np.array([1e-8 + 1e-20j]))),
+])
+def test_one_sided_values_refuses_complex_input(name, args):
+    f = catalog_signal("sign")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{name} must be real, got"):
+            one_sided_values(f, "pos", *args)
+        real = [np.asarray(a).real for a in args]
+        want = one_sided_values(f, "pos", *real)
+        got = one_sided_values(f, "pos", *(r + 0j for r in real))
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_grid_divergence_names_the_side():

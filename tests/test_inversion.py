@@ -245,6 +245,19 @@ class TestSplitInversion:
         with pytest.raises(ValueError, match=r"got -inf$"):
             sl_inverse_split(parse_transform("1/s - 1/cs"), -math.inf)
 
+    def test_complex_time_is_refused_unless_real(self):
+        # numpy's cast would read 1+5j as t = 1 with a ComplexWarning
+        st = parse_transform("1/(s+1)")
+        terms = st.g1_terms
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for invert in (lambda t: sl_inverse_split(st, t),
+                           lambda t: inverse_laplace_rational(terms, t)):
+                with pytest.raises(ValueError, match=r"^t must be real, got"):
+                    invert(np.array([0.5, 1 + 5j]))
+                assert np.array_equal(invert(np.array([0.5, 1 + 0j])),
+                                      invert(np.array([0.5, 1.0])))
+
     @pytest.mark.parametrize("t", [2.0, -3.0, 1.0, -1.0, 0.25, -0.25])
     def test_identity_signal(self, t):
         st = parse_transform("1/s^2 - 1/cs^2")

@@ -1,4 +1,5 @@
 import math
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -951,3 +952,67 @@ def test_truncation_memo_takes_numpy_scalars_and_zero_d_arrays():
         assert got[1].tobytes() == want[1].tobytes()
         r = half_line_integral(lambda u: np.exp(-u), B10, x, tol)
         assert r == half_line_integral(lambda u: np.exp(-u), B10, 1.0, 1e-8)
+
+
+@pytest.mark.parametrize("check, message", [
+    (quadrature.require_finite, "finite"),
+    (quadrature.require_positive, "positive and finite")])
+def test_checkers_refuse_a_nonzero_imaginary_part_by_name(check, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for value in (2.0 + 1j, np.complex128(2.0 + 1j), [3.0, 2.0 + 1j],
+                      np.array([[3.0], [2.0 + 1j]])):
+            with pytest.raises(ValueError, match=r"^v must be real, got"):
+                check(u=1.0, v=value)
+        check(v=np.array([3.0 + 0j, 2.0]), w=2.0 + 0j)
+        for bad, got in ((np.array([3.0 + 0j, math.nan]), "nan"),
+                         ([3.0, -math.inf], "-inf")):
+            with pytest.raises(ValueError, match=f"^v must be {message}, "
+                                                 f"got {got}$"):
+                check(v=bad)
+
+
+@pytest.mark.parametrize("name, point", [
+    ("x", (np.array([1.0, 1.0 + 1e-3j]), 0.5, 1e-8)),
+    ("ys", (1.0, np.array([0.5, 2.0 + 1j]), 1e-8)),
+    ("tol", (1.0, 0.5, np.array([1e-8 + 1e-20j]))),
+])
+def test_grid_refuses_complex_input_unless_real(name, point):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{name} must be real, got"):
+            laplace_grid(lambda u: np.exp(-u), B10, *point)
+        real = [np.asarray(a).real for a in point]
+        want = laplace_grid(lambda u: np.exp(-u), B10, *real)
+        got = laplace_grid(lambda u: np.exp(-u), B10,
+                           *(r + 0j for r in real))
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_batches_hold_passes_of_one_y_count_within_the_entry_bound(seed):
+    # synthetic passes of 1 to 6 y and 4 to 6000 panels, some beyond
+    # _MAX_PANELS; a batch of several passes runs with a row axis padded
+    # to its widest pass, and a pass whose one-y node product is above
+    # _SOLO_DGEMM takes the einsum path, which only one row may take
+    rng = np.random.default_rng([43, seed])
+    passes = [quadrature._Pass(1.0, 1e-8, 10.0, 0.0, int(n), None, int(c))
+              for n, c in zip(rng.integers(4, 6001, 60),
+                              rng.integers(1, 7, 60))]
+    assert any(p.panels > quadrature._MAX_PANELS for p in passes)
+
+    def width(panels):
+        block = math.isqrt(panels - 1) + 1
+        return -(-panels // block) * block
+
+    batches = quadrature._batches(passes)
+    assert sorted(id(p) for b in batches for p in b) == sorted(map(id, passes))
+    for batch in batches:
+        assert len({p.count for p in batch}) == 1
+        if len(batch) > 1:
+            widest = max(p.panels for p in batch)
+            assert (len(batch) * width(widest) * (quadrature._N
+                    + batch[0].count) <= quadrature._BATCH_ENTRIES)
+        for p in batch:
+            if 4 * quadrature._N * width(p.panels) > quadrature._SOLO_DGEMM:
+                assert batch == [p]
